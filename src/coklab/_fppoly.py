@@ -13,6 +13,22 @@ from itertools import product
 from .errors import ParameterError
 
 
+def prime_divisors(n: int) -> list[int]:
+    """Distinct prime divisors of n, ascending, by trial division; empty for
+    n < 2, so n is prime exactly when the list is [n]."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def normalize(coeffs, p):
     cs = [c % p for c in coeffs]
     while cs and cs[-1] == 0:
@@ -118,17 +134,7 @@ def is_irreducible(g, p):
     if f == 1:
         return True
     x = (0, 1)
-    # prime divisors of f
-    divs = set()
-    m, d = f, 2
-    while d * d <= m:
-        while m % d == 0:
-            divs.add(d)
-            m //= d
-        d += 1
-    if m > 1:
-        divs.add(m)
-    for l in divs:
+    for l in prime_divisors(f):
         h = sub(pow_mod(x, p ** (f // l), g, p), x, p)
         if degree(gcd(h, g, p)) != 0:
             return False

@@ -14,9 +14,11 @@ import sys
 
 from .errors import BalanceError, ConfigError, DiagnosticsError, ParameterError
 from .experiments import (
+    _balance_echo,
     audit_modulus,
     emit_report,
     load_config,
+    parse_formats,
     run_distribution_experiment,
     run_galois_demo,
     run_moment_experiment,
@@ -64,10 +66,7 @@ def _apply_overrides(cfg, args):
     if args.out is not None:
         cfg = replace(cfg, out_path=args.out)
     if args.format is not None:
-        formats = tuple(f.strip() for f in args.format.split(",") if f.strip())
-        bad = set(formats) - {"csv", "json", "svg"}
-        if bad:
-            raise ConfigError(f"unknown output formats: {sorted(bad)}")
+        formats = parse_formats(f.strip() for f in args.format.split(",") if f.strip())
         cfg = replace(cfg, formats=formats)
     if args.no_strict_balance:
         cfg = replace(cfg, strict_balance=False)
@@ -119,11 +118,7 @@ def _cmd_audit(cfg):
     if cfg.out_path:
         data = {
             "modulus": report.modulus,
-            "entries": [
-                {"ideal": e.label, "p": e.p, "dim": e.dim,
-                 "worst_hyperplane": e.worst_hyperplane,
-                 "worst_mass": str(e.worst_mass), "epsilon": str(e.epsilon)}
-                for e in report.entries],
+            "entries": list(_balance_echo(report)),
             "overall": str(report.overall),
         }
         with open(cfg.out_path + ".json", "w", encoding="utf-8") as fh:

@@ -40,24 +40,13 @@ class DomainId:
             raise ParameterError(f"unknown domain kind: {self.kind!r}")
         if (self.kind == POLYNOMIALS) != (self.char is not None):
             raise ParameterError("char parameter is required exactly for the polynomial domain")
-        if self.char is not None and not _is_prime(self.char):
+        if self.char is not None and fp.prime_divisors(self.char) != [self.char]:
             raise ParameterError(f"polynomial domain needs a prime characteristic, got {self.char}")
 
     def __repr__(self):
         if self.kind == POLYNOMIALS:
             return f"F_{self.char}[x]"
         return "Z[i]" if self.kind == GAUSSIAN else "Z"
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 ZZ = DomainId(INTEGERS)
@@ -263,7 +252,7 @@ def factor_rational_prime(domain: DomainId, p) -> list[PrimeIdealDesc]:
         f = fp.degree(g)
         return [PrimeIdealDesc(domain, domain.char, f, 1, domain.char ** f,
                                Element(domain, g))]
-    if not isinstance(p, int) or not _is_prime(p):
+    if not isinstance(p, int) or fp.prime_divisors(p) != [p]:
         raise ParameterError(f"{p} is not a rational prime")
     if domain.kind == INTEGERS:
         return [PrimeIdealDesc(domain, p, 1, 1, p, int_elem(p))]
@@ -441,14 +430,14 @@ def elementary_quotient_ideals(domain: DomainId, a: Element) -> list[ElementaryQ
         raise ParameterError("modulus must be nonzero and not a unit")
     if domain.kind == INTEGERS:
         out = []
-        for p in _prime_divisors(abs(a.value)):
+        for p in fp.prime_divisors(abs(a.value)):
             out.append(ElementaryQuotientIdeal(domain, p, 1, f"({p})", "int-prime", ()))
         return out
     if domain.kind == GAUSSIAN:
         av, bv = a.value
         norm = av * av + bv * bv
         out = []
-        for p in _prime_divisors(norm):
+        for p in fp.prime_divisors(norm):
             candidates = []
             if p == 2:
                 candidates.append(ElementaryQuotientIdeal(domain, 2, 1, "(1+i)", "gauss-ramified", ()))
@@ -480,18 +469,4 @@ def elementary_quotient_ideals(domain: DomainId, a: Element) -> list[ElementaryQ
         out.append(ElementaryQuotientIdeal(
             domain, p, fp.degree(h), f"({poly_pretty(h)})", "poly-divisor", h))
     out.sort(key=lambda i: (i.k, i.label))
-    return out
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
     return out

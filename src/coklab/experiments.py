@@ -15,12 +15,11 @@ import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from fractions import Fraction
 
-import numpy as np
-
+from ._fppoly import prime_divisors
 from .domains import (
     GAUSSIAN,
     INTEGERS,
@@ -46,18 +45,7 @@ from .errors import (
 from .modules import ModuleType, count_sur, module_size, parse_type_string
 from .sampler import BalanceReport, EntryDistribution, balance_report, builtin_distribution, \
     sample_index_matrix
-from .snf import (
-    DEFAULT_POLICY,
-    MODE_GENERIC,
-    LocalMatrix,
-    PrecisionPolicy,
-    element_to_scalar,
-    escalation_ladder,
-    local_snf,
-    make_scalar_matrix,
-    matrix_mode,
-    snf_valuations_array,
-)
+from .snf import DEFAULT_POLICY, PrecisionPolicy, partition_at_prime
 from .theory import Prediction, partial_sum, predicted_moment, predicted_probability
 
 INDETERMINATE = "indeterminate"
@@ -118,10 +106,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         strict = bool(data.get("strict_balance", True))
         out = data.get("output", {})
         out_path = out.get("path")
-        formats = tuple(out.get("formats", ("csv", "json")))
-        bad = set(formats) - {"csv", "json", "svg"}
-        if bad:
-            raise ConfigError(f"unknown output formats: {sorted(bad)}")
+        formats = parse_formats(out.get("formats", ("csv", "json")))
         targets = tuple(data.get("targets", ()))
         return ExperimentConfig(domain, primes, u, n_list, trials, dist, seed, policy,
                                 cap_exponent, cap_parts, strict, out_path, formats,
@@ -130,6 +115,15 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError(str(e)) from e
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"malformed config: {e}") from e
+
+
+def parse_formats(formats) -> tuple:
+    """Validated report formats, a subset of csv, json and svg in the given order."""
+    formats = tuple(formats)
+    bad = set(formats) - {"csv", "json", "svg"}
+    if bad:
+        raise ConfigError(f"unknown output formats: {sorted(bad)}")
+    return formats
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -164,8 +158,8 @@ def _parse_primes(domain, selectors):
                 primes.extend(factor_rational_prime(domain, gen))
             elif domain.kind == GAUSSIAN:
                 a, b = gen.value
-                norm = a * a + b * b
-                matches = [pr for pr in factor_rational_prime(domain, _norm_char(norm))
+                matches = [pr for p in prime_divisors(a * a + b * b)
+                           for pr in factor_rational_prime(domain, p)
                            if _generates_same(pr.generator.value, (a, b))]
                 if not matches:
                     raise ConfigError(f"{sel['generator']} does not generate a prime ideal")
@@ -188,15 +182,6 @@ def _parse_primes(domain, selectors):
     if len(set(primes)) != len(primes):
         raise ConfigError("prime selectors resolve to duplicates")
     return tuple(primes)
-
-
-def _norm_char(norm: int) -> int:
-    d = 2
-    while d * d <= norm:
-        if norm % d == 0:
-            return d
-        d += 1
-    return norm
 
 
 def _generates_same(gen, cand) -> bool:
@@ -252,44 +237,6 @@ def run_balance_gate(cfg: ExperimentConfig) -> BalanceReport:
 # trial execution
 
 
-_TABLE_CACHE: dict = {}
-
-
-def _reduction_table(dist: EntryDistribution, prime, K: int):
-    """Per-support-element reductions at precision K, ready for indexing."""
-    key = (dist.domain, dist.support, prime, K)
-    hit = _TABLE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    from .domains import local_ring_for, reduce_mod_prime_power
-    ring = local_ring_for(prime, K)
-    mode = matrix_mode(ring)
-    reduced = [reduce_mod_prime_power(s, prime, K) for s in dist.support]
-    if mode == MODE_GENERIC:
-        table = (mode, ring, reduced)
-    else:
-        arr = make_scalar_matrix(mode, [element_to_scalar(mode, x) for x in reduced]).ravel()
-        table = (mode, ring, arr)
-    _TABLE_CACHE[key] = table
-    return table
-
-
-def _partition_at_prime(idx: np.ndarray, dist, prime, policy) -> tuple:
-    last = None
-    for K in escalation_ladder(prime, policy):
-        mode, ring, table = _reduction_table(dist, prime, K)
-        if mode == MODE_GENERIC:
-            grid = LocalMatrix.of(ring, [[table[j] for j in row] for row in idx.tolist()])
-            res = local_snf(grid)
-        else:
-            res = snf_valuations_array(mode, table[idx], prime.p, K)
-        last = res
-        if not res.saturated:
-            return tuple(sorted((v for v in res.valuations if v), reverse=True))
-    raise IndeterminateCokernelError(
-        f"saturated at K={escalation_ladder(prime, policy)[-1]} for {prime}", last)
-
-
 def _tally_chunk(args) -> Counter:
     """Worker: observed type keys for a contiguous trial range (pure)."""
     dist, primes, u, seed, policy, n, start, stop = args
@@ -299,7 +246,7 @@ def _tally_chunk(args) -> Counter:
         key = []
         try:
             for pi, prime in enumerate(primes):
-                parts = _partition_at_prime(idx, dist, prime, policy)
+                parts = partition_at_prime(idx, dist.support, prime, policy)
                 if parts:
                     key.append((pi, parts))
         except IndeterminateCokernelError:
@@ -310,6 +257,8 @@ def _tally_chunk(args) -> Counter:
 
 
 def _run_trials(cfg: ExperimentConfig, n: int, threads: int) -> Counter:
+    """Merged tally of cfg.trials trials at size n; raises DiagnosticsError
+    when more than half of them are indeterminate."""
     args = [(cfg.distribution, cfg.primes, cfg.u, cfg.seed, cfg.policy, n, a, b)
             for a, b in _chunks(cfg.trials, threads)]
     if threads <= 1:
@@ -320,6 +269,11 @@ def _run_trials(cfg: ExperimentConfig, n: int, threads: int) -> Counter:
     total = Counter()
     for t in tallies:  # merged in trial-index order
         total += t
+    indet = total.get(INDETERMINATE, 0)
+    if indet > cfg.trials * 0.5:
+        raise DiagnosticsError(
+            f"{indet}/{cfg.trials} trials indeterminate at n={n}; "
+            "the matrix law is degenerate at this precision policy")
     return total
 
 
@@ -441,12 +395,7 @@ def run_distribution_experiment(cfg: ExperimentConfig, threads: int = 1) -> Empi
     per_n = []
     for n in cfg.n_list:
         tally = _run_trials(cfg, n, threads)
-        block = _summarize_n(cfg, n, tally, box_mass, pred_cache)
-        per_n.append(block)
-        if block.indeterminate_count > cfg.trials * 0.5:
-            raise DiagnosticsError(
-                f"{block.indeterminate_count}/{cfg.trials} trials indeterminate at "
-                f"n={n}; the matrix law is degenerate at this precision policy")
+        per_n.append(_summarize_n(cfg, n, tally, box_mass, pred_cache))
     wall = time.perf_counter() - t0
     summary = EmpiricalSummary(
         kind="distribution",
@@ -592,8 +541,6 @@ def run_moment_experiment(cfg: ExperimentConfig, targets=None, threads: int = 1)
         tally = _run_trials(cfg, n, threads)
         indet = tally.get(INDETERMINATE, 0)
         determined = cfg.trials - indet
-        if indet > cfg.trials * 0.5:
-            raise DiagnosticsError(f"{indet}/{cfg.trials} indeterminate trials at n={n}")
         for N in target_types:
             mean = 0.0
             second = 0.0
@@ -675,16 +622,11 @@ def run_galois_demo(cfg: ExperimentConfig, threads: int = 1) -> GaloisSummary:
         primes = [pr, pr.conjugate()]
     if len(primes) != 2 or primes[0].conjugate() != primes[1]:
         raise ParameterError("the Galois demo needs one split prime or a conjugate pair")
-    cfg = ExperimentConfig(cfg.domain, tuple(primes), cfg.u, cfg.n_list, cfg.trials,
-                           cfg.distribution, cfg.seed, cfg.policy, cfg.cap_exponent,
-                           cfg.cap_parts, cfg.strict_balance, cfg.out_path, cfg.formats,
-                           cfg.targets, raw=cfg.raw)
+    cfg = replace(cfg, primes=tuple(primes))
     report = run_balance_gate(cfg)
     n = cfg.n_list[-1]
     tally = _run_trials(cfg, n, threads)
     indet = tally.get(INDETERMINATE, 0)
-    if indet > cfg.trials * 0.5:
-        raise DiagnosticsError(f"{indet}/{cfg.trials} indeterminate trials")
     equal = 0
     asym = Counter()
     for key, cnt in tally.items():
@@ -720,7 +662,7 @@ def run_galois_demo(cfg: ExperimentConfig, threads: int = 1) -> GaloisSummary:
 
 def emit_report(summary, formats=("csv", "json"), out_path=None) -> list[str]:
     """Write CSV/JSON/SVG artifacts next to out_path; returns written paths."""
-    out_path = out_path or getattr(summary, "out_path", None) or "coklab-report"
+    out_path = out_path or "coklab-report"
     directory = os.path.dirname(out_path)
     if directory:
         os.makedirs(directory, exist_ok=True)

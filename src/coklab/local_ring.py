@@ -38,17 +38,6 @@ _STYLE_ALIASES = {
 WORD_BITS = 64
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def max_precision(p: int, f: int) -> int:
     """Largest K with (p^f)^K <= 2^64."""
     q = p ** f
@@ -192,10 +181,10 @@ def make_local_ring(p: int, f: int, K: int, style: str = UNRAMIFIED) -> LocalRin
     Deterministic for fixed inputs: the defining modulus follows a fixed
     selection rule, so equal parameters give interchangeable rings.
     """
-    style = _STYLE_ALIASES.get(style)
-    if style is None:
+    if style not in _STYLE_ALIASES:
         raise ParameterError(f"unknown ring style: {style!r}")
-    if not _is_prime(p):
+    style = _STYLE_ALIASES[style]
+    if fp.prime_divisors(p) != [p]:
         raise ParameterError(f"p must be prime, got {p}")
     if f < 1 or K < 1:
         raise ParameterError("need f >= 1 and K >= 1")

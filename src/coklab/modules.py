@@ -206,18 +206,13 @@ def count_sur(A: ModuleType, B: ModuleType) -> int:
 @lru_cache(maxsize=None)
 def _field_tables(q: int):
     """(add, mul) tables for F_q, elements encoded 0..q-1 base p."""
-    p = None
-    for cand in range(2, q + 1):
-        f = 0
-        n = q
-        while n % cand == 0:
-            n //= cand
-            f += 1
-        if n == 1 and _is_prime_int(cand):
-            p, deg = cand, f
-            break
-    if p is None:
+    divisors = fp.prime_divisors(q)
+    if len(divisors) != 1:
         raise ParameterError(f"{q} is not a prime power")
+    p = divisors[0]
+    deg = 1
+    while p ** deg < q:
+        deg += 1
     polys = [_decode(v, p, deg) for v in range(q)]
     g = fp.smallest_irreducible(p, deg) if deg > 1 else None
     add = [[_encode(fp.add(a, b, p), p) for b in polys] for a in polys]
@@ -241,17 +236,6 @@ def _encode(poly, p):
     for c in reversed(poly):
         v = v * p + c
     return v
-
-
-def _is_prime_int(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 class _SpanTracker:

@@ -1,24 +1,27 @@
 """Smith normal form over truncated local rings and cokernel type extraction.
 
-Two layers:
+Three layers:
 
 * :func:`local_snf` works on explicit ``LocalElement`` grids in any ring,
   following the documented pivot rule (minimal valuation, lowest row then
-  column). It is the reference implementation.
-* Vectorized fast paths cover the two hot representations, Z/p^K entries in
-  machine words and bit-packed F_2[[t]]/t^K entries. They run the same
-  stratified elimination (unit pivots, then divide the block by the
-  uniformizer and recurse one level deeper) and are tested to agree with
-  the reference everywhere.
-
-``cokernel_local_type`` adds adaptive precision: saturated results escalate
-K geometrically until the policy cap, then raise ``IndeterminateCokernelError``
-so callers can report the trial in an explicit bucket.
+  column). It is the reference implementation and the generic path.
+* :func:`snf_valuations_array` covers the hot representations, Z/p^K
+  entries in machine words and bit-packed F_2[[t]]/t^K entries, with one
+  stratified elimination loop (unit pivots, then divide the block by the
+  uniformizer and go one level deeper) over three small eliminate steps.
+  It is tested to agree with the reference everywhere.
+* :func:`partition_at_prime` runs every cokernel computation. It takes a
+  matrix as positions into an entry support, picks the kernel for each
+  ring through :func:`reduction_table`, and escalates K geometrically
+  while results saturate, up to the policy cap; then it raises
+  ``IndeterminateCokernelError`` so callers can report the trial in an
+  explicit bucket. :func:`cokernel_local_type` feeds it element grids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -167,65 +170,6 @@ def element_to_scalar(mode: str, x: LocalElement) -> int:
     raise ParameterError("generic mode has no scalar packing")
 
 
-def _first_true_index(mask):
-    idx = int(np.argmax(mask))
-    return divmod(idx, mask.shape[1])
-
-
-def _snf_fast_modpk(B, p: int, K: int) -> SnfResult:
-    """Stratified elimination for Z/p^K scalars.
-
-    B is consumed. For p = 2 the dtype is uint64 and reduction is a bitmask
-    (wraparound multiplication is exact mod 2^64); odd p uses int64 with %
-    and requires p^K small enough for products to stay in range.
-    """
-    two = p == 2
-    modulus = (np.uint64((1 << K) - 1) if K < 64 else np.uint64(0xFFFFFFFFFFFFFFFF)) \
-        if two else p ** K
-    vals = []
-    level = 0
-    while B.shape[0]:
-        if level >= K or not B.any():
-            vals.extend([K] * B.shape[0])
-            break
-        while True:
-            units = (B & np.uint64(1)).astype(bool) if two else (B % p) != 0
-            if not units.any():
-                break
-            i, j = _first_true_index(units)
-            if i:
-                B[[0, i]] = B[[i, 0]]
-            if j:
-                B[:, [0, j]] = B[:, [j, 0]]
-            if two:
-                inv = np.uint64(pow(int(B[0, 0]), -1, 1 << (K - level)))
-                B[0] = (B[0] * inv) & modulus
-                col = B[1:, 0:1].copy()
-                B[1:] = (B[1:] - col * B[0:1]) & modulus
-            else:
-                m = p ** (K - level)
-                inv = pow(int(B[0, 0]), -1, m)
-                B[0] = (B[0] * inv) % m
-                col = B[1:, 0:1].copy()
-                B1 = B[1:]
-                B1 -= col * B[0:1]
-                B1 %= m
-            vals.append(level)
-            B = B[1:, 1:]
-            if not B.shape[0]:
-                break
-        if not B.shape[0]:
-            break
-        if not B.any():
-            continue  # saturation handled at loop head
-        B = (B >> np.uint64(1)) if two else B // p
-        level += 1
-        if two:
-            modulus = modulus >> np.uint64(1)
-    vals = sorted(vals)
-    return SnfResult(tuple(vals), any(v >= K for v in vals))
-
-
 def _clmul(a: int, b: int) -> int:
     r = 0
     while b:
@@ -245,63 +189,102 @@ def _clmul_inv(a: int, prec: int) -> int:
     return y
 
 
-def _snf_fast_f2t(B, K: int) -> SnfResult:
-    """Stratified elimination for bit-packed F_2[t]/t^K scalars (B consumed)."""
-    vals = []
-    level = 0
-    prec = K
-    one = np.uint64(1)
-    while B.shape[0]:
-        if prec == 0 or not B.any():
-            vals.extend([K] * B.shape[0])
-            break
-        mask = np.uint64((1 << prec) - 1)
-        units = (B & one).astype(bool)
-        if not units.any():
-            B = (B >> one) & mask  # mask shrinks next round; shift is exact
-            prec -= 1
-            level += 1
-            continue
-        i, j = _first_true_index(units)
-        if i:
-            B[[0, i]] = B[[i, 0]]
-        if j:
-            B[:, [0, j]] = B[:, [j, 0]]
-        ainv = _clmul_inv(int(B[0, 0]), prec)
-        row = B[0].copy()
-        acc = np.zeros_like(row)
-        s = 0
-        a = ainv
-        while a:
-            if a & 1:
-                acc ^= row << np.uint64(s)
-            a >>= 1
-            s += 1
-        B[0] = acc & mask
-        factors = B[1:, 0].copy()
-        prow = B[0]
-        B1 = B[1:]
-        present = int(np.bitwise_or.reduce(factors)) if factors.size else 0
-        s = 0
-        while present:
-            if present & 1:
-                sel = (factors >> np.uint64(s)) & one
-                B1 ^= sel[:, None] * ((prow << np.uint64(s)) & mask)
-            present >>= 1
-            s += 1
-        vals.append(level)
-        B = B[1:, 1:]
-    vals = sorted(vals)
-    return SnfResult(tuple(vals), any(v >= K for v in vals))
+def _bit_positions(x: int):
+    return [s for s in range(x.bit_length()) if x >> s & 1]
+
+
+_ONE = np.uint64(1)
+
+# Eliminate steps: B[0, 0] is a unit of the ring at precision prec; clear
+# column 0 below it with row operations, leaving B[1:, 1:] reduced.
+
+
+def _eliminate_mod2k(B, p: int, prec: int):
+    """Z/2^prec in uint64: wraparound products are exact, a mask reduces."""
+    factors = B[1:, 0:1] * np.uint64(pow(int(B[0, 0]), -1, 1 << prec))
+    B1 = B[1:]
+    B1 -= factors * B[0:1]
+    B1 &= np.uint64((1 << prec) - 1)
+
+
+def _eliminate_modpk(B, p: int, prec: int):
+    """Z/p^prec in int64 with %: entries stay below p^prec, products below 2^63."""
+    m = p ** prec
+    factors = B[1:, 0:1] * pow(int(B[0, 0]), -1, m) % m
+    B1 = B[1:]
+    B1 -= factors * B[0:1]
+    B1 %= m
+
+
+def _eliminate_f2t(B, p: int, prec: int):
+    """F_2[t]/t^prec bit-packed in uint64: carryless products by shift and XOR."""
+    mask = np.uint64((1 << prec) - 1)
+    row = np.zeros_like(B[0])
+    for s in _bit_positions(_clmul_inv(int(B[0, 0]), prec)):
+        row ^= B[0] << np.uint64(s)
+    row &= mask
+    factors = B[1:, 0].copy()
+    B1 = B[1:]
+    for s in _bit_positions(int(np.bitwise_or.reduce(factors))):
+        B1 ^= ((factors >> np.uint64(s)) & _ONE)[:, None] * ((row << np.uint64(s)) & mask)
+
+
+def _units_2(B, p):
+    return (B & _ONE).astype(bool)
+
+
+def _units_p(B, p):
+    return B % p != 0
+
+
+def _shift_2(B, p):
+    return B >> _ONE
+
+
+def _shift_p(B, p):
+    return B // p
+
+
+# mode -> (unit test, division by the uniformizer, eliminate step)
+_KERNELS = {
+    MODE_MOD2K: (_units_2, _shift_2, _eliminate_mod2k),
+    MODE_MODPK: (_units_p, _shift_p, _eliminate_modpk),
+    MODE_F2T: (_units_2, _shift_2, _eliminate_f2t),
+}
 
 
 def snf_valuations_array(mode: str, B, p: int, K: int) -> SnfResult:
-    """Run the fast elimination for a packed scalar matrix (B is consumed)."""
-    if mode == MODE_F2T:
-        return _snf_fast_f2t(B, K)
-    if mode in (MODE_MOD2K, MODE_MODPK):
-        return _snf_fast_modpk(B, p, K)
-    raise ParameterError(f"no array path for mode {mode!r}")
+    """Stratified elimination of a packed scalar matrix (B is consumed).
+
+    At level ``level < K`` the block holds entries modulo p^(K - level).
+    Pivot on the first unit and clear its row and column; with no unit left,
+    divide the block by the uniformizer and go one level deeper; stop once
+    the block is zero. Rows still left get valuation K (saturated).
+    """
+    if mode not in _KERNELS:
+        raise ParameterError(f"no array path for mode {mode!r}")
+    units, shift, eliminate = _KERNELS[mode]
+    vals = []
+    level = 0
+    while B.shape[0] and level < K:
+        found = units(B, p)
+        first = int(np.argmax(found))  # first unit in row-major order
+        if found.flat[first]:
+            i, j = divmod(first, B.shape[1])
+            if i:
+                B[[0, i]] = B[[i, 0]]
+            if j:
+                B[:, [0, j]] = B[:, [j, 0]]
+            eliminate(B, p, K - level)
+            vals.append(level)
+            B = B[1:, 1:]
+        elif B.any():
+            B = shift(B, p)
+            level += 1
+        else:
+            break
+    vals.extend([K] * B.shape[0])
+    return SnfResult(tuple(vals), bool(B.shape[0]))
 
 
 def make_scalar_matrix(mode: str, rows) -> np.ndarray:
@@ -310,37 +293,15 @@ def make_scalar_matrix(mode: str, rows) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# cokernel extraction with precision escalation
+# cokernels: precision escalation over per-support reduction tables
+
+# distinct (support, prime, K) tables kept; a run needs one per ladder rung
+_TABLE_CACHE_SIZE = 256
 
 
 def feasible_k_max(prime: PrimeIdealDesc, policy: PrecisionPolicy) -> int:
     """Word-size cap on precision for this prime's completion."""
     return min(policy.k_max, max_precision(prime.p, prime.f))
-
-
-def _snf_at_precision(M, prime: PrimeIdealDesc, K: int) -> SnfResult:
-    ring = local_ring_for(prime, K)
-    mode = matrix_mode(ring)
-    cache = {}
-
-    def red(x):
-        if x not in cache:
-            cache[x] = reduce_mod_prime_power(x, prime, K)
-        return cache[x]
-
-    if mode == MODE_GENERIC:
-        grid = LocalMatrix.of(ring, [[red(x) for x in row] for row in M])
-        return local_snf(grid)
-    scalar = {}
-    rows = []
-    for row in M:
-        out = []
-        for x in row:
-            if x not in scalar:
-                scalar[x] = element_to_scalar(mode, red(x))
-            out.append(scalar[x])
-        rows.append(out)
-    return snf_valuations_array(mode, make_scalar_matrix(mode, rows), prime.p, K)
 
 
 def escalation_ladder(prime: PrimeIdealDesc, policy: PrecisionPolicy):
@@ -354,22 +315,54 @@ def escalation_ladder(prime: PrimeIdealDesc, policy: PrecisionPolicy):
     return ladder
 
 
-def cokernel_local_type(M, prime: PrimeIdealDesc, policy: PrecisionPolicy = DEFAULT_POLICY) -> tuple:
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def reduction_table(support: tuple, prime: PrimeIdealDesc, K: int):
+    """The support reduced into the local ring at precision K.
+
+    Returns ``(mode, ring, table)``: the kernel the ring lowers onto, the
+    ring, and a table indexed by support position. The table is a read-only
+    packed scalar array for the array kernels and a tuple of
+    ``LocalElement`` for the generic path.
+    """
+    ring = local_ring_for(prime, K)
+    mode = matrix_mode(ring)
+    reduced = tuple(reduce_mod_prime_power(s, prime, K) for s in support)
+    if mode == MODE_GENERIC:
+        return mode, ring, reduced
+    table = make_scalar_matrix(mode, [element_to_scalar(mode, x) for x in reduced]).ravel()
+    table.flags.writeable = False  # shared between calls; indexing copies
+    return mode, ring, table
+
+
+def partition_at_prime(idx, support: tuple, prime: PrimeIdealDesc,
+                       policy: PrecisionPolicy) -> tuple:
     """Partition of uniformizer exponents of cok(M) tensored up at one prime.
 
-    M is a grid of domain Elements with rows <= columns. Saturated runs
-    escalate the truncation K geometrically (for any u); if the last feasible
-    K still saturates, the trial is indeterminate.
+    M is given by support positions: ``M[i][j] = support[idx[i, j]]``, with
+    rows <= columns. Each rung of the escalation ladder runs M through the
+    kernel its ring lowers onto; a saturated result climbs to the next K
+    (for any u), and saturation at the last feasible K raises
+    ``IndeterminateCokernelError``.
     """
     last = None
     for K in escalation_ladder(prime, policy):
-        last = _snf_at_precision(M, prime, K)
+        mode, ring, table = reduction_table(support, prime, K)
+        if mode == MODE_GENERIC:
+            last = local_snf(LocalMatrix.of(ring, [[table[j] for j in row]
+                                                  for row in idx.tolist()]))
+        else:
+            last = snf_valuations_array(mode, table[idx], prime.p, K)
         if not last.saturated:
-            nonzero = [v for v in last.valuations if v > 0]
-            return tuple(sorted(nonzero, reverse=True))
-    raise IndeterminateCokernelError(
-        f"cokernel type at {prime} undetermined at K={escalation_ladder(prime, policy)[-1]}",
-        last_result=last)
+            return tuple(sorted((v for v in last.valuations if v), reverse=True))
+    raise IndeterminateCokernelError(f"cokernel type at {prime} undetermined at K={K}", last)
+
+
+def cokernel_local_type(M, prime: PrimeIdealDesc, policy: PrecisionPolicy = DEFAULT_POLICY) -> tuple:
+    """:func:`partition_at_prime` for a grid M of domain Elements."""
+    support = tuple(dict.fromkeys(x for row in M for x in row))
+    position = {x: i for i, x in enumerate(support)}
+    idx = np.array([[position[x] for x in row] for row in M])
+    return partition_at_prime(idx, support, prime, policy)
 
 
 def cokernel_type(M, primes, policy: PrecisionPolicy = DEFAULT_POLICY):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from coklab.cli import main
 from coklab.domains import ZZ, poly_domain
 from coklab.errors import BalanceError, ConfigError, DiagnosticsError, ParameterError
 from coklab.experiments import (
@@ -165,12 +166,23 @@ def test_galois_demo_balanced_control():
     assert s.asymmetric_rows
 
 
-def test_diagnostics_error_on_degenerate_distribution():
-    cfg = parse_config(base_config(
+@pytest.mark.parametrize("command, runner", [
+    ("dist", run_distribution_experiment),
+    ("moments", run_moment_experiment),
+    ("galois", run_galois_demo),
+], ids=["dist", "moments", "galois"])
+def test_diagnostics_error_on_degenerate_distribution(tmp_path, capsys, command, runner):
+    # the all-zero matrix saturates at every K: every trial is indeterminate
+    data = base_config(
+        domain="Z[i]", primes=[{"p": 5, "index": 0}], targets=["∅"],
         distribution={"support": ["0"], "weights": [1]},
-        strict_balance=False, trials=50, n=[4]))
-    with pytest.raises(DiagnosticsError):
-        run_distribution_experiment(cfg)
+        strict_balance=False, trials=50, n=[4])
+    with pytest.raises(DiagnosticsError, match="50/50 trials indeterminate at n=4"):
+        runner(parse_config(data))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main([command, "--config", str(path)]) == 4
+    assert "diagnostics failure" in capsys.readouterr().err
 
 
 def test_emit_report_round_trip(tmp_path):

@@ -1,6 +1,7 @@
 import random
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from coklab.domains import (
@@ -32,6 +33,8 @@ from coklab.snf import (
     integer_snf_oracle,
     local_snf,
     p_part_of_divisors,
+    reduction_table,
+    snf_valuations_array,
 )
 
 P2 = factor_rational_prime(ZZ, 2)[0]
@@ -149,26 +152,44 @@ def test_oracle_agreement_seeded():
 
 
 def test_fast_paths_match_generic():
-    # SNF valuations agree between the vectorized paths and the element path
+    # Each array kernel agrees with the element-wise local_snf on every branch
+    # of the shared stratified loop: unit pivots, division by the uniformizer
+    # and saturation. Supports hold entries of valuation 0, 1, 2, K-1 and K
+    # (the last reduce to zero); K = 64 runs mod2k and f2t at full word width.
     rng = random.Random(42)
-    # Z/2^K exercises mod2k; Z/3^K exercises modpk; F_2[x] at (x) exercises f2t
     (px,) = factor_rational_prime(poly_domain(2), poly_elem(2, [0, 1]))
-    for _ in range(120):
-        n = rng.randrange(1, 6)
-        u = rng.randrange(0, 2)
-        for prime, draw in [
-            (P2, lambda: int_elem(rng.randrange(-40, 40))),
-            (P3, lambda: int_elem(rng.randrange(-40, 40))),
-            (px, lambda: poly_elem(2, [rng.randrange(2) for _ in range(5)])),
-        ]:
-            M = [[draw() for _ in range(n + u)] for _ in range(n)]
-            K = rng.choice([3, 5, 8])
-            from coklab.domains import local_ring_for
-            from coklab.snf import _snf_at_precision
-            ring = local_ring_for(prime, K)
-            grid = LocalMatrix.of(ring, [[reduce_mod_prime_power(x, prime, K) for x in row]
-                                         for row in M])
-            assert _snf_at_precision(M, prime, K) == local_snf(grid)
+
+    def ints(p, K):
+        return [int_elem(0), int_elem(7), int_elem(-12)] + [
+            int_elem(c * p ** v) for v in sorted({0, 1, 2, K - 1, K}) for c in (1, -5)]
+
+    def polys(p, K):
+        return [poly_elem(2, []), poly_elem(2, [1, 0, 1, 1])] + [
+            poly_elem(2, [0] * v + c) for v in sorted({0, 1, 2, K - 1, K}) for c in ([1], [1, 1])]
+
+    seen = {}
+    for prime, mode, Ks, support_at in [
+        (P2, "mod2k", (1, 8, 32, 64), ints),
+        (P3, "modpk", (1, 5, 8, 19), ints),  # 3^19 is the largest power below the int64 limit
+        (px, "f2t", (1, 8, 32, 64), polys),
+    ]:
+        for K in Ks:
+            support = tuple(dict.fromkeys(support_at(prime.p, K)))
+            table_mode, ring, table = reduction_table(support, prime, K)
+            assert table_mode == mode
+            reduced = [reduce_mod_prime_power(s, prime, K) for s in support]
+            for _ in range(40):
+                n = rng.randrange(1, 6)
+                u = rng.choice([0, 1, 2])
+                idx = np.array([[rng.randrange(len(support)) for _ in range(n + u)]
+                                for _ in range(n)])
+                want = local_snf(LocalMatrix.of(ring, [[reduced[j] for j in row]
+                                                       for row in idx.tolist()]))
+                assert snf_valuations_array(mode, table[idx], prime.p, K) == want
+                seen.setdefault(mode, set()).update(
+                    "pivot" if v == 0 else "saturated" if v == K else "shift"
+                    for v in want.valuations)
+    assert all(kinds == {"pivot", "shift", "saturated"} for kinds in seen.values()), seen
 
 
 def test_permutation_invariance():
