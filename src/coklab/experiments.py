@@ -19,6 +19,8 @@ from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
+
 from ._fppoly import prime_divisors
 from .domains import (
     GAUSSIAN,
@@ -237,22 +239,38 @@ def run_balance_gate(cfg: ExperimentConfig) -> BalanceReport:
 # trial execution
 
 
+# trials sampled and eliminated together; bounds a batch's memory for any chunk size
+_SUB_BATCH = 64
+
+
 def _tally_chunk(args) -> Counter:
-    """Worker: observed type keys for a contiguous trial range (pure)."""
+    """Worker: observed type keys for a contiguous trial range (pure).
+
+    Trials go through the cokernel driver in sub-batches of ``_SUB_BATCH``,
+    sampled into one reused array of the narrowest index dtype. A trial
+    leaves the batch at its first indeterminate prime. Keys are tallied in
+    trial order.
+    """
     dist, primes, u, seed, policy, n, start, stop = args
     tally = Counter()
-    for t in range(start, stop):
-        idx = sample_index_matrix(dist, n, u, seed, t)
-        key = []
-        try:
-            for pi, prime in enumerate(primes):
-                parts = partition_at_prime(idx, dist.support, prime, policy)
-                if parts:
-                    key.append((pi, parts))
-        except IndeterminateCokernelError:
-            tally[INDETERMINATE] += 1
-            continue
-        tally[tuple(key)] += 1
+    idx = np.empty((_SUB_BATCH, n, n + u), dtype=np.min_scalar_type(len(dist.support) - 1))
+    for first in range(start, stop, _SUB_BATCH):
+        batch = idx[:min(_SUB_BATCH, stop - first)]
+        for i, dst in enumerate(batch):
+            dst[...] = sample_index_matrix(dist, n, u, seed, first + i)
+        keys = [[] for _ in batch]
+        live = list(range(len(batch)))  # trials determined at every prime so far
+        for pi, prime in enumerate(primes):
+            sub = batch if len(live) == len(batch) else batch[live]
+            outcomes = partition_at_prime(sub, dist.support, prime, policy)
+            for t, parts in zip(live, outcomes):
+                if isinstance(parts, IndeterminateCokernelError):
+                    keys[t] = None
+                elif parts:
+                    keys[t].append((pi, parts))
+            live = [t for t in live if keys[t] is not None]
+        for key in keys:
+            tally[INDETERMINATE if key is None else tuple(key)] += 1
     return tally
 
 

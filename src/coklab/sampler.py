@@ -9,7 +9,7 @@ matrices bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
@@ -55,6 +55,17 @@ class EntryDistribution:
     domain: DomainId
     support: tuple      # Elements, distinct
     weights: tuple      # Fractions, positive, exact sum 1
+    _cutoffs: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        cum = Fraction(0)
+        ts = []
+        for w in self.weights[:-1]:
+            cum += w
+            ts.append((cum.numerator << 64) // cum.denominator)
+        cutoffs = np.array(ts, dtype=np.uint64)
+        cutoffs.flags.writeable = False  # shared by every trial
+        object.__setattr__(self, "_cutoffs", cutoffs)
 
     @staticmethod
     def of(domain: DomainId, support, weights) -> "EntryDistribution":
@@ -76,13 +87,9 @@ class EntryDistribution:
         return EntryDistribution(domain, support, tuple(fracs))
 
     def thresholds(self) -> np.ndarray:
-        """Cumulative 64-bit cutoffs for searchsorted sampling (all but last)."""
-        cum = Fraction(0)
-        ts = []
-        for w in self.weights[:-1]:
-            cum += w
-            ts.append((cum.numerator << 64) // cum.denominator)
-        return np.array(ts, dtype=np.uint64)
+        """Cumulative 64-bit cutoffs for searchsorted sampling (all but last),
+        computed once per distribution."""
+        return self._cutoffs
 
     def __str__(self):
         from .domains import format_element
@@ -215,20 +222,19 @@ def balance_report(dist: EntryDistribution, domain: DomainId, modulus: Element) 
 # seeded sampling
 
 
-def _philox(seed: int, trial: int, n: int, u: int):
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, trial], dtype=np.uint64)
-    counter = np.array([0, n, u, 0], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
-
-
 def sample_index_matrix(dist: EntryDistribution, n: int, u: int, seed: int,
                         trial: int = 0) -> np.ndarray:
-    """Support indices for one trial matrix, schedule-independent."""
+    """Support indices for one trial matrix, schedule-independent.
+
+    The draws are the raw 64-bit outputs of a Philox stream keyed by
+    (seed, trial) with counter (0, n, u, 0), in row-major order.
+    """
     if n < 1 or u < 0:
         raise ParameterError("need n >= 1 and u >= 0")
-    gen = _philox(seed, trial, n, u)
-    draws = gen.integers(0, 2 ** 64 - 1, size=(n, n + u), dtype=np.uint64, endpoint=True)
-    return np.searchsorted(dist.thresholds(), draws, side="right")
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, trial], dtype=np.uint64)
+    counter = np.array([0, n, u, 0], dtype=np.uint64)
+    draws = np.random.Philox(key=key, counter=counter).random_raw(n * (n + u))
+    return np.searchsorted(dist.thresholds(), draws.reshape(n, n + u), side="right")
 
 
 def sample_matrix(dist: EntryDistribution, n: int, u: int, seed: int, trial: int = 0):

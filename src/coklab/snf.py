@@ -6,16 +6,20 @@ Three layers:
   following the documented pivot rule (minimal valuation, lowest row then
   column). It is the reference implementation and the generic path.
 * :func:`snf_valuations_array` covers the hot representations, Z/p^K
-  entries in machine words and bit-packed F_2[[t]]/t^K entries, with one
-  stratified elimination loop (unit pivots, then divide the block by the
-  uniformizer and go one level deeper) over three small eliminate steps.
+  entries and bit-packed F_2[[t]]/t^K entries in machine words, for a whole
+  batch of matrices at once. Each step of its stratified loop pivots every
+  matrix on its first unit with a rank-1 update (no swaps); once no matrix
+  has a unit, the batch is divided by the uniformizer and goes one level
+  deeper. The 2-power kernels use the narrowest unsigned word of K bits.
   It is tested to agree with the reference everywhere.
 * :func:`partition_at_prime` runs every cokernel computation. It takes a
-  matrix as positions into an entry support, picks the kernel for each
-  ring through :func:`reduction_table`, and escalates K geometrically
-  while results saturate, up to the policy cap; then it raises
-  ``IndeterminateCokernelError`` so callers can report the trial in an
-  explicit bucket. :func:`cokernel_local_type` feeds it element grids.
+  batch of matrices as positions into an entry support, picks the kernel
+  for each ring through :func:`reduction_table`, and escalates K
+  geometrically for the saturated matrices only, up to the policy cap;
+  a matrix still saturated there gets an ``IndeterminateCokernelError`` so
+  callers can report the trial in an explicit bucket.
+  :func:`cokernel_local_type` feeds it one element grid and raises that
+  error.
 """
 
 from __future__ import annotations
@@ -142,9 +146,9 @@ def local_snf(M: LocalMatrix) -> SnfResult:
 # ---------------------------------------------------------------------------
 # vectorized fast paths
 
-MODE_MOD2K = "mod2k"      # Z/2^K in uint64 (wraparound-exact)
+MODE_MOD2K = "mod2k"      # Z/2^K in the narrowest unsigned word of K bits (wraparound-exact)
 MODE_MODPK = "modpk"      # Z/p^K, odd p, products inside int64
-MODE_F2T = "f2t"          # F_2[t]/t^K, bit-packed, carryless
+MODE_F2T = "f2t"          # F_2[t]/t^K, bit-packed in the narrowest word of K bits, carryless
 MODE_GENERIC = "generic"
 
 
@@ -170,121 +174,166 @@ def element_to_scalar(mode: str, x: LocalElement) -> int:
     raise ParameterError("generic mode has no scalar packing")
 
 
-def _clmul(a: int, b: int) -> int:
-    r = 0
-    while b:
-        lsb = b & -b
-        r ^= a << (lsb.bit_length() - 1)
-        b ^= lsb
+def _word_dtype(mode: str, K: int) -> np.dtype:
+    """The array kernel's word at precision K: int64 for modpk, else the
+    narrowest unsigned word of at least K bits (wraparound is exact mod 2^K)."""
+    if mode == MODE_MODPK:
+        return np.dtype(np.int64)
+    return np.dtype(f"uint{max(8, 1 << (K - 1).bit_length())}")
+
+
+# Kernel steps on a batch of shape (b, n, m) at precision prec = K - level.
+# Entries of the 2-power words are exact in their low prec bits; the bits
+# above are cleared only when the batch is divided by the uniformizer.
+
+
+def _units_2(x, p):
+    return x & 1
+
+
+def _units_p(x, p):
+    return x % p != 0
+
+
+def _scale_2k(row, a, p, prec):
+    """Rows times the inverses of the odd pivots a: Newton y <- y(2 - ay) from
+    y = a, which is exact mod 8 and doubles its bits each round."""
+    y = a.copy()
+    bits = 3
+    while bits < prec:
+        y *= 2 - a * y
+        bits *= 2
+    return row * y[:, None]
+
+
+def _pow_mod(a, e: int, m: int):
+    r = np.ones_like(a)
+    while e:
+        if e & 1:
+            r = r * a % m
+        a = a * a % m
+        e >>= 1
     return r
 
 
-def _clmul_inv(a: int, prec: int) -> int:
-    """Inverse of a unit (bit 0 set) in F_2[t]/t^prec: char-2 Newton y <- a y^2."""
-    mask = (1 << prec) - 1
-    y = 1
-    for _ in range(max(1, (prec - 1).bit_length()) + 1):
-        y = _clmul(a, _clmul(y, y)) & mask
-    assert _clmul(a, y) & mask == 1
-    return y
-
-
-def _bit_positions(x: int):
-    return [s for s in range(x.bit_length()) if x >> s & 1]
-
-
-_ONE = np.uint64(1)
-
-# Eliminate steps: B[0, 0] is a unit of the ring at precision prec; clear
-# column 0 below it with row operations, leaving B[1:, 1:] reduced.
-
-
-def _eliminate_mod2k(B, p: int, prec: int):
-    """Z/2^prec in uint64: wraparound products are exact, a mask reduces."""
-    factors = B[1:, 0:1] * np.uint64(pow(int(B[0, 0]), -1, 1 << prec))
-    B1 = B[1:]
-    B1 -= factors * B[0:1]
-    B1 &= np.uint64((1 << prec) - 1)
-
-
-def _eliminate_modpk(B, p: int, prec: int):
-    """Z/p^prec in int64 with %: entries stay below p^prec, products below 2^63."""
+def _scale_pk(row, a, p, prec):
+    """Rows times the pivot inverses mod p^prec: Fermat mod p, then Newton
+    lifting y <- y(2 - ay), doubling the p-adic digits each round. Non-units
+    get inverse 0."""
     m = p ** prec
-    factors = B[1:, 0:1] * pow(int(B[0, 0]), -1, m) % m
-    B1 = B[1:]
-    B1 -= factors * B[0:1]
-    B1 %= m
+    y = _pow_mod(a % p, p - 2, p)
+    digits = 1
+    while digits < prec:
+        y = y * (2 - a * y % m) % m
+        digits *= 2
+    return row * y[:, None] % m
 
 
-def _eliminate_f2t(B, p: int, prec: int):
-    """F_2[t]/t^prec bit-packed in uint64: carryless products by shift and XOR."""
-    mask = np.uint64((1 << prec) - 1)
-    row = np.zeros_like(B[0])
-    for s in _bit_positions(_clmul_inv(int(B[0, 0]), prec)):
-        row ^= B[0] << np.uint64(s)
-    row &= mask
-    factors = B[1:, 0].copy()
-    B1 = B[1:]
-    for s in _bit_positions(int(np.bitwise_or.reduce(factors))):
-        B1 ^= ((factors >> np.uint64(s)) & _ONE)[:, None] * ((row << np.uint64(s)) & mask)
+def _clmul(x, y, prec):
+    """Carryless products x*y in F_2[t]/t^prec of small broadcastable arrays,
+    one shifted copy of x per bit of y below prec along an extra last axis."""
+    s = np.arange(prec, dtype=x.dtype)
+    return np.bitwise_xor.reduce((y[..., None] >> s & 1) * (x[..., None] << s), axis=-1)
 
 
-def _units_2(B, p):
-    return (B & _ONE).astype(bool)
+def _scale_f2t(row, a, p, prec):
+    """Rows times the pivot inverses in F_2[t]/t^prec: carryless Newton
+    y <- a y^2 from y = 1, doubling the t-adic digits each round."""
+    a = a | 1  # rows without a pivot get factor 0 later; keep their Newton defined
+    y = np.ones_like(a)
+    for _ in range((prec - 1).bit_length()):
+        y = _clmul(a, _clmul(y, y, prec), prec)
+    mask = (1 << prec) - 1
+    assert np.all(_clmul(a, y, prec) & mask == 1), "carryless Newton inverse failed"
+    return _clmul(row, y[:, None], prec)
 
 
-def _units_p(B, p):
-    return B % p != 0
+def _update_2k(B, col, row, p, prec):
+    B -= col[:, :, None] * row[:, None, :]
 
 
-def _shift_2(B, p):
-    return B >> _ONE
+def _update_pk(B, col, row, p, prec):
+    B -= col[:, :, None] * row[:, None, :]
+    B %= p ** prec
 
 
-def _shift_p(B, p):
-    return B // p
+def _update_f2t(B, col, row, p, prec):
+    """Carryless rank-1 update, one pass over B per bit present in col."""
+    present = int(np.bitwise_or.reduce(col, axis=None))
+    for s in range(prec):
+        if present >> s & 1:
+            B ^= (col[:, :, None] >> s & 1) * (row[:, None, :] << s)
 
 
-# mode -> (unit test, division by the uniformizer, eliminate step)
+def _shift_2(B, p, prec):
+    B >>= 1
+    B &= (1 << prec) - 1
+    return B
+
+
+def _shift_p(B, p, prec):
+    B //= p
+    return B
+
+
+# mode -> (unit test, pivot-row scaling by the pivot's inverse, rank-1 update,
+# division by the uniformizer down to precision prec)
 _KERNELS = {
-    MODE_MOD2K: (_units_2, _shift_2, _eliminate_mod2k),
-    MODE_MODPK: (_units_p, _shift_p, _eliminate_modpk),
-    MODE_F2T: (_units_2, _shift_2, _eliminate_f2t),
+    MODE_MOD2K: (_units_2, _scale_2k, _update_2k, _shift_2),
+    MODE_MODPK: (_units_p, _scale_pk, _update_pk, _shift_p),
+    MODE_F2T: (_units_2, _scale_f2t, _update_f2t, _shift_2),
 }
 
 
-def snf_valuations_array(mode: str, B, p: int, K: int) -> SnfResult:
-    """Stratified elimination of a packed scalar matrix (B is consumed).
+def snf_valuations_array(mode: str, B, p: int, K: int):
+    """Stratified elimination of a batch of packed scalar matrices.
 
-    At level ``level < K`` the block holds entries modulo p^(K - level).
-    Pivot on the first unit and clear its row and column; with no unit left,
-    divide the block by the uniformizer and go one level deeper; stop once
-    the block is zero. Rows still left get valuation K (saturated).
+    ``B`` has shape ``(b, n, m)``, or ``(n, m)`` for a single matrix; it is
+    consumed when it already has the mode's word dtype. At level
+    ``level < K`` entries are taken modulo p^(K - level). Each step pivots
+    every matrix on its first unit in row-major order and subtracts the
+    rank-1 product of the pivot column and the pivot row scaled by the
+    pivot's inverse, which zeroes both; a matrix with no unit gets factor 0.
+    Once no matrix has a unit, the batch is divided by the uniformizer and
+    goes one level deeper, and all-zero matrices leave it. Rows without a
+    pivot get valuation K (saturated). Returns one :class:`SnfResult` per
+    matrix, or a single one for a 2-D ``B``.
     """
     if mode not in _KERNELS:
         raise ParameterError(f"no array path for mode {mode!r}")
-    units, shift, eliminate = _KERNELS[mode]
-    vals = []
+    if mode == MODE_MODPK and p ** K > _ODD_FAST_LIMIT:
+        raise ParameterError(f"{p}^{K} is past the int64 product limit of modpk")
+    units, scale, update, shift = _KERNELS[mode]
+    single = B.ndim == 2
+    B = np.ascontiguousarray(B[None] if single else B, dtype=_word_dtype(mode, K))
+    b, n, m = B.shape
+    pivots = np.zeros((b, K), dtype=np.int64)  # pivots per matrix and level
+    active = rows = np.arange(b)               # batch row -> matrix; batch rows
+    count = np.zeros(b, dtype=np.int64)        # pivots per batch row at this level
     level = 0
-    while B.shape[0] and level < K:
-        found = units(B, p)
-        first = int(np.argmax(found))  # first unit in row-major order
-        if found.flat[first]:
-            i, j = divmod(first, B.shape[1])
-            if i:
-                B[[0, i]] = B[[i, 0]]
-            if j:
-                B[:, [0, j]] = B[:, [j, 0]]
-            eliminate(B, p, K - level)
-            vals.append(level)
-            B = B[1:, 1:]
-        elif B.any():
-            B = shift(B, p)
-            level += 1
+    while len(B) and level < K:
+        flat = B.reshape(len(B), n * m)
+        found = units(flat, p)
+        first = found.argmax(axis=1)
+        has = found[rows, first] != 0
+        if has.any():
+            i, j = np.divmod(first, m)
+            col = B[rows, :, j] * has[:, None]
+            update(B, col, scale(B[rows, i], flat[rows, first], p, K - level), p, K - level)
+            count += has
         else:
-            break
-    vals.extend([K] * B.shape[0])
-    return SnfResult(tuple(vals), bool(B.shape[0]))
+            pivots[active, level] = count
+            level += 1
+            B = shift(B, p, K - level)
+            keep = B.reshape(len(B), n * m).any(axis=1)
+            B, active = B[keep], active[keep]
+            rows, count = np.arange(len(B)), np.zeros(len(B), dtype=np.int64)
+    results = []
+    for counts in pivots.tolist():
+        vals = [v for v, c in enumerate(counts) for _ in range(c)]
+        rest = n - len(vals)
+        results.append(SnfResult(tuple(vals) + (K,) * rest, rest > 0))
+    return results[0] if single else results
 
 
 def make_scalar_matrix(mode: str, rows) -> np.ndarray:
@@ -304,7 +353,8 @@ def feasible_k_max(prime: PrimeIdealDesc, policy: PrecisionPolicy) -> int:
     return min(policy.k_max, max_precision(prime.p, prime.f))
 
 
-def escalation_ladder(prime: PrimeIdealDesc, policy: PrecisionPolicy):
+@lru_cache(maxsize=64)
+def escalation_ladder(prime: PrimeIdealDesc, policy: PrecisionPolicy) -> tuple:
     """The K values the adaptive loop will try, in order."""
     cap = feasible_k_max(prime, policy)
     K = min(policy.k_init, cap)
@@ -312,7 +362,7 @@ def escalation_ladder(prime: PrimeIdealDesc, policy: PrecisionPolicy):
     while K < cap:
         K = min(K * policy.growth, cap)
         ladder.append(K)
-    return ladder
+    return tuple(ladder)
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -321,8 +371,8 @@ def reduction_table(support: tuple, prime: PrimeIdealDesc, K: int):
 
     Returns ``(mode, ring, table)``: the kernel the ring lowers onto, the
     ring, and a table indexed by support position. The table is a read-only
-    packed scalar array for the array kernels and a tuple of
-    ``LocalElement`` for the generic path.
+    array of the mode's word dtype for the array kernels and a tuple
+    of ``LocalElement`` for the generic path.
     """
     ring = local_ring_for(prime, K)
     mode = matrix_mode(ring)
@@ -330,39 +380,58 @@ def reduction_table(support: tuple, prime: PrimeIdealDesc, K: int):
     if mode == MODE_GENERIC:
         return mode, ring, reduced
     table = make_scalar_matrix(mode, [element_to_scalar(mode, x) for x in reduced]).ravel()
+    table = table.astype(_word_dtype(mode, K))
     table.flags.writeable = False  # shared between calls; indexing copies
     return mode, ring, table
 
 
 def partition_at_prime(idx, support: tuple, prime: PrimeIdealDesc,
-                       policy: PrecisionPolicy) -> tuple:
-    """Partition of uniformizer exponents of cok(M) tensored up at one prime.
+                       policy: PrecisionPolicy) -> list:
+    """Partitions of uniformizer exponents of cok(M) tensored up at one prime.
 
-    M is given by support positions: ``M[i][j] = support[idx[i, j]]``, with
-    rows <= columns. Each rung of the escalation ladder runs M through the
-    kernel its ring lowers onto; a saturated result climbs to the next K
-    (for any u), and saturation at the last feasible K raises
-    ``IndeterminateCokernelError``.
+    ``idx`` is a batch of shape ``(b, n, m)`` of support positions:
+    ``M_t[i][j] = support[idx[t, i, j]]``, with rows <= columns. Each rung of
+    the escalation ladder runs the matrices still saturated through the
+    kernel its ring lowers onto, so only those climb to the next K (for any
+    u). Returns one entry per matrix: its partition, or an
+    ``IndeterminateCokernelError`` (not raised) when it is still saturated
+    at the last feasible K.
     """
-    last = None
+    out = [None] * len(idx)  # partition, or the last saturated SnfResult
+    todo = list(range(len(idx)))
     for K in escalation_ladder(prime, policy):
         mode, ring, table = reduction_table(support, prime, K)
+        sub = idx if len(todo) == len(idx) else idx[todo]
         if mode == MODE_GENERIC:
-            last = local_snf(LocalMatrix.of(ring, [[table[j] for j in row]
-                                                  for row in idx.tolist()]))
+            results = [local_snf(LocalMatrix.of(ring, [[table[j] for j in row] for row in M]))
+                       for M in sub.tolist()]
         else:
-            last = snf_valuations_array(mode, table[idx], prime.p, K)
-        if not last.saturated:
-            return tuple(sorted((v for v in last.valuations if v), reverse=True))
-    raise IndeterminateCokernelError(f"cokernel type at {prime} undetermined at K={K}", last)
+            B = np.empty(sub.shape, table.dtype)
+            for dst, M in zip(B, sub):  # per matrix: the gather's index temporary stays small
+                dst[...] = table[M]
+            results = snf_valuations_array(mode, B, prime.p, K)
+        for t, res in zip(todo, results):
+            out[t] = res if res.saturated else tuple(
+                sorted((v for v in res.valuations if v), reverse=True))
+        todo = [t for t, res in zip(todo, results) if res.saturated]
+        if not todo:
+            return out
+    for t in todo:
+        out[t] = IndeterminateCokernelError(
+            f"cokernel type at {prime} undetermined at K={K}", out[t])
+    return out
 
 
 def cokernel_local_type(M, prime: PrimeIdealDesc, policy: PrecisionPolicy = DEFAULT_POLICY) -> tuple:
-    """:func:`partition_at_prime` for a grid M of domain Elements."""
+    """:func:`partition_at_prime` for a grid M of domain Elements; raises
+    ``IndeterminateCokernelError`` when the type stays undetermined."""
     support = tuple(dict.fromkeys(x for row in M for x in row))
     position = {x: i for i, x in enumerate(support)}
     idx = np.array([[position[x] for x in row] for row in M])
-    return partition_at_prime(idx, support, prime, policy)
+    (parts,) = partition_at_prime(idx[None], support, prime, policy)
+    if isinstance(parts, IndeterminateCokernelError):
+        raise parts
+    return parts
 
 
 def cokernel_type(M, primes, policy: PrecisionPolicy = DEFAULT_POLICY):

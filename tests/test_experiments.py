@@ -1,12 +1,21 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from coklab.cli import main
 from coklab.domains import ZZ, poly_domain
-from coklab.errors import BalanceError, ConfigError, DiagnosticsError, ParameterError
+from coklab.errors import (
+    BalanceError,
+    ConfigError,
+    DiagnosticsError,
+    IndeterminateCokernelError,
+    ParameterError,
+)
 from coklab.experiments import (
+    INDETERMINATE,
+    _run_trials,
     audit_modulus,
     emit_report,
     parse_config,
@@ -15,6 +24,8 @@ from coklab.experiments import (
     run_galois_demo,
     run_moment_experiment,
 )
+from coklab.sampler import sample_index_matrix
+from coklab.snf import partition_at_prime
 
 
 def base_config(**overrides):
@@ -225,3 +236,30 @@ def test_balance_echo_in_summary():
     eps = {b["ideal"]: b["epsilon"] for b in s.balance}
     assert eps["(5)"] == "1/3"
     assert Fraction(eps["(2+i)"]) == Fraction(2, 3)
+
+
+def test_sub_batches_tally_in_trial_order():
+    # 300 trials: one worker runs chunks of 75 (sub-batches of 64 and 11), two
+    # workers run chunks of 64 and a last one of 44. With K capped at 4, some
+    # trials are indeterminate at p=2 only; they leave the batch before p=3.
+    # Both tallies equal one built trial by trial, keys in order of first
+    # appearance.
+    cfg = parse_config(base_config(
+        primes=[{"p": 2}, {"p": 3}], trials=300, n=[5], precision={"k_init": 2, "k_max": 4},
+        distribution={"builtin": "uniform-support", "params": {"support": ["0", "1", "-1", "6"]}}))
+    dist = cfg.distribution
+    want = Counter()
+    for t in range(cfg.trials):
+        idx = sample_index_matrix(dist, 5, cfg.u, cfg.seed, t)[None]
+        key = []
+        for pi, prime in enumerate(cfg.primes):
+            (parts,) = partition_at_prime(idx, dist.support, prime, cfg.policy)
+            if isinstance(parts, IndeterminateCokernelError):
+                key = None
+                break
+            if parts:
+                key.append((pi, parts))
+        want[INDETERMINATE if key is None else tuple(key)] += 1
+    assert 0 < want[INDETERMINATE] < cfg.trials / 2
+    for threads in (1, 2):
+        assert list(_run_trials(cfg, 5, threads).items()) == list(want.items())

@@ -182,6 +182,18 @@ def test_sampling_determinism():
     assert a != c  # different trial, different stream (overwhelmingly)
 
 
+
+def test_raw_draws_match_generator_integers():
+    # The raw Philox words are exactly what Generator.integers returns over
+    # the full 64-bit range, so the sampled indices match that reference.
+    dist = builtin_distribution("uniform-support", {"support": ["0", "1", "-2", "5", "9"]}, ZZ)
+    for seed, trial, n, u in product((0, 7, -3, 2 ** 64 - 1), (0, 1, 999), (1, 5, 48), (0, 2)):
+        key = np.array([seed & 0xFFFFFFFFFFFFFFFF, trial], dtype=np.uint64)
+        gen = np.random.Generator(np.random.Philox(key=key, counter=[0, n, u, 0]))
+        draws = gen.integers(0, 2 ** 64 - 1, size=(n, n + u), dtype=np.uint64, endpoint=True)
+        want = np.searchsorted(dist.thresholds(), draws, side="right")
+        assert np.array_equal(sample_index_matrix(dist, n, u, seed, trial), want)
+
 def test_degenerate_distribution():
     d = EntryDistribution.of(ZZ, (int_elem(0),), (1,))
     M = sample_matrix(d, 3, 0, seed=1)

@@ -151,30 +151,35 @@ def test_oracle_agreement_seeded():
                 assert cokernel_local_type(elems, prime) == expected
 
 
+PX = factor_rational_prime(poly_domain(2), poly_elem(2, [0, 1]))[0]
+
+
+def _ints(p, K):
+    """Integer support with entries of valuation 0, 1, 2, K-1 and K at p."""
+    return tuple(dict.fromkeys([int_elem(0), int_elem(7), int_elem(-12)] + [
+        int_elem(c * p ** v) for v in sorted({0, 1, 2, K - 1, K}) for c in (1, -5)]))
+
+
+def _polys(p, K):
+    """F_2[x] support with entries of valuation 0, 1, 2, K-1 and K at x."""
+    return tuple(dict.fromkeys([poly_elem(2, []), poly_elem(2, [1, 0, 1, 1])] + [
+        poly_elem(2, [0] * v + c) for v in sorted({0, 1, 2, K - 1, K}) for c in ([1], [1, 1])]))
+
+
 def test_fast_paths_match_generic():
     # Each array kernel agrees with the element-wise local_snf on every branch
     # of the shared stratified loop: unit pivots, division by the uniformizer
     # and saturation. Supports hold entries of valuation 0, 1, 2, K-1 and K
     # (the last reduce to zero); K = 64 runs mod2k and f2t at full word width.
     rng = random.Random(42)
-    (px,) = factor_rational_prime(poly_domain(2), poly_elem(2, [0, 1]))
-
-    def ints(p, K):
-        return [int_elem(0), int_elem(7), int_elem(-12)] + [
-            int_elem(c * p ** v) for v in sorted({0, 1, 2, K - 1, K}) for c in (1, -5)]
-
-    def polys(p, K):
-        return [poly_elem(2, []), poly_elem(2, [1, 0, 1, 1])] + [
-            poly_elem(2, [0] * v + c) for v in sorted({0, 1, 2, K - 1, K}) for c in ([1], [1, 1])]
-
     seen = {}
     for prime, mode, Ks, support_at in [
-        (P2, "mod2k", (1, 8, 32, 64), ints),
-        (P3, "modpk", (1, 5, 8, 19), ints),  # 3^19 is the largest power below the int64 limit
-        (px, "f2t", (1, 8, 32, 64), polys),
+        (P2, "mod2k", (1, 8, 32, 64), _ints),
+        (P3, "modpk", (1, 5, 8, 19), _ints),  # 3^19 is the largest power below the int64 limit
+        (PX, "f2t", (1, 8, 32, 64), _polys),
     ]:
         for K in Ks:
-            support = tuple(dict.fromkeys(support_at(prime.p, K)))
+            support = support_at(prime.p, K)
             table_mode, ring, table = reduction_table(support, prime, K)
             assert table_mode == mode
             reduced = [reduce_mod_prime_power(s, prime, K) for s in support]
@@ -191,6 +196,67 @@ def test_fast_paths_match_generic():
                     for v in want.valuations)
     assert all(kinds == {"pivot", "shift", "saturated"} for kinds in seen.values()), seen
 
+
+# the word each 2-power kernel uses at precision K: the narrowest holding K bits
+_WORDS = {1: "uint8", 5: "uint8", 8: "uint8", 9: "uint16", 16: "uint16", 17: "uint32",
+          32: "uint32", 64: "uint64"}
+
+
+@pytest.mark.parametrize("prime, mode, K, support_at, word", [
+    *[(P2, "mod2k", K, _ints, w) for K, w in _WORDS.items()],
+    *[(P3, "modpk", K, _ints, "int64") for K in (1, 5, 8, 19)],
+    *[(PX, "f2t", K, _polys, w) for K, w in _WORDS.items()],
+])
+def test_batched_kernel_matches_single_and_generic(prime, mode, K, support_at, word):
+    # One batch mixes full-rank, corank, all-zero and saturated matrices with
+    # random ones; K crosses every word width, below it (masked) and at it.
+    # Each matrix's batched result equals its 2-D result and local_snf.
+    rng = random.Random(K * 1000 + len(mode))
+    support = support_at(prime.p, K)
+    table_mode, ring, table = reduction_table(support, prime, K)
+    assert (table_mode, table.dtype) == (mode, np.dtype(word))
+    reduced = [reduce_mod_prime_power(s, prime, K) for s in support]
+    vals = [valuation(x) for x in reduced]
+    zero, unit = vals.index(K), vals.index(0)
+    low = vals.index(1) if 1 in vals else zero  # valuation 1, zero once K = 1
+    n = 4
+    for u in (0, 1, 2):
+        def random_idx():
+            return rng.choices(range(len(support)), k=n * (n + u))
+
+        def diagonal(diag):
+            M = np.full((n, n + u), zero)
+            M[range(n), range(n)] = diag
+            return M
+
+        full_rank = np.reshape(random_idx(), (n, n + u))  # made unit upper triangular
+        full_rank[np.tril_indices(n, -1)] = zero
+        full_rank[range(n), range(n)] = unit
+        batch = [
+            full_rank,
+            diagonal([unit, unit, low, low]),  # corank 2 at level 0
+            np.full((n, n + u), zero),
+            diagonal([unit, unit, unit, zero]),
+        ] + [np.reshape(random_idx(), (n, n + u)) for _ in range(8)]
+        idx = np.stack(batch)
+        got = snf_valuations_array(mode, table[idx], prime.p, K)
+        assert len(got) == len(batch)
+        for M, res in zip(idx, got):
+            want = local_snf(LocalMatrix.of(ring, [[reduced[j] for j in row]
+                                                   for row in M.tolist()]))
+            assert res == want
+            assert snf_valuations_array(mode, table[M], prime.p, K) == want
+        assert got[0] == SnfResult((0,) * n, False)
+        assert got[1] == SnfResult((0, 0, 1, 1), K == 1)  # saturated once p reduces to 0
+        assert got[2] == SnfResult((K,) * n, True)
+        assert got[3] == SnfResult((0, 0, 0, K), True)
+
+
+
+def test_modpk_rejects_moduli_past_int64_products():
+    # 3^20 > 3037000499: products of two entries would overflow int64
+    with pytest.raises(ParameterError, match="3\\^20"):
+        snf_valuations_array("modpk", np.zeros((1, 1), dtype=np.int64), 3, 20)
 
 def test_permutation_invariance():
     r = make_local_ring(2, 1, 6, UNRAMIFIED)
