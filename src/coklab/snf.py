@@ -10,7 +10,8 @@ Three layers:
   batch of matrices at once. Each step of its stratified loop pivots every
   matrix on its first unit with a rank-1 update (no swaps); once no matrix
   has a unit, the batch is divided by the uniformizer and goes one level
-  deeper. The 2-power kernels use the narrowest unsigned word of K bits.
+  deeper. The 2-power kernels use the narrowest unsigned word of K bits,
+  modpk int64 while products fit and exact Python ints (object) past that.
   It is tested to agree with the reference everywhere.
 * :func:`partition_at_prime` runs every cokernel computation. It takes a
   batch of matrices as positions into an entry support, picks the kernel
@@ -45,7 +46,7 @@ from .local_ring import (
     valuation,
 )
 
-# largest odd-characteristic modulus whose products stay inside int64
+# largest p^K whose products fit int64: modpk's word switches to object above it
 _ODD_FAST_LIMIT = 3_037_000_499
 
 
@@ -147,17 +148,14 @@ def local_snf(M: LocalMatrix) -> SnfResult:
 # vectorized fast paths
 
 MODE_MOD2K = "mod2k"      # Z/2^K in the narrowest unsigned word of K bits (wraparound-exact)
-MODE_MODPK = "modpk"      # Z/p^K, odd p, products inside int64
+MODE_MODPK = "modpk"      # Z/p^K, odd p, in int64 up to _ODD_FAST_LIMIT, exact object ints above
 MODE_F2T = "f2t"          # F_2[t]/t^K, bit-packed in the narrowest word of K bits, carryless
 MODE_GENERIC = "generic"
 
 
 def matrix_mode(ring: LocalRingSpec) -> str:
     if ring.style == UNRAMIFIED and ring.f == 1:
-        if ring.p == 2:
-            return MODE_MOD2K
-        if ring.pK <= _ODD_FAST_LIMIT:
-            return MODE_MODPK
+        return MODE_MOD2K if ring.p == 2 else MODE_MODPK
     if ring.style == EQUAL_CHAR and ring.f == 1 and ring.p == 2:
         return MODE_F2T
     return MODE_GENERIC
@@ -174,11 +172,11 @@ def element_to_scalar(mode: str, x: LocalElement) -> int:
     raise ParameterError("generic mode has no scalar packing")
 
 
-def _word_dtype(mode: str, K: int) -> np.dtype:
-    """The array kernel's word at precision K: int64 for modpk, else the
-    narrowest unsigned word of at least K bits (wraparound is exact mod 2^K)."""
+def _word_dtype(mode: str, K: int, p: int) -> np.dtype:
+    """The array kernel's word at precision K: for modpk int64 up to _ODD_FAST_LIMIT and
+    exact Python ints (object) past it, else the narrowest unsigned word of K bits."""
     if mode == MODE_MODPK:
-        return np.dtype(np.int64)
+        return np.dtype(np.int64 if p ** K <= _ODD_FAST_LIMIT else object)
     return np.dtype(f"uint{max(8, 1 << (K - 1).bit_length())}")
 
 
@@ -301,11 +299,9 @@ def snf_valuations_array(mode: str, B, p: int, K: int):
     """
     if mode not in _KERNELS:
         raise ParameterError(f"no array path for mode {mode!r}")
-    if mode == MODE_MODPK and p ** K > _ODD_FAST_LIMIT:
-        raise ParameterError(f"{p}^{K} is past the int64 product limit of modpk")
     units, scale, update, shift = _KERNELS[mode]
     single = B.ndim == 2
-    B = np.ascontiguousarray(B[None] if single else B, dtype=_word_dtype(mode, K))
+    B = np.ascontiguousarray(B[None] if single else B, dtype=_word_dtype(mode, K, p))
     b, n, m = B.shape
     pivots = np.zeros((b, K), dtype=np.int64)  # pivots per matrix and level
     active = rows = np.arange(b)               # batch row -> matrix; batch rows
@@ -337,8 +333,13 @@ def snf_valuations_array(mode: str, B, p: int, K: int):
 
 
 def make_scalar_matrix(mode: str, rows) -> np.ndarray:
-    dtype = np.int64 if mode == MODE_MODPK else np.uint64
-    return np.array(rows, dtype=dtype)
+    """Packed scalars in uint64; for modpk in int64 when all fit, else exact Python ints."""
+    if mode != MODE_MODPK:
+        return np.array(rows, dtype=np.uint64)
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +380,7 @@ def reduction_table(support: tuple, prime: PrimeIdealDesc, K: int):
     reduced = tuple(reduce_mod_prime_power(s, prime, K) for s in support)
     if mode == MODE_GENERIC:
         return mode, ring, reduced
-    table = make_scalar_matrix(mode, [element_to_scalar(mode, x) for x in reduced]).ravel()
-    table = table.astype(_word_dtype(mode, K))
+    table = np.array([element_to_scalar(mode, x) for x in reduced], _word_dtype(mode, K, ring.p))
     table.flags.writeable = False  # shared between calls; indexing copies
     return mode, ring, table
 

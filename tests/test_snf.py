@@ -1,15 +1,21 @@
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coklab.domains import (
     ZI,
     ZZ,
+    elem_add,
+    elem_mul,
+    elem_neg,
     factor_rational_prime,
     gauss_elem,
     int_elem,
+    local_ring_for,
     poly_domain,
     poly_elem,
     reduce_mod_prime_power,
@@ -21,18 +27,24 @@ from coklab.local_ring import (
     lr_add,
     lr_mul,
     make_local_ring,
+    max_precision,
     valuation,
 )
 from coklab.modules import ModuleType
 from coklab.snf import (
+    _ODD_FAST_LIMIT,
+    DEFAULT_POLICY,
     LocalMatrix,
     PrecisionPolicy,
     SnfResult,
     cokernel_local_type,
     cokernel_type,
+    escalation_ladder,
     integer_snf_oracle,
     local_snf,
+    make_scalar_matrix,
     p_part_of_divisors,
+    partition_at_prime,
     reduction_table,
     snf_valuations_array,
 )
@@ -170,12 +182,13 @@ def test_fast_paths_match_generic():
     # Each array kernel agrees with the element-wise local_snf on every branch
     # of the shared stratified loop: unit pivots, division by the uniformizer
     # and saturation. Supports hold entries of valuation 0, 1, 2, K-1 and K
-    # (the last reduce to zero); K = 64 runs mod2k and f2t at full word width.
+    # (the last reduce to zero); K = 64 runs mod2k and f2t at full word width,
+    # and modpk crosses from int64 (3^19) to exact object words (3^20, 3^40).
     rng = random.Random(42)
     seen = {}
     for prime, mode, Ks, support_at in [
         (P2, "mod2k", (1, 8, 32, 64), _ints),
-        (P3, "modpk", (1, 5, 8, 19), _ints),  # 3^19 is the largest power below the int64 limit
+        (P3, "modpk", (1, 5, 8, 19, 20, 40), _ints),
         (PX, "f2t", (1, 8, 32, 64), _polys),
     ]:
         for K in Ks:
@@ -206,6 +219,7 @@ _WORDS = {1: "uint8", 5: "uint8", 8: "uint8", 9: "uint16", 16: "uint16", 17: "ui
     *[(P2, "mod2k", K, _ints, w) for K, w in _WORDS.items()],
     *[(P3, "modpk", K, _ints, "int64") for K in (1, 5, 8, 19)],
     *[(PX, "f2t", K, _polys, w) for K, w in _WORDS.items()],
+    *[(P3, "modpk", K, _ints, "object") for K in (20, 40)],
 ])
 def test_batched_kernel_matches_single_and_generic(prime, mode, K, support_at, word):
     # One batch mixes full-rank, corank, all-zero and saturated matrices with
@@ -252,11 +266,132 @@ def test_batched_kernel_matches_single_and_generic(prime, mode, K, support_at, w
         assert got[3] == SnfResult((0, 0, 0, K), True)
 
 
+@pytest.mark.parametrize("p, K", [(3, 20), (3, 40), (5, 16), (5, 27)])
+def test_modpk_wide_words_match_local_snf(p, K):
+    # Past the int64 product limit (3^19 is the last power under it) modpk
+    # runs in exact Python ints, up to the word-size cap max_precision(p, 1)
+    # (3^40 > 2^63, so its residues do not fit int64 either).
+    prime = factor_rational_prime(ZZ, p)[0]
+    assert p ** K > _ODD_FAST_LIMIT and K <= max_precision(p, 1)
+    support = _ints(p, K)
+    _, ring, table = reduction_table(support, prime, K)
+    assert table.dtype == object
+    reduced = [reduce_mod_prime_power(s, prime, K) for s in support]
+    rng = random.Random(p * 100 + K)
+    for _ in range(30):
+        n, u = rng.randrange(1, 6), rng.randrange(3)
+        idx = np.array([[rng.randrange(len(support)) for _ in range(n + u)] for _ in range(n)])
+        want = local_snf(LocalMatrix.of(ring, [[reduced[j] for j in row] for row in idx.tolist()]))
+        assert snf_valuations_array("modpk", table[idx], p, K) == want
 
-def test_modpk_rejects_moduli_past_int64_products():
-    # 3^20 > 3037000499: products of two entries would overflow int64
-    with pytest.raises(ParameterError, match="3\\^20"):
-        snf_valuations_array("modpk", np.zeros((1, 1), dtype=np.int64), 3, 20)
+
+def _modpk_precisions(p):
+    """K for the fuzz: small, the last int64 power, the first object power, the cap."""
+    last_int64 = max(K for K in range(1, 64) if p ** K <= _ODD_FAST_LIMIT)
+    return (1, 2, last_int64, last_int64 + 1, max_precision(p, 1))
+
+
+@st.composite
+def _modpk_cases(draw):
+    p = draw(st.sampled_from((3, 5, 7)))
+    K = draw(st.sampled_from(_modpk_precisions(p)))
+    n, u = draw(st.integers(1, 6)), draw(st.integers(0, 2))
+    entry = st.one_of(
+        st.integers(-(p ** K), p ** K),
+        # c * p^v has valuation v when p does not divide c; v = K is divisible by p^K
+        st.builds(lambda c, v: c * p ** v, st.integers(-8, 8), st.integers(0, K)),
+    )
+    rows = draw(st.lists(st.lists(entry, min_size=n + u, max_size=n + u), min_size=n, max_size=n))
+    zero = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return p, K, [[0] * (n + u) if z else row for z, row in zip(zero, rows)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_modpk_cases())
+def test_modpk_fuzz_matches_local_snf(case):
+    # Any integer matrix, reduced into Z/p^K, gets the same valuations from
+    # modpk on either side of the int64/object switch as from local_snf.
+    p, K, rows = case
+    ring = make_local_ring(p, 1, K, UNRAMIFIED)
+    residues = [[x % p ** K for x in row] for row in rows]
+    packed = make_scalar_matrix("modpk", residues)
+    assert packed.dtype == (np.int64 if max(map(max, residues)) < 2 ** 63 else object)
+    assert snf_valuations_array("modpk", packed, p, K) == local_snf(int_matrix(ring, rows))
+
+
+def test_make_scalar_matrix_word_follows_entries():
+    assert make_scalar_matrix("modpk", [[1, 2 ** 63 - 1]]).dtype == np.int64
+    wide = make_scalar_matrix("modpk", [[1, 3 ** 40 - 1]])
+    assert wide.dtype == object and wide[0, 1] == 3 ** 40 - 1
+    assert make_scalar_matrix("mod2k", [[1, 2 ** 64 - 1]]).dtype == np.uint64
+
+
+def _domain_det(rows, zero):
+    """Leibniz determinant of a grid of domain Elements."""
+    total = zero
+    for perm in permutations(range(len(rows))):
+        sign = sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm)))
+        term = rows[0][perm[0]]
+        for i in range(1, len(rows)):
+            term = elem_mul(term, rows[i][perm[i]])
+        total = elem_add(total, elem_neg(term) if sign % 2 else term)
+    return total
+
+
+@pytest.mark.parametrize("prime, elem", [
+    (factor_rational_prime(ZI, 5)[0], lambda a, b: gauss_elem(a, b)),
+    (P3, lambda a, b: int_elem(a + 2 * b)),
+], ids=["zi-(2+i)", "z-3"])
+def test_driver_keeps_odd_primes_on_modpk(prime, elem):
+    # Under the default policy every rung of the ladder lowers onto modpk, and
+    # the driver reports exactly the singular matrices of a mixed batch as
+    # indeterminate; the rest get the local_snf partition at the cap.
+    ladder = escalation_ladder(prime, DEFAULT_POLICY)
+    cap = ladder[-1]
+    power = [elem(1, 0)]  # powers of the prime's generator
+    for _ in range(cap - 5):
+        power.append(elem_mul(power[-1], prime.generator))
+    rng = random.Random(11)
+    n = 3
+
+    def small():
+        return elem(rng.randrange(-2, 3), rng.randrange(-2, 3))
+
+    for u in (0, 1):
+        grids = []
+        for k in range(12):
+            rows = [[small() for _ in range(n + u)] for _ in range(n)]
+            if k % 3 == 1:  # upper triangular, diagonal pi^(0, 3, cap - 5): climbs the ladder
+                for i in range(n):
+                    rows[i][:i] = [elem(0, 0)] * i
+                    rows[i][i] = power[(0, 3, cap - 5)[i]]
+            elif k % 3 == 2:  # singular: a zero row, a repeated row, or a combination of two
+                x, y = small(), small()
+                combo = [elem_add(elem_mul(x, a), elem_mul(y, b)) for a, b in zip(rows[0], rows[1])]
+                rows[2] = ([elem(0, 0)] * (n + u), list(rows[0]), combo)[k // 3 % 3]
+            grids.append(rows)
+        support = tuple(dict.fromkeys(x for rows in grids for row in rows for x in row))
+        position = {x: i for i, x in enumerate(support)}
+        idx = np.array([[[position[x] for x in row] for row in rows] for rows in grids])
+        for K in ladder:
+            assert reduction_table(support, prime, K)[0] == "modpk"
+        assert reduction_table(support, prime, cap)[2].dtype == object
+        ring = local_ring_for(prime, cap)
+        got = partition_at_prime(idx, support, prime, DEFAULT_POLICY)
+        singular = 0
+        for rows, parts in zip(grids, got):
+            minors = [_domain_det([[row[j] for j in cols] for row in rows], elem(0, 0))
+                      for cols in combinations(range(n + u), n)]
+            if all(d.is_zero() for d in minors):
+                singular += 1
+                assert isinstance(parts, IndeterminateCokernelError)
+                continue
+            want = local_snf(LocalMatrix.of(ring, [[reduce_mod_prime_power(x, prime, cap)
+                                                    for x in row] for row in rows]))
+            assert not want.saturated
+            assert parts == tuple(sorted((v for v in want.valuations if v), reverse=True))
+        assert singular >= 4
+
 
 def test_permutation_invariance():
     r = make_local_ring(2, 1, 6, UNRAMIFIED)
