@@ -8,8 +8,6 @@ only ever factors moduli of single-digit degree).
 
 from __future__ import annotations
 
-from itertools import product
-
 from .errors import ParameterError
 
 
@@ -197,14 +195,3 @@ def factor(a, p):
     assert a == (1,), "trial division must exhaust the polynomial"
     return unit, factors
 
-
-def eval_poly(a, x, p):
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % p
-    return acc
-
-
-def all_polys_below(p, f):
-    """All polynomials of degree < f (q = p^f tuples, canonical)."""
-    return [normalize(cs, p) for cs in product(range(p), repeat=f)]

@@ -14,15 +14,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import _fppoly as fp
-from .errors import ParameterError, RingMismatchError
+from .errors import ParameterError, PrecisionRangeError, RingMismatchError
 from .local_ring import (
     EQUAL_CHAR,
     RAMIFIED,
     UNRAMIFIED,
     LocalElement,
     LocalRingSpec,
+    from_g_adic,
     make_local_ring,
     max_precision,
+    ramified_from_gauss,
 )
 
 INTEGERS = "integers"
@@ -309,7 +311,7 @@ def local_ring_for(prime: PrimeIdealDesc, K: int) -> LocalRingSpec:
             return make_local_ring(2, 1, K, RAMIFIED)
         if prime.f == 2:
             ring = make_local_ring(prime.p, 2, K, UNRAMIFIED)
-            assert tuple(c % prime.p for c in ring.modulus) == (1, 0)
+            assert ring.modulus == (1, 0), "a + bi reduces to (a, b) only modulo x^2 + 1"
             return ring
         return make_local_ring(prime.p, 1, K, UNRAMIFIED)
     g = prime.generator.value
@@ -318,7 +320,6 @@ def local_ring_for(prime: PrimeIdealDesc, K: int) -> LocalRingSpec:
         return make_local_ring(d.char, f, K, EQUAL_CHAR)
     # non-canonical residue polynomial: pin the ring to the prime's own modulus
     if K > max_precision(d.char, f):
-        from .errors import PrecisionRangeError
         raise PrecisionRangeError(f"q^K exceeds the word bound for ({poly_pretty(g)})^{K}")
     return LocalRingSpec(d.char, f, K, EQUAL_CHAR, g[:-1])
 
@@ -334,46 +335,14 @@ def reduce_mod_prime_power(x: Element, prime: PrimeIdealDesc, K: int) -> LocalEl
     if d.kind == GAUSSIAN:
         a, b = x.value
         if prime.e == 2:
-            from .local_ring import _ramified_from_gauss
-            return _ramified_from_gauss(ring, a, b)
+            return ramified_from_gauss(ring, a, b)
         if prime.f == 2:
             m = ring.pK
             return LocalElement(ring, (a % m, b % m))
         r = split_prime_root(prime, K)
         return ring.from_int(a + b * r)
-    # F_p[x]: g-adic digit expansion with digits in the residue field
-    p = d.char
-    g = prime.generator.value
-    f = fp.degree(g)
-    flat = []
-    if f == 1:
-        # constants are already the coefficient field: plain base-g digits
-        rem = x.value
-        for _ in range(K):
-            q, r = fp.divmod_poly(rem, g, p) if rem else ((), ())
-            flat.extend(list(r) + [0] * (f - len(r)))
-            rem = q
-        return LocalElement(ring, tuple(flat))
-    # For f >= 2 the naive digit section F_q -> T/(g^K) is not multiplicative
-    # (digit products carry into the next digit). Expand against the
-    # Teichmueller lift theta of xbar instead: the subfield {z : z^q = z}
-    # is the coefficient field, and r(xbar) lifts to r(theta).
-    gK = (1,)
-    for _ in range(K):
-        gK = fp.mul(gK, g, p)
-    theta = fp.pow_mod((0, 1), (p ** f) ** (K - 1), gK, p)
-    cur = fp.mod(x.value, gK, p)
-    for _ in range(K):
-        r = fp.mod(cur, g, p)
-        flat.extend(list(r) + [0] * (f - len(r)))
-        # r evaluated at theta, via Horner in F_p[x]/(g^K)
-        rt = ()
-        for c in reversed(r):
-            rt = fp.mod(fp.add(fp.mul(rt, theta, p), (c,) if c else (), p), gK, p)
-        q, rem = fp.divmod_poly(fp.sub(cur, rt, p), g, p)
-        assert rem == (), "Teichmueller digit must leave an exact multiple of g"
-        cur = q
-    return LocalElement(ring, tuple(flat))
+    # F_p[x]: base-g digits, each a polynomial of degree < f
+    return from_g_adic(ring, prime.generator.value, [x.value])
 
 
 @dataclass(frozen=True)

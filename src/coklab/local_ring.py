@@ -3,15 +3,20 @@
 Three ring styles cover every completion the supported domains need:
 
 * ``unramified``: mixed characteristic, Z[x]/(p^K, g) with g monic of degree
-  f and irreducible mod p (f = 1 is plain Z/p^K); uniformizer p.
-* ``equal-char``: F_q[[t]]/t^K with F_q = F_p[x]/(g), g irreducible of
-  degree f; uniformizer t.
+  f and irreducible mod p, its coefficients read as integers (f = 1 is plain
+  Z/p^K); uniformizer p. Elements are f coefficients mod p^K.
+* ``equal-char``: F_p[x]/(g^K), which is F_q[[t]]/t^K with F_q = F_p[x]/(g)
+  and t = g; uniformizer g. Elements are K base-g digits, each a polynomial
+  of degree < f over F_p (for f = 1 plain F_p[[t]]/t^K).
 * ``ramified-quadratic``: Z[i]/(1+i)^K, the one ramified completion the
   Gaussian integers contribute; uniformizer 1+i.
 
-Elements are immutable and carry canonical coefficient tuples, so equality
-is tuple equality. All coefficients stay below the machine-word bound
-q^K <= 2^64; larger truncations are rejected at construction time.
+Both f > 1 styles are free of rank f over Z/p^K or F_p[[t]]/t^K with basis
+1, x, ..., x^(f-1), which is how :mod:`coklab.snf` lowers them onto its
+array kernels. Elements are immutable and carry canonical coefficient
+tuples, so equality is tuple equality. All coefficients stay below the
+machine-word bound q^K <= 2^64; larger truncations are rejected at
+construction time.
 """
 
 from __future__ import annotations
@@ -60,8 +65,7 @@ class LocalRingSpec:
     modulus: tuple
     # unramified: non-leading coefficients of the defining monic polynomial,
     #   as integers mod p^K (empty for f = 1);
-    # equal-char: non-leading coefficients of the residue-field polynomial
-    #   over F_p (empty for f = 1);
+    # equal-char: non-leading coefficients of g over F_p (empty for f = 1);
     # ramified-quadratic: always empty.
 
     @property
@@ -102,7 +106,7 @@ class LocalRingSpec:
         if self.style == EQUAL_CHAR:
             c[0] = n % self.p
             return LocalElement(self, tuple(c))
-        return _ramified_from_gauss(self, n, 0)
+        return ramified_from_gauss(self, n, 0)
 
     def elements(self):
         """Iterate over every element (exhaustive tests only)."""
@@ -136,50 +140,14 @@ class LocalElement:
         return f"LocalElement({self.coeffs}, {self.ring})"
 
 
-def _canonical_modulus(p: int, f: int, K: int, style: str) -> tuple:
-    """Deterministic defining polynomial for the residue extension.
-
-    The degree-f modulus is the first irreducible monic polynomial over F_p
-    in base-p code order; in mixed characteristic it is lifted to Z/p^K so
-    that its roots are the Teichmueller representatives (the lift dividing
-    x^(q-1) - 1, which pins the polynomial uniquely).
-    """
-    if f == 1:
-        return ()
-    g0 = fp.smallest_irreducible(p, f)[:-1]  # non-leading coefficients
-    if style == EQUAL_CHAR or K == 1:
-        return g0
-    # Scratch ring with the naive integer lift, used to locate a Teichmueller
-    # generator and rebuild the canonical lift from its Frobenius conjugates.
-    scratch = LocalRingSpec(p, f, K, UNRAMIFIED, tuple(c % p ** K for c in g0))
-    x = LocalElement(scratch, tuple(0 if i != 1 else 1 for i in range(f)))
-    q = p ** f
-    theta = _lr_pow(x, q ** (K - 1))
-    conjugates = [theta]
-    for _ in range(f - 1):
-        conjugates.append(_lr_pow(conjugates[-1], p))
-    # expand prod (X - theta_j) with coefficients in the scratch ring
-    coeffs = [scratch.one()]
-    for root in conjugates:
-        nxt = [scratch.zero() for _ in range(len(coeffs) + 1)]
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] = lr_add(nxt[i + 1], c)
-            nxt[i] = lr_sub(nxt[i], lr_mul(c, root))
-        coeffs = nxt
-    out = []
-    for c in coeffs[:-1]:
-        assert all(v == 0 for v in c.coeffs[1:]), "canonical lift must be rational"
-        out.append(c.coeffs[0])
-    assert tuple(v % p for v in out) == tuple(g0), "lift must reduce to the residue modulus"
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def make_local_ring(p: int, f: int, K: int, style: str = UNRAMIFIED) -> LocalRingSpec:
     """Construct the truncation T_p/p^K for the requested style.
 
-    Deterministic for fixed inputs: the defining modulus follows a fixed
-    selection rule, so equal parameters give interchangeable rings.
+    Deterministic for fixed inputs: the degree-f modulus is the first
+    irreducible monic polynomial over F_p in base-p code order (for the
+    unramified style its coefficients are read as integers), so equal
+    parameters give interchangeable rings.
     """
     if style not in _STYLE_ALIASES:
         raise ParameterError(f"unknown ring style: {style!r}")
@@ -194,7 +162,7 @@ def make_local_ring(p: int, f: int, K: int, style: str = UNRAMIFIED) -> LocalRin
         raise PrecisionRangeError(
             f"q^K = {p}^{f * K} exceeds the {WORD_BITS}-bit word bound; "
             f"max K here is {max_precision(p, f)}")
-    return LocalRingSpec(p, f, K, style, _canonical_modulus(p, f, K, style))
+    return LocalRingSpec(p, f, K, style, fp.smallest_irreducible(p, f)[:-1] if f > 1 else ())
 
 
 def _check_same_ring(x: LocalElement, y: LocalElement):
@@ -212,7 +180,7 @@ def lr_add(x: LocalElement, y: LocalElement) -> LocalElement:
         return LocalElement(r, tuple((a + b) % r.p for a, b in zip(x.coeffs, y.coeffs)))
     ax, bx = _ramified_to_gauss(x)
     ay, by = _ramified_to_gauss(y)
-    return _ramified_from_gauss(r, ax + ay, bx + by)
+    return ramified_from_gauss(r, ax + ay, bx + by)
 
 
 def lr_neg(x: LocalElement) -> LocalElement:
@@ -223,7 +191,7 @@ def lr_neg(x: LocalElement) -> LocalElement:
     if r.style == EQUAL_CHAR:
         return LocalElement(r, tuple((-a) % r.p for a in x.coeffs))
     a, b = _ramified_to_gauss(x)
-    return _ramified_from_gauss(r, -a, -b)
+    return ramified_from_gauss(r, -a, -b)
 
 
 def lr_sub(x: LocalElement, y: LocalElement) -> LocalElement:
@@ -239,7 +207,7 @@ def lr_mul(x: LocalElement, y: LocalElement) -> LocalElement:
         return _mul_equal_char(r, x.coeffs, y.coeffs)
     ax, bx = _ramified_to_gauss(x)
     ay, by = _ramified_to_gauss(y)
-    return _ramified_from_gauss(r, ax * ay - bx * by, ax * by + bx * ay)
+    return ramified_from_gauss(r, ax * ay - bx * by, ax * by + bx * ay)
 
 
 def _mul_unramified(r: LocalRingSpec, xc, yc) -> LocalElement:
@@ -272,18 +240,37 @@ def _mul_equal_char(r: LocalRingSpec, xc, yc) -> LocalElement:
                 for j in range(K - i):
                     out[i + j] += a * yc[j]
         return LocalElement(r, tuple(v % p for v in out))
-    g = r.modulus + (1,)
-    out = [(0,)] * K
-    xd = [fp.normalize(xc[i * f:(i + 1) * f], p) for i in range(K)]
-    yd = [fp.normalize(yc[i * f:(i + 1) * f], p) for i in range(K)]
-    for i in range(K):
-        if xd[i]:
-            for j in range(K - i):
-                if yd[j]:
-                    out[i + j] = fp.add(out[i + j], fp.mod(fp.mul(xd[i], yd[j], p), g, p), p)
-    flat = []
-    for d in out:
-        flat.extend(list(d) + [0] * (f - len(d)))
+    # Digit convolution: coefficient a of digit i times coefficient b of digit
+    # j is a term of x^(a+b) g^(i+j), kept in slot (i+j)w + a + b of rows of
+    # w = 2f - 1 slots per digit. It vanishes when i + j >= K, which is when
+    # the slot is past the last row. The rows then carry.
+    w = 2 * f - 1
+    xs = [(i * w + a, c) for i in range(K) for a in range(f) if (c := xc[i * f + a])]
+    ys = [(i * w + a, c) for i in range(K) for a in range(f) if (c := yc[i * f + a])]
+    acc = [0] * (K * w)
+    for s, c in xs:
+        for t, d in ys:
+            if s + t >= K * w:
+                break
+            acc[s + t] += c * d
+    return from_g_adic(r, r.modulus + (1,), [acc[k * w:(k + 1) * w] for k in range(K)])
+
+
+def from_g_adic(r: LocalRingSpec, g: tuple, terms) -> LocalElement:
+    """The element sum_k terms[k] g^k of F_p[x]/(g^K) in base-g digits.
+
+    ``g`` is the prime's monic generator over F_p and the terms are
+    polynomials of any degree. Digit k is the remainder of terms[k] plus
+    the carry from digit k-1 on division by g; the quotient is carried into
+    digit k+1. A single term is the base-g expansion of one polynomial.
+    """
+    p, f = r.p, r.f
+    flat, carry = [], ()
+    for k in range(r.K):
+        if k < len(terms):
+            carry = fp.add(carry, terms[k], p)
+        carry, digit = fp.divmod_poly(carry, g, p) if carry else ((), ())
+        flat.extend(digit + (0,) * (f - len(digit)))
     return LocalElement(r, tuple(flat))
 
 
@@ -299,7 +286,7 @@ def _ramified_to_gauss(x: LocalElement):
     return a, b
 
 
-def _ramified_from_gauss(r: LocalRingSpec, a: int, b: int) -> LocalElement:
+def ramified_from_gauss(r: LocalRingSpec, a: int, b: int) -> LocalElement:
     """Extract K digits of a + bi in base 1+i (digits in {0,1})."""
     digits = []
     for _ in range(r.K):
@@ -358,25 +345,15 @@ def unit_inverse(x: LocalElement) -> LocalElement:
     r = x.ring
     if valuation(x) != 0:
         raise NonUnitError(f"element with valuation {valuation(x)} has no inverse")
-    # seed: inverse in the residue field, lifted coefficientwise
-    if r.style == UNRAMIFIED:
-        if r.f == 1:
-            return LocalElement(r, (pow(x.coeffs[0], -1, r.pK),))
-        res = fp.normalize([c % r.p for c in x.coeffs], r.p)
-        g0 = tuple(c % r.p for c in r.modulus) + (1,)
-        seed = fp.inv_mod(res, g0, r.p)
-        y = LocalElement(r, tuple(seed[i] if i < len(seed) else 0 for i in range(r.f)))
-    elif r.style == EQUAL_CHAR:
-        res = fp.normalize(x.coeffs[:r.f], r.p)
-        if r.f == 1:
-            seed = (pow(res[0], -1, r.p),)
-        else:
-            seed = fp.inv_mod(res, r.modulus + (1,), r.p)
-        c = [0] * (r.f * r.K)
-        c[:len(seed)] = list(seed)
-        y = LocalElement(r, tuple(c))
-    else:
+    if r.style == UNRAMIFIED and r.f == 1:
+        return LocalElement(r, (pow(x.coeffs[0], -1, r.pK),))
+    if r.style == RAMIFIED:
         y = r.one()
+    else:
+        # seed: the residue-field inverse of the first f coefficients, read mod p
+        res = fp.normalize(x.coeffs[:r.f], r.p)
+        seed = (pow(res[0], -1, r.p),) if r.f == 1 else fp.inv_mod(res, r.modulus + (1,), r.p)
+        y = LocalElement(r, seed + (0,) * (len(x.coeffs) - len(seed)))
     two = lr_add(r.one(), r.one())
     # error (1 - xy) squares each round; K-fold nilpotence needs ceil(log2 K)+1
     steps = max(1, (r.K - 1).bit_length() + 1)
@@ -385,13 +362,3 @@ def unit_inverse(x: LocalElement) -> LocalElement:
     assert lr_mul(x, y) == r.one()
     return y
 
-
-def _lr_pow(x: LocalElement, e: int) -> LocalElement:
-    result = x.ring.one()
-    base = x
-    while e:
-        if e & 1:
-            result = lr_mul(result, base)
-        base = lr_mul(base, base)
-        e >>= 1
-    return result

@@ -4,10 +4,16 @@ Three layers:
 
 * :func:`local_snf` works on explicit ``LocalElement`` grids in any ring,
   following the documented pivot rule (minimal valuation, lowest row then
-  column). It is the reference implementation and the generic path.
+  column). It is the reference implementation, and the generic path for
+  the two rings no kernel covers: the ramified (1+i) completion of Z[i] and
+  odd-characteristic F_p[[t]].
 * :func:`snf_valuations_array` covers the hot representations, Z/p^K
   entries and bit-packed F_2[[t]]/t^K entries in machine words, for a whole
-  batch of matrices at once. Each step of its stratified loop pivots every
+  batch of matrices at once. Galois rings and F_2[x]/(g^K) of residue
+  degree f > 1 lower onto these base rings by restriction of scalars: such
+  a ring is free of rank f over its base ring, so each entry becomes the
+  f x f block of multiplication by it (:func:`element_block`) and each
+  part of the cokernel appears f times. Each step of its stratified loop pivots every
   matrix on its first unit with a rank-1 update (no swaps); once no matrix
   has a unit, the batch is divided by the uniformizer and goes one level
   deeper. The 2-power kernels use the narrowest unsigned word of K bits,
@@ -15,7 +21,8 @@ Three layers:
   It is tested to agree with the reference everywhere.
 * :func:`partition_at_prime` runs every cokernel computation. It takes a
   batch of matrices as positions into an entry support, picks the kernel
-  for each ring through :func:`reduction_table`, and escalates K
+  for each ring through :func:`reduction_table`, gathers the scalars or
+  blocks through :func:`gather`, and escalates K
   geometrically for the saturated matrices only, up to the policy cap;
   a matrix still saturated there gets an ``IndeterminateCokernelError`` so
   callers can report the trial in an explicit bucket.
@@ -154,22 +161,38 @@ MODE_GENERIC = "generic"
 
 
 def matrix_mode(ring: LocalRingSpec) -> str:
-    if ring.style == UNRAMIFIED and ring.f == 1:
+    """The array kernel a ring lowers onto, over its base ring Z/p^K or
+    F_2[[t]]/t^K; generic for the ramified (1+i) ring and odd-characteristic
+    F_p[[t]]."""
+    if ring.style == UNRAMIFIED:
         return MODE_MOD2K if ring.p == 2 else MODE_MODPK
-    if ring.style == EQUAL_CHAR and ring.f == 1 and ring.p == 2:
+    if ring.style == EQUAL_CHAR and ring.p == 2:
         return MODE_F2T
     return MODE_GENERIC
 
 
-def element_to_scalar(mode: str, x: LocalElement) -> int:
-    if mode in (MODE_MOD2K, MODE_MODPK):
-        return x.coeffs[0]
+def element_block(mode: str, x: LocalElement) -> list:
+    """The f x f matrix of multiplication by x over the base ring in the basis
+    1, x, ..., x^(f-1): entry (k, l) is coordinate k of x * x^l, a residue
+    mod p^K, or for f2t coefficient k of every base-g digit packed into the
+    bits of one word."""
+    r = x.ring
+    columns = [x] + [lr_mul(x, LocalElement(r, tuple(int(i == l) for i in range(len(x.coeffs)))))
+                     for l in range(1, r.f)]
     if mode == MODE_F2T:
-        packed = 0
-        for j, bit in enumerate(x.coeffs):
-            packed |= bit << j
-        return packed
-    raise ParameterError("generic mode has no scalar packing")
+        return [[sum(bit << s for s, bit in enumerate(c.coeffs[k::r.f])) for c in columns]
+                for k in range(r.f)]
+    return [[c.coeffs[k] for c in columns] for k in range(r.f)]
+
+
+def element_to_scalar(mode: str, x: LocalElement) -> int:
+    """The packed word of x in a ring of residue degree 1."""
+    if mode == MODE_GENERIC:
+        raise ParameterError("generic mode has no scalar packing")
+    if x.ring.f > 1:
+        raise ParameterError(f"{x.ring} has residue degree {x.ring.f}: its elements lower "
+                             "to f x f blocks (element_block), not to scalars")
+    return element_block(mode, x)[0][0]
 
 
 def _word_dtype(mode: str, K: int, p: int) -> np.dtype:
@@ -371,18 +394,34 @@ def reduction_table(support: tuple, prime: PrimeIdealDesc, K: int):
     """The support reduced into the local ring at precision K.
 
     Returns ``(mode, ring, table)``: the kernel the ring lowers onto, the
-    ring, and a table indexed by support position. The table is a read-only
-    array of the mode's word dtype for the array kernels and a tuple
-    of ``LocalElement`` for the generic path.
+    ring, and a table indexed by support position. For the array kernels the
+    table is a read-only array of the mode's word dtype, of shape ``(s,)``
+    when the residue degree f is 1 and of ``(s, f, f)`` blocks
+    (:func:`element_block`) when it is larger; for the generic path it is a
+    tuple of ``LocalElement``.
     """
     ring = local_ring_for(prime, K)
     mode = matrix_mode(ring)
     reduced = tuple(reduce_mod_prime_power(s, prime, K) for s in support)
     if mode == MODE_GENERIC:
         return mode, ring, reduced
-    table = np.array([element_to_scalar(mode, x) for x in reduced], _word_dtype(mode, K, ring.p))
+    lower = element_to_scalar if ring.f == 1 else element_block
+    table = np.array([lower(mode, x) for x in reduced], _word_dtype(mode, K, ring.p))
     table.flags.writeable = False  # shared between calls; indexing copies
     return mode, ring, table
+
+
+def gather(table, idx) -> np.ndarray:
+    """The scalar matrices of a batch ``idx`` of shape ``(b, n, m)`` of support
+    positions: ``table[idx]``, or for a table of f x f blocks the
+    ``(b, n f, m f)`` matrices over the base ring that they tile."""
+    B = np.empty(idx.shape + table.shape[1:], table.dtype)
+    for dst, M in zip(B, idx):  # per matrix: the gather's index temporary stays small
+        dst[...] = table[M]
+    if table.ndim == 1:
+        return B
+    b, n, m, f, _ = B.shape
+    return B.swapaxes(2, 3).reshape(b, n * f, m * f)
 
 
 def partition_at_prime(idx, support: tuple, prime: PrimeIdealDesc,
@@ -393,9 +432,11 @@ def partition_at_prime(idx, support: tuple, prime: PrimeIdealDesc,
     ``M_t[i][j] = support[idx[t, i, j]]``, with rows <= columns. Each rung of
     the escalation ladder runs the matrices still saturated through the
     kernel its ring lowers onto, so only those climb to the next K (for any
-    u). Returns one entry per matrix: its partition, or an
-    ``IndeterminateCokernelError`` (not raised) when it is still saturated
-    at the last feasible K.
+    u). At residue degree f > 1 the kernel sees each matrix over the base
+    ring, where every part of the cokernel appears f times; every f-th
+    sorted valuation is kept. Returns one entry per matrix: its partition,
+    or an ``IndeterminateCokernelError`` (not raised) when it is still
+    saturated at the last feasible K.
     """
     out = [None] * len(idx)  # partition, or the last saturated SnfResult
     todo = list(range(len(idx)))
@@ -406,10 +447,9 @@ def partition_at_prime(idx, support: tuple, prime: PrimeIdealDesc,
             results = [local_snf(LocalMatrix.of(ring, [[table[j] for j in row] for row in M]))
                        for M in sub.tolist()]
         else:
-            B = np.empty(sub.shape, table.dtype)
-            for dst, M in zip(B, sub):  # per matrix: the gather's index temporary stays small
-                dst[...] = table[M]
-            results = snf_valuations_array(mode, B, prime.p, K)
+            results = snf_valuations_array(mode, gather(table, sub), prime.p, K)
+            if ring.f > 1:
+                results = [SnfResult(r.valuations[::ring.f], r.saturated) for r in results]
         for t, res in zip(todo, results):
             out[t] = res if res.saturated else tuple(
                 sorted((v for v in res.valuations if v), reverse=True))

@@ -120,9 +120,9 @@ def test_reduce_is_ring_homomorphism():
     for p in (2, 3, 5, 13):
         for pr in factor_rational_prime(ZI, p):
             cases.append((pr, lambda r=rng: gauss_elem(r.randrange(-50, 50), r.randrange(-50, 50))))
-    for g in ([0, 1], [1, 1], [1, 1, 1]):
-        for pr in factor_rational_prime(F2X, poly_elem(2, g)):
-            cases.append((pr, lambda r=rng: poly_elem(2, [r.randrange(2) for _ in range(6)])))
+    for p, g in [(2, [0, 1]), (2, [1, 1]), (2, [1, 1, 1]), (2, [1, 1, 0, 1]), (3, [1, 0, 1])]:
+        for pr in factor_rational_prime(poly_domain(p), poly_elem(p, g)):
+            cases.append((pr, lambda r=rng, p=p: poly_elem(p, [r.randrange(p) for _ in range(6)])))
     K = 4
     for prime, draw in cases:
         one = reduce_mod_prime_power(_one_of(prime.domain), prime, K)

@@ -39,7 +39,10 @@ from coklab.snf import (
     SnfResult,
     cokernel_local_type,
     cokernel_type,
+    element_block,
+    element_to_scalar,
     escalation_ladder,
+    gather,
     integer_snf_oracle,
     local_snf,
     make_scalar_matrix,
@@ -164,18 +167,43 @@ def test_oracle_agreement_seeded():
 
 
 PX = factor_rational_prime(poly_domain(2), poly_elem(2, [0, 1]))[0]
+# residue degree f > 1: inert Z[i] primes lower onto modpk, F_2[x] primes onto f2t
+ZI3 = factor_rational_prime(ZI, 3)[0]
+ZI7 = factor_rational_prime(ZI, 7)[0]
+PX2 = factor_rational_prime(poly_domain(2), poly_elem(2, [1, 1, 1]))[0]
+PX3 = factor_rational_prime(poly_domain(2), poly_elem(2, [1, 1, 0, 1]))[0]
 
 
-def _ints(p, K):
-    """Integer support with entries of valuation 0, 1, 2, K-1 and K at p."""
-    return tuple(dict.fromkeys([int_elem(0), int_elem(7), int_elem(-12)] + [
-        int_elem(c * p ** v) for v in sorted({0, 1, 2, K - 1, K}) for c in (1, -5)]))
+def _support(prime, K, extra, units):
+    """The extra entries, then u * pi^v for each unit u and v in {0, 1, 2, K-1, K},
+    where pi is the prime's generator (so u * pi^K reduces to zero)."""
+    out = list(extra)
+    for v in sorted({0, 1, 2, K - 1, K}):
+        for u in units:
+            for _ in range(v):
+                u = elem_mul(u, prime.generator)
+            out.append(u)
+    return tuple(dict.fromkeys(out))
 
 
-def _polys(p, K):
-    """F_2[x] support with entries of valuation 0, 1, 2, K-1 and K at x."""
-    return tuple(dict.fromkeys([poly_elem(2, []), poly_elem(2, [1, 0, 1, 1])] + [
-        poly_elem(2, [0] * v + c) for v in sorted({0, 1, 2, K - 1, K}) for c in ([1], [1, 1])]))
+def _ints(prime, K):
+    return _support(prime, K, [int_elem(0), int_elem(7), int_elem(-12)], [int_elem(1), int_elem(-5)])
+
+
+def _gauss(prime, K):
+    return _support(prime, K, [gauss_elem(0, 0), gauss_elem(4, 1), gauss_elem(-12, 3)],
+                    [gauss_elem(1, 0), gauss_elem(-5, 2)])
+
+
+def _polys(prime, K):
+    return _support(prime, K, [poly_elem(2, []), poly_elem(2, [1, 0, 1, 1])],
+                    [poly_elem(2, [1]), poly_elem(2, [1, 1])])
+
+
+def _repeat(res, f):
+    """An SnfResult with each valuation repeated f times: the result over the
+    base ring for a matrix over a ring of residue degree f."""
+    return SnfResult(tuple(v for v in res.valuations for _ in range(f)), res.saturated)
 
 
 def test_fast_paths_match_generic():
@@ -184,15 +212,21 @@ def test_fast_paths_match_generic():
     # and saturation. Supports hold entries of valuation 0, 1, 2, K-1 and K
     # (the last reduce to zero); K = 64 runs mod2k and f2t at full word width,
     # and modpk crosses from int64 (3^19) to exact object words (3^20, 3^40).
+    # Rings of residue degree f > 1 run over the base ring as f x f blocks,
+    # where every valuation appears f times; their K reach the word-size cap.
     rng = random.Random(42)
     seen = {}
     for prime, mode, Ks, support_at in [
         (P2, "mod2k", (1, 8, 32, 64), _ints),
         (P3, "modpk", (1, 5, 8, 19, 20, 40), _ints),
         (PX, "f2t", (1, 8, 32, 64), _polys),
+        (ZI3, "modpk", (1, 5, 19, 20), _gauss),
+        (ZI7, "modpk", (1, 5, 11), _gauss),
+        (PX2, "f2t", (1, 8, 17, 32), _polys),
+        (PX3, "f2t", (1, 8, 21), _polys),
     ]:
         for K in Ks:
-            support = support_at(prime.p, K)
+            support = support_at(prime, K)
             table_mode, ring, table = reduction_table(support, prime, K)
             assert table_mode == mode
             reduced = [reduce_mod_prime_power(s, prime, K) for s in support]
@@ -203,8 +237,9 @@ def test_fast_paths_match_generic():
                                 for _ in range(n)])
                 want = local_snf(LocalMatrix.of(ring, [[reduced[j] for j in row]
                                                        for row in idx.tolist()]))
-                assert snf_valuations_array(mode, table[idx], prime.p, K) == want
-                seen.setdefault(mode, set()).update(
+                got = snf_valuations_array(mode, gather(table, idx[None])[0], prime.p, K)
+                assert got == _repeat(want, ring.f)
+                seen.setdefault((prime, mode), set()).update(
                     "pivot" if v == 0 else "saturated" if v == K else "shift"
                     for v in want.valuations)
     assert all(kinds == {"pivot", "shift", "saturated"} for kinds in seen.values()), seen
@@ -220,13 +255,20 @@ _WORDS = {1: "uint8", 5: "uint8", 8: "uint8", 9: "uint16", 16: "uint16", 17: "ui
     *[(P3, "modpk", K, _ints, "int64") for K in (1, 5, 8, 19)],
     *[(PX, "f2t", K, _polys, w) for K, w in _WORDS.items()],
     *[(P3, "modpk", K, _ints, "object") for K in (20, 40)],
+    *[(ZI3, "modpk", K, _gauss, "int64") for K in (1, 5, 19)],
+    (ZI3, "modpk", 20, _gauss, "object"),
+    *[(ZI7, "modpk", K, _gauss, "int64") for K in (1, 11)],
+    *[(PX2, "f2t", K, _polys, w) for K, w in _WORDS.items() if K <= 32],
+    *[(PX3, "f2t", K, _polys, w) for K, w in {**_WORDS, 21: "uint32"}.items() if K <= 21],
 ])
 def test_batched_kernel_matches_single_and_generic(prime, mode, K, support_at, word):
     # One batch mixes full-rank, corank, all-zero and saturated matrices with
     # random ones; K crosses every word width, below it (masked) and at it.
-    # Each matrix's batched result equals its 2-D result and local_snf.
+    # Each matrix's batched result equals its 2-D result and local_snf. At
+    # residue degree f > 1 the kernel sees f x f blocks over the base ring
+    # and every valuation appears f times.
     rng = random.Random(K * 1000 + len(mode))
-    support = support_at(prime.p, K)
+    support = support_at(prime, K)
     table_mode, ring, table = reduction_table(support, prime, K)
     assert (table_mode, table.dtype) == (mode, np.dtype(word))
     reduced = [reduce_mod_prime_power(s, prime, K) for s in support]
@@ -253,17 +295,18 @@ def test_batched_kernel_matches_single_and_generic(prime, mode, K, support_at, w
             diagonal([unit, unit, unit, zero]),
         ] + [np.reshape(random_idx(), (n, n + u)) for _ in range(8)]
         idx = np.stack(batch)
-        got = snf_valuations_array(mode, table[idx], prime.p, K)
+        f = ring.f
+        got = snf_valuations_array(mode, gather(table, idx), prime.p, K)
         assert len(got) == len(batch)
         for M, res in zip(idx, got):
-            want = local_snf(LocalMatrix.of(ring, [[reduced[j] for j in row]
-                                                   for row in M.tolist()]))
+            want = _repeat(local_snf(LocalMatrix.of(ring, [[reduced[j] for j in row]
+                                                            for row in M.tolist()])), f)
             assert res == want
-            assert snf_valuations_array(mode, table[M], prime.p, K) == want
-        assert got[0] == SnfResult((0,) * n, False)
-        assert got[1] == SnfResult((0, 0, 1, 1), K == 1)  # saturated once p reduces to 0
-        assert got[2] == SnfResult((K,) * n, True)
-        assert got[3] == SnfResult((0, 0, 0, K), True)
+            assert snf_valuations_array(mode, gather(table, M[None])[0], prime.p, K) == want
+        assert got[0] == _repeat(SnfResult((0,) * n, False), f)
+        assert got[1] == _repeat(SnfResult((0, 0, 1, 1), K == 1), f)  # saturated once p reduces to 0
+        assert got[2] == _repeat(SnfResult((K,) * n, True), f)
+        assert got[3] == _repeat(SnfResult((0, 0, 0, K), True), f)
 
 
 @pytest.mark.parametrize("p, K", [(3, 20), (3, 40), (5, 16), (5, 27)])
@@ -273,7 +316,7 @@ def test_modpk_wide_words_match_local_snf(p, K):
     # (3^40 > 2^63, so its residues do not fit int64 either).
     prime = factor_rational_prime(ZZ, p)[0]
     assert p ** K > _ODD_FAST_LIMIT and K <= max_precision(p, 1)
-    support = _ints(p, K)
+    support = _ints(prime, K)
     _, ring, table = reduction_table(support, prime, K)
     assert table.dtype == object
     reduced = [reduce_mod_prime_power(s, prime, K) for s in support]
@@ -319,6 +362,75 @@ def test_modpk_fuzz_matches_local_snf(case):
     assert snf_valuations_array("modpk", packed, p, K) == local_snf(int_matrix(ring, rows))
 
 
+def _ladder_reference(rows, prime, policy):
+    """partition_at_prime for one grid, rung by rung with local_snf."""
+    for K in escalation_ladder(prime, policy):
+        ring = local_ring_for(prime, K)
+        res = local_snf(LocalMatrix.of(ring, [[reduce_mod_prime_power(x, prime, K) for x in row]
+                                              for row in rows]))
+        if not res.saturated:
+            return tuple(sorted((v for v in res.valuations if v), reverse=True))
+    return None
+
+
+@st.composite
+def _driver_cases(draw):
+    prime = draw(st.sampled_from((PX, ZI3, ZI7, PX2, PX3)))
+    policy = draw(st.sampled_from((PrecisionPolicy(1, 4), PrecisionPolicy(2, 8), DEFAULT_POLICY)))
+    ladder = escalation_ladder(prime, policy)
+    if prime.domain == ZI:
+        cofactor = st.builds(gauss_elem, st.integers(-9, 9), st.integers(-9, 9))
+    else:
+        cofactor = st.builds(lambda cs: poly_elem(2, [1] + cs), st.lists(st.integers(0, 1), max_size=4))
+
+    def times_pi(c, v):
+        for _ in range(v):
+            c = elem_mul(c, prime.generator)
+        return c
+
+    # c * pi^v with v up to 3, or v equal to a rung K, where the entry reduces to zero
+    entry = st.builds(times_pi, cofactor, st.one_of(st.integers(0, 3), st.sampled_from(ladder)))
+    n, u = draw(st.integers(1, 4)), draw(st.integers(0, 2))
+    grid = st.lists(st.lists(entry, min_size=n + u, max_size=n + u), min_size=n, max_size=n)
+    grids = draw(st.lists(grid, min_size=1, max_size=3))
+    zero = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    zero_elem = times_pi(draw(cofactor), ladder[-1])
+    grids[0] = [[zero_elem] * (n + u) if z else row for z, row in zip(zero, grids[0])]
+    return prime, policy, grids
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_driver_cases())
+def test_lowered_driver_fuzz_matches_local_snf_ladder(case):
+    # The cokernel driver on f2t at (x) and on the primes of residue degree
+    # f > 1 that lower onto modpk and f2t gives, for a batch of matrices, the
+    # partitions (or indeterminate outcomes) of the local_snf ladder.
+    prime, policy, grids = case
+    support = tuple(dict.fromkeys(x for rows in grids for row in rows for x in row))
+    position = {x: i for i, x in enumerate(support)}
+    idx = np.array([[[position[x] for x in row] for row in rows] for rows in grids])
+    got = partition_at_prime(idx, support, prime, policy)
+    for rows, parts in zip(grids, got):
+        want = _ladder_reference(rows, prime, policy)
+        if want is None:
+            assert isinstance(parts, IndeterminateCokernelError)
+        else:
+            assert parts == want
+
+
+def test_residue_degree_f_entries_lower_to_blocks():
+    # 1+2i at (3): columns (1+2i)*1 = 1+2i and (1+2i)*i = -2+i, mod 3^4
+    x = reduce_mod_prime_power(gauss_elem(1, 2), ZI3, 4)
+    assert element_block("modpk", x) == [[1, 79], [2, 1]]
+    # x at (x^2+x+1): x*x = 1 + x + g, so its first coordinate packs 1 + t
+    y = reduce_mod_prime_power(poly_elem(2, [0, 1]), PX2, 4)
+    assert element_block("f2t", y) == [[0, 0b11], [1, 1]]
+    # a packed scalar would drop coordinates, so it is refused
+    for mode, z in (("modpk", x), ("f2t", y)):
+        with pytest.raises(ParameterError, match="residue degree 2"):
+            element_to_scalar(mode, z)
+
+
 def test_make_scalar_matrix_word_follows_entries():
     assert make_scalar_matrix("modpk", [[1, 2 ** 63 - 1]]).dtype == np.int64
     wide = make_scalar_matrix("modpk", [[1, 3 ** 40 - 1]])
@@ -338,14 +450,11 @@ def _domain_det(rows, zero):
     return total
 
 
-@pytest.mark.parametrize("prime, elem", [
-    (factor_rational_prime(ZI, 5)[0], lambda a, b: gauss_elem(a, b)),
-    (P3, lambda a, b: int_elem(a + 2 * b)),
-], ids=["zi-(2+i)", "z-3"])
-def test_driver_keeps_odd_primes_on_modpk(prime, elem):
-    # Under the default policy every rung of the ladder lowers onto modpk, and
-    # the driver reports exactly the singular matrices of a mixed batch as
-    # indeterminate; the rest get the local_snf partition at the cap.
+def _check_driver(prime, elem, mode, cap_word):
+    """Under the default policy every rung of the ladder lowers onto ``mode``
+    (as f x f blocks at residue degree f > 1), and the driver reports exactly
+    the singular matrices of a mixed batch as indeterminate; the rest get the
+    local_snf partition at the cap."""
     ladder = escalation_ladder(prime, DEFAULT_POLICY)
     cap = ladder[-1]
     power = [elem(1, 0)]  # powers of the prime's generator
@@ -373,9 +482,11 @@ def test_driver_keeps_odd_primes_on_modpk(prime, elem):
         support = tuple(dict.fromkeys(x for rows in grids for row in rows for x in row))
         position = {x: i for i, x in enumerate(support)}
         idx = np.array([[[position[x] for x in row] for row in rows] for rows in grids])
+        blocks = (prime.f, prime.f) if prime.f > 1 else ()
         for K in ladder:
-            assert reduction_table(support, prime, K)[0] == "modpk"
-        assert reduction_table(support, prime, cap)[2].dtype == object
+            table_mode, _, table = reduction_table(support, prime, K)
+            assert table_mode == mode and table.shape == (len(support), *blocks)
+        assert table.dtype == cap_word
         ring = local_ring_for(prime, cap)
         got = partition_at_prime(idx, support, prime, DEFAULT_POLICY)
         singular = 0
@@ -391,6 +502,26 @@ def test_driver_keeps_odd_primes_on_modpk(prime, elem):
             assert not want.saturated
             assert parts == tuple(sorted((v for v in want.valuations if v), reverse=True))
         assert singular >= 4
+
+
+@pytest.mark.parametrize("prime, elem", [
+    (factor_rational_prime(ZI, 5)[0], lambda a, b: gauss_elem(a, b)),
+    (P3, lambda a, b: int_elem(a + 2 * b)),
+], ids=["zi-(2+i)", "z-3"])
+def test_driver_keeps_odd_primes_on_modpk(prime, elem):
+    _check_driver(prime, elem, "modpk", object)
+
+
+@pytest.mark.parametrize("prime, elem, mode, cap_word", [
+    (ZI3, gauss_elem, "modpk", object),
+    (ZI7, gauss_elem, "modpk", np.int64),
+    (PX2, lambda a, b: poly_elem(2, [a, b]), "f2t", np.uint32),
+    (PX3, lambda a, b: poly_elem(2, [a, b]), "f2t", np.uint32),
+], ids=["zi-(3)", "zi-(7)", "f2x-(x^2+x+1)", "f2x-(x^3+x+1)"])
+def test_driver_lowers_residue_degree_f_primes(prime, elem, mode, cap_word):
+    # Inert Z[i] primes and F_2[x] primes of degree f > 1 never reach the
+    # generic path: the cap is 3^20 (object words), 7^11, and 32 or 21 bits.
+    _check_driver(prime, elem, mode, cap_word)
 
 
 def test_permutation_invariance():
