@@ -61,6 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(cfg, args):
     from dataclasses import replace
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     if args.out is not None:

@@ -279,10 +279,11 @@ def _run_trials(cfg: ExperimentConfig, n: int, threads: int) -> Counter:
     when more than half of them are indeterminate."""
     args = [(cfg.distribution, cfg.primes, cfg.u, cfg.seed, cfg.policy, n, a, b)
             for a, b in _chunks(cfg.trials, threads)]
-    if threads <= 1:
+    workers = min(threads, len(args))  # a forked worker without a chunk is wasted
+    if workers <= 1:
         tallies = [_tally_chunk(a) for a in args]
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             tallies = list(pool.map(_tally_chunk, args))
     total = Counter()
     for t in tallies:  # merged in trial-index order

@@ -18,12 +18,17 @@ Three layers:
   has a unit, the batch is divided by the uniformizer and goes one level
   deeper. The 2-power kernels use the narrowest unsigned word of K bits,
   modpk int64 while products fit and exact Python ints (object) past that.
-  It is tested to agree with the reference everywhere.
+  On int64 words modpk divides only where it must: entries stay nonnegative
+  and the whole batch is reduced mod p^prec once every few rank-1 updates
+  (as many as fit under 2^63) and before each division by p, and its unit
+  test is one wrapping multiply by p^-1 mod 2^64 and one compare. It is
+  tested to agree with the reference everywhere.
 * :func:`partition_at_prime` runs every cokernel computation. It takes a
   batch of matrices as positions into an entry support, picks the kernel
   for each ring through :func:`reduction_table`, gathers the scalars or
   blocks through :func:`gather`, and escalates K
-  geometrically for the saturated matrices only, up to the policy cap;
+  geometrically for the saturated matrices only, up to the policy cap
+  (modpk goes from its last int64 rung straight to the cap);
   a matrix still saturated there gets an ``IndeterminateCokernelError`` so
   callers can report the trial in an explicit bucket.
   :func:`cokernel_local_type` feeds it one element grid and raises that
@@ -155,7 +160,9 @@ def local_snf(M: LocalMatrix) -> SnfResult:
 # vectorized fast paths
 
 MODE_MOD2K = "mod2k"      # Z/2^K in the narrowest unsigned word of K bits (wraparound-exact)
-MODE_MODPK = "modpk"      # Z/p^K, odd p, in int64 up to _ODD_FAST_LIMIT, exact object ints above
+# Z/p^K, odd p: int64 up to _ODD_FAST_LIMIT, with lazy reduction and a multiply-compare unit
+# test; exact object ints above, reduced after every update
+MODE_MODPK = "modpk"
 MODE_F2T = "f2t"          # F_2[t]/t^K, bit-packed in the narrowest word of K bits, carryless
 MODE_GENERIC = "generic"
 
@@ -196,8 +203,10 @@ def element_to_scalar(mode: str, x: LocalElement) -> int:
 
 
 def _word_dtype(mode: str, K: int, p: int) -> np.dtype:
-    """The array kernel's word at precision K: for modpk int64 up to _ODD_FAST_LIMIT and
-    exact Python ints (object) past it, else the narrowest unsigned word of K bits."""
+    """The array kernel's word at precision K: for modpk int64 up to
+    _ODD_FAST_LIMIT, where entries are nonnegative and reduced lazily
+    (:func:`_reduction_budget`), and exact Python ints (object) past it,
+    reduced after every update; else the narrowest unsigned word of K bits."""
     if mode == MODE_MODPK:
         return np.dtype(np.int64 if p ** K <= _ODD_FAST_LIMIT else object)
     return np.dtype(f"uint{max(8, 1 << (K - 1).bit_length())}")
@@ -206,6 +215,8 @@ def _word_dtype(mode: str, K: int, p: int) -> np.dtype:
 # Kernel steps on a batch of shape (b, n, m) at precision prec = K - level.
 # Entries of the 2-power words are exact in their low prec bits; the bits
 # above are cleared only when the batch is divided by the uniformizer.
+# Entries of the modpk words are nonnegative and only congruent mod p^prec
+# to those of the reduced batch until it is next reduced.
 
 
 def _units_2(x, p):
@@ -213,7 +224,21 @@ def _units_2(x, p):
 
 
 def _units_p(x, p):
-    return x % p != 0
+    """p does not divide x. On int64 words (0 <= x < 2^63) this is one
+    wrapping multiply and one compare: for odd p, x * p^-1 mod 2^64 is at
+    most (2^64 - 1) // p exactly when p | x (Granlund and Montgomery,
+    "Division by invariant integers using multiplication", PLDI 1994).
+    Object words use % p."""
+    if x.dtype == object:
+        return x % p != 0
+    return x.view(np.uint64) * np.uint64(pow(p, -1, 1 << 64)) > np.uint64(((1 << 64) - 1) // p)
+
+
+def _reduction_budget(B, m: int) -> int:
+    """Rank-1 updates B can take between reductions mod m: each adds less than
+    m^2 to entries below m, so int64 words take (2^63 - 1 - m) // m^2 of
+    them; object words take 1, since deferring lets their ints grow."""
+    return 1 if B.dtype == object else ((1 << 63) - 1 - m) // (m * m)
 
 
 def _scale_2k(row, a, p, prec):
@@ -238,10 +263,12 @@ def _pow_mod(a, e: int, m: int):
 
 
 def _scale_pk(row, a, p, prec):
-    """Rows times the pivot inverses mod p^prec: Fermat mod p, then Newton
-    lifting y <- y(2 - ay), doubling the p-adic digits each round. Non-units
-    get inverse 0."""
+    """Rows times the pivot inverses, reduced mod p^prec: Fermat mod p, then
+    Newton lifting y <- y(2 - ay), doubling the p-adic digits each round.
+    Non-units get inverse 0."""
     m = p ** prec
+    if row.dtype != object:  # int64 entries may be unreduced sums
+        row, a = row % m, a % m
     y = _pow_mod(a % p, p - 2, p)
     digits = 1
     while digits < prec:
@@ -269,16 +296,28 @@ def _scale_f2t(row, a, p, prec):
     return _clmul(row, y[:, None], prec)
 
 
-def _update_2k(B, col, row, p, prec):
+def _update_2k(B, col, row, p, prec, steps):
     B -= col[:, :, None] * row[:, None, :]
 
 
-def _update_pk(B, col, row, p, prec):
-    B -= col[:, :, None] * row[:, None, :]
-    B %= p ** prec
+def _update_pk(B, col, row, p, prec, steps):
+    """B - col (x) row mod m = p^prec. With a budget of one update B is
+    reduced after each, and the subtraction keeps the object ints small
+    where the pivot row is zero. Above that B += (col mod m) (x) (m - row)
+    keeps B nonnegative, and B is reduced once the budget of updates since
+    the last reduction has run (``steps`` updates precede this one)."""
+    m = p ** prec
+    budget = _reduction_budget(B, m)
+    if budget == 1:
+        B -= col[:, :, None] * row[:, None, :]
+        B %= m
+        return
+    B += (col % m)[:, :, None] * (m - row)[:, None, :]
+    if (steps + 1) % budget == 0:
+        B %= m
 
 
-def _update_f2t(B, col, row, p, prec):
+def _update_f2t(B, col, row, p, prec, steps):
     """Carryless rank-1 update, one pass over B per bit present in col."""
     present = int(np.bitwise_or.reduce(col, axis=None))
     for s in range(prec):
@@ -286,19 +325,25 @@ def _update_f2t(B, col, row, p, prec):
             B ^= (col[:, :, None] >> s & 1) * (row[:, None, :] << s)
 
 
-def _shift_2(B, p, prec):
+def _shift_2(B, p, prec, steps):
     B >>= 1
     B &= (1 << prec) - 1
     return B
 
 
-def _shift_p(B, p, prec):
+def _shift_p(B, p, prec, steps):
+    """Reduce what the last of ``steps`` updates at precision p^(prec + 1)
+    left pending, then divide by p."""
+    m = p ** (prec + 1)
+    if steps % _reduction_budget(B, m):
+        B %= m
     B //= p
     return B
 
 
 # mode -> (unit test, pivot-row scaling by the pivot's inverse, rank-1 update,
-# division by the uniformizer down to precision prec)
+# division by the uniformizer down to precision prec); the last two also take
+# the number of updates made at this level before the call
 _KERNELS = {
     MODE_MOD2K: (_units_2, _scale_2k, _update_2k, _shift_2),
     MODE_MODPK: (_units_p, _scale_pk, _update_pk, _shift_p),
@@ -310,7 +355,8 @@ def snf_valuations_array(mode: str, B, p: int, K: int):
     """Stratified elimination of a batch of packed scalar matrices.
 
     ``B`` has shape ``(b, n, m)``, or ``(n, m)`` for a single matrix; it is
-    consumed when it already has the mode's word dtype. At level
+    consumed when it already has the mode's word dtype, and for modpk its
+    entries are residues in [0, p^K). At level
     ``level < K`` entries are taken modulo p^(K - level). Each step pivots
     every matrix on its first unit in row-major order and subtracts the
     rank-1 product of the pivot column and the pivot row scaled by the
@@ -329,7 +375,7 @@ def snf_valuations_array(mode: str, B, p: int, K: int):
     pivots = np.zeros((b, K), dtype=np.int64)  # pivots per matrix and level
     active = rows = np.arange(b)               # batch row -> matrix; batch rows
     count = np.zeros(b, dtype=np.int64)        # pivots per batch row at this level
-    level = 0
+    level = steps = 0                          # steps: rank-1 updates at this level
     while len(B) and level < K:
         flat = B.reshape(len(B), n * m)
         found = units(flat, p)
@@ -338,12 +384,14 @@ def snf_valuations_array(mode: str, B, p: int, K: int):
         if has.any():
             i, j = np.divmod(first, m)
             col = B[rows, :, j] * has[:, None]
-            update(B, col, scale(B[rows, i], flat[rows, first], p, K - level), p, K - level)
+            update(B, col, scale(B[rows, i], flat[rows, first], p, K - level), p, K - level, steps)
             count += has
+            steps += 1
         else:
             pivots[active, level] = count
             level += 1
-            B = shift(B, p, K - level)
+            B = shift(B, p, K - level, steps)
+            steps = 0
             keep = B.reshape(len(B), n * m).any(axis=1)
             B, active = B[keep], active[keep]
             rows, count = np.arange(len(B)), np.zeros(len(B), dtype=np.int64)
@@ -379,14 +427,19 @@ def feasible_k_max(prime: PrimeIdealDesc, policy: PrecisionPolicy) -> int:
 
 @lru_cache(maxsize=64)
 def escalation_ladder(prime: PrimeIdealDesc, policy: PrecisionPolicy) -> tuple:
-    """The K values the adaptive loop will try, in order."""
+    """The K values the adaptive loop will try, in order: k_init times powers
+    of the growth factor, up to the cap, without the modpk rungs in object
+    words below the cap. A result not saturated at K is exact at every
+    larger K, and an object pass costs about as much at the cap as below it,
+    so past the int64 word the ladder goes straight to the cap."""
     cap = feasible_k_max(prime, policy)
     K = min(policy.k_init, cap)
     ladder = [K]
     while K < cap:
         K = min(K * policy.growth, cap)
         ladder.append(K)
-    return tuple(ladder)
+    mode = matrix_mode(local_ring_for(prime, cap))
+    return tuple(K for K in ladder if K == cap or _word_dtype(mode, K, prime.p) != object)
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)

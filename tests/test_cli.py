@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from coklab.cli import main
 
 
@@ -78,6 +80,13 @@ def test_exit_code_2_on_bad_config(tmp_path, capsys):
     cfg = write_config(tmp_path, "bad2.json", domain="Q")
     assert main(["dist", "--config", cfg]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_exit_code_2_on_threads_below_one(tmp_path, capsys, threads):
+    cfg = write_config(tmp_path)
+    assert main(["dist", "--config", cfg, "--threads", threads]) == 2
+    assert "config error: --threads must be at least 1" in capsys.readouterr().err
 
 
 def test_exit_code_3_on_strict_balance_violation(tmp_path, capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from coklab import experiments
 from coklab.cli import main
 from coklab.domains import ZZ, poly_domain
 from coklab.errors import (
@@ -263,3 +264,31 @@ def test_sub_batches_tally_in_trial_order():
     assert 0 < want[INDETERMINATE] < cfg.trials / 2
     for threads in (1, 2):
         assert list(_run_trials(cfg, 5, threads).items()) == list(want.items())
+
+
+def test_worker_pool_bounded_by_chunks(monkeypatch):
+    # 100 trials make two chunks, so eight requested workers start two; one
+    # chunk runs in this process. Tallies match the single-worker run.
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    cfg = parse_config(base_config(trials=100))
+    want = _run_trials(cfg, 12, 1)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    assert _run_trials(cfg, 12, 8) == want
+    assert started == [2]
+    one_chunk = parse_config(base_config(trials=50))
+    assert _run_trials(one_chunk, 12, 8) == _run_trials(one_chunk, 12, 1)
+    assert started == [2]

@@ -34,9 +34,13 @@ from coklab.modules import ModuleType
 from coklab.snf import (
     _ODD_FAST_LIMIT,
     DEFAULT_POLICY,
+    MODE_MODPK,
     LocalMatrix,
     PrecisionPolicy,
     SnfResult,
+    _reduction_budget,
+    _shift_p,
+    _units_p,
     cokernel_local_type,
     cokernel_type,
     element_block,
@@ -46,6 +50,7 @@ from coklab.snf import (
     integer_snf_oracle,
     local_snf,
     make_scalar_matrix,
+    matrix_mode,
     p_part_of_divisors,
     partition_at_prime,
     reduction_table,
@@ -334,19 +339,28 @@ def _modpk_precisions(p):
     return (1, 2, last_int64, last_int64 + 1, max_precision(p, 1))
 
 
-@st.composite
-def _modpk_cases(draw):
-    p = draw(st.sampled_from((3, 5, 7)))
-    K = draw(st.sampled_from(_modpk_precisions(p)))
-    n, u = draw(st.integers(1, 6)), draw(st.integers(0, 2))
+# a row is zeroed with probability about 1/4
+_SOME_ZERO_ROWS = st.integers(0, 3).map(lambda k: k == 0)
+
+
+def _int_grid(draw, p, K, n, u, zero_row=st.booleans()):
+    """An n x (n + u) integer grid for Z/p^K, each row zeroed when zero_row draws True."""
     entry = st.one_of(
         st.integers(-(p ** K), p ** K),
         # c * p^v has valuation v when p does not divide c; v = K is divisible by p^K
         st.builds(lambda c, v: c * p ** v, st.integers(-8, 8), st.integers(0, K)),
     )
     rows = draw(st.lists(st.lists(entry, min_size=n + u, max_size=n + u), min_size=n, max_size=n))
-    zero = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    return p, K, [[0] * (n + u) if z else row for z, row in zip(zero, rows)]
+    zero = draw(st.lists(zero_row, min_size=n, max_size=n))
+    return [[0] * (n + u) if z else row for z, row in zip(zero, rows)]
+
+
+@st.composite
+def _modpk_cases(draw):
+    p = draw(st.sampled_from((3, 5, 7)))
+    K = draw(st.sampled_from(_modpk_precisions(p)))
+    n, u = draw(st.integers(1, 6)), draw(st.integers(0, 2))
+    return p, K, _int_grid(draw, p, K, n, u)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -362,9 +376,99 @@ def test_modpk_fuzz_matches_local_snf(case):
     assert snf_valuations_array("modpk", packed, p, K) == local_snf(int_matrix(ring, rows))
 
 
+# int64 moduli p^K with a budget of 1, 2 and 6 rank-1 updates between full
+# reductions mod p^K, the last int64 rungs of 11, 7 and 3
+_LAZY_MODULI = {(11, 9): 1, (7, 11): 2, (3, 19): 6}
+
+
+@st.composite
+def _lazy_cases(draw):
+    p, K = draw(st.sampled_from(sorted(_LAZY_MODULI)))
+    n, u = draw(st.integers(1, 6)), draw(st.integers(0, 2))
+    return p, K, [_int_grid(draw, p, K, n, u, _SOME_ZERO_ROWS)
+                  for _ in range(draw(st.integers(1, 3)))]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_lazy_cases())
+def test_modpk_lazy_reduction_fuzz_matches_local_snf(case):
+    # A budget of at most n updates runs out within a level, so the full
+    # reduction fires between pivots, and in a batch whose matrices run out
+    # of units at different steps.
+    p, K, grids = case
+    assert _reduction_budget(np.zeros(1, np.int64), p ** K) == _LAZY_MODULI[p, K]
+    ring = make_local_ring(p, 1, K, UNRAMIFIED)
+    batch = np.array([[[x % p ** K for x in row] for row in rows] for rows in grids], np.int64)
+    assert snf_valuations_array("modpk", batch, p, K) == [local_snf(int_matrix(ring, rows))
+                                                           for rows in grids]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_modpk_multiply_compare_unit_test(p):
+    # x * p^-1 mod 2^64 > (2^64 - 1) // p exactly when p does not divide x,
+    # for every int64 word: 0, multiples of p^K up to the largest below 2^63,
+    # 2^63 - 1 and the words just below it; object words keep % p.
+    top = 2 ** 63 - 1
+    words = {0, 1, p - 1, p, p + 1, *range(top - 2 * p, top + 1)}
+    for K in range(1, 40):
+        q = p ** K
+        if q > top:
+            break
+        words |= {q, q - 1, q + 1, 3 * q, top // q * q, top // q * q - 1}
+    words = sorted(w for w in words if 0 <= w <= top)
+    want = [w % p != 0 for w in words]
+    assert _units_p(np.array(words, np.int64), p).tolist() == want
+    assert _units_p(np.array(words, object), p).tolist() == want
+
+
+def test_modpk_shift_reduces_pending_updates():
+    # Budgets count from residues, so the division by p at a level shift
+    # first reduces what the updates of the level left pending: here 5 of
+    # the 6 that 3^19 allows. The entries are congruent to 21, 0 and 0.
+    m = 3 ** 19
+    B = np.array([[[5 * m + 21, 3 * m, 0]]], np.int64)
+    assert _shift_p(B, 3, 18, 5).tolist() == [[[7, 0, 0]]]
+
+
+@st.composite
+def _mod2k_cases(draw):
+    K = draw(st.sampled_from((1, 2, 7, 8, 9, 16, 17, 32, 33, 64)))  # each word, below and at its width
+    n, u = draw(st.integers(1, 6)), draw(st.integers(0, 2))
+    return K, _int_grid(draw, 2, K, n, u, _SOME_ZERO_ROWS)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_mod2k_cases())
+def test_mod2k_fuzz_matches_local_snf(case):
+    # Any integer matrix, reduced into Z/2^K, gets the same valuations from
+    # mod2k as from local_snf; small ones also the 2-part of their integer
+    # Smith form, truncated at K (a zero divisor saturates).
+    K, rows = case
+    got = snf_valuations_array("mod2k", make_scalar_matrix("mod2k", [[x % 2 ** K for x in row]
+                                                                     for row in rows]), 2, K)
+    assert got == local_snf(int_matrix(make_local_ring(2, 1, K, UNRAMIFIED), rows))
+    if len(rows) <= 4 and all(abs(x) <= 64 for row in rows for x in row):
+        parts = p_part_of_divisors(integer_snf_oracle(rows), 2)
+        if parts is None:
+            assert got.saturated
+        else:
+            full = sorted(parts + (0,) * (len(rows) - len(parts)))
+            assert got == SnfResult(tuple(min(v, K) for v in full), max(full) >= K)
+
+
+def _geometric_ladder(prime, policy):
+    """k_init times powers of the growth factor up to the word-size cap, no rung dropped."""
+    cap = min(policy.k_max, max_precision(prime.p, prime.f))
+    ladder = [min(policy.k_init, cap)]
+    while ladder[-1] < cap:
+        ladder.append(min(ladder[-1] * policy.growth, cap))
+    return tuple(ladder)
+
+
 def _ladder_reference(rows, prime, policy):
-    """partition_at_prime for one grid, rung by rung with local_snf."""
-    for K in escalation_ladder(prime, policy):
+    """partition_at_prime for one grid, rung by rung with local_snf on the
+    unpruned geometric ladder."""
+    for K in _geometric_ladder(prime, policy):
         ring = local_ring_for(prime, K)
         res = local_snf(LocalMatrix.of(ring, [[reduce_mod_prime_power(x, prime, K) for x in row]
                                               for row in rows]))
@@ -377,7 +481,7 @@ def _ladder_reference(rows, prime, policy):
 def _driver_cases(draw):
     prime = draw(st.sampled_from((PX, ZI3, ZI7, PX2, PX3)))
     policy = draw(st.sampled_from((PrecisionPolicy(1, 4), PrecisionPolicy(2, 8), DEFAULT_POLICY)))
-    ladder = escalation_ladder(prime, policy)
+    ladder = _geometric_ladder(prime, policy)
     if prime.domain == ZI:
         cofactor = st.builds(gauss_elem, st.integers(-9, 9), st.integers(-9, 9))
     else:
@@ -416,6 +520,80 @@ def test_lowered_driver_fuzz_matches_local_snf_ladder(case):
             assert isinstance(parts, IndeterminateCokernelError)
         else:
             assert parts == want
+
+
+ZI5 = factor_rational_prime(ZI, 5)[0]  # (2+i)
+ZI_RAM = factor_rational_prime(ZI, 2)[0]
+F3X = factor_rational_prime(poly_domain(3), poly_elem(3, [0, 1]))[0]
+
+
+def test_escalation_ladder_keeps_one_object_rung():
+    # modpk ladders keep every int64 rung of the geometric ladder and, of its
+    # object rungs, only the cap; mod2k, f2t and generic ladders are whole.
+    assert escalation_ladder(ZI5, DEFAULT_POLICY) == (8, 27)
+    assert escalation_ladder(P3, DEFAULT_POLICY) == (8, 16, 40)
+    assert escalation_ladder(ZI3, DEFAULT_POLICY) == (8, 16, 20)
+    for policy in (DEFAULT_POLICY, PrecisionPolicy(1, 4), PrecisionPolicy(2, 64, 3),
+                   PrecisionPolicy(5, 40)):
+        for prime in (P3, ZI5, ZI3, ZI7, P2, PX, PX2, PX3, ZI_RAM, F3X):
+            full, ladder = _geometric_ladder(prime, policy), escalation_ladder(prime, policy)
+            if matrix_mode(local_ring_for(prime, full[-1])) != MODE_MODPK:
+                assert ladder == full
+                continue
+            wide = [K for K in ladder if prime.p ** K > _ODD_FAST_LIMIT]
+            assert ladder[-1] == full[-1] and wide in ([], [full[-1]])
+            assert [K for K in ladder if K not in wide] == [K for K in full
+                                                            if prime.p ** K <= _ODD_FAST_LIMIT]
+
+
+@pytest.mark.parametrize("prime, elem", [
+    (ZI5, gauss_elem),
+    (P3, lambda a, b: int_elem(a + 2 * b)),
+], ids=["zi-(2+i)", "z-3"])
+def test_pruned_ladder_matches_geometric_reference(prime, elem):
+    # Entries of valuation between the last int64 rung and the cap, such as
+    # p^20, settle at the cap instead of at a dropped object rung, with the
+    # partition of the whole ladder; singular matrices stay indeterminate,
+    # with the cap's K and local_snf result.
+    full = _geometric_ladder(prime, DEFAULT_POLICY)
+    cap, last_int64 = full[-1], max(K for K in full if prime.p ** K <= _ODD_FAST_LIMIT)
+    assert len(escalation_ladder(prime, DEFAULT_POLICY)) < len(full)
+
+    def times_pi(x, v):
+        for _ in range(v):
+            x = elem_mul(x, prime.generator)
+        return x
+
+    rng = random.Random(7)
+    deep = (last_int64 + 1, (last_int64 + cap) // 2, cap - 1)
+    n, settled_deep = 3, 0
+    for u in (0, 1):
+        grids = []
+        for k in range(12):
+            rows = [[times_pi(elem(rng.randrange(-2, 3), rng.randrange(-2, 3)),
+                              rng.choice((0, 1) + deep)) for _ in range(n + u)] for _ in range(n)]
+            if k % 3 == 1:  # upper triangular, diagonal 1, p^20 and pi^v past the int64 rungs
+                for i in range(n):
+                    rows[i][:i] = [elem(0, 0)] * i
+                rows[0][0], rows[1][1] = elem(1, 0), elem(prime.p ** 20, 0)
+                rows[2][2] = times_pi(elem(1, 0), deep[k // 3 % 3])
+            elif k % 3 == 2:  # singular: a zero row or a repeated row
+                rows[2] = [elem(0, 0)] * (n + u) if k % 2 else list(rows[0])
+            grids.append(rows)
+        support = tuple(dict.fromkeys(x for rows in grids for row in rows for x in row))
+        position = {x: i for i, x in enumerate(support)}
+        idx = np.array([[[position[x] for x in row] for row in rows] for rows in grids])
+        for rows, parts in zip(grids, partition_at_prime(idx, support, prime, DEFAULT_POLICY)):
+            want = _ladder_reference(rows, prime, DEFAULT_POLICY)
+            if want is not None:
+                assert parts == want
+                settled_deep += max(want, default=0) > last_int64
+                continue
+            ring = local_ring_for(prime, cap)
+            assert isinstance(parts, IndeterminateCokernelError) and f"K={cap}" in str(parts)
+            assert parts.last_result == local_snf(LocalMatrix.of(
+                ring, [[reduce_mod_prime_power(x, prime, cap) for x in row] for row in rows]))
+    assert settled_deep >= 8
 
 
 def test_residue_degree_f_entries_lower_to_blocks():
