@@ -8,7 +8,7 @@ Three layers:
   the two rings no kernel covers: the ramified (1+i) completion of Z[i] and
   odd-characteristic F_p[[t]].
 * :func:`snf_valuations_array` covers the hot representations, Z/p^K
-  entries and bit-packed F_2[[t]]/t^K entries in machine words, for a whole
+  entries and lane-spread F_2[[t]]/t^K entries in machine words, for a whole
   batch of matrices at once. Galois rings and F_2[x]/(g^K) of residue
   degree f > 1 lower onto these base rings by restriction of scalars: such
   a ring is free of rank f over its base ring, so each entry becomes the
@@ -16,19 +16,25 @@ Three layers:
   part of the cokernel appears f times. Each step of its stratified loop pivots every
   matrix on its first unit with a rank-1 update (no swaps); once no matrix
   has a unit, the batch is divided by the uniformizer and goes one level
-  deeper. The 2-power kernels use the narrowest unsigned word of K bits,
-  modpk int64 while products fit and exact Python ints (object) past that.
-  On int64 words modpk divides only where it must: entries stay nonnegative
-  and the whole batch is reduced mod p^prec once every few rank-1 updates
-  (as many as fit under 2^63) and before each division by p, and its unit
-  test is one wrapping multiply by p^-1 mod 2^64 and one compare. It is
-  tested to agree with the reference everywhere.
+  deeper. mod2k uses the narrowest unsigned word of K bits, modpk int64
+  while products fit and exact Python ints (object) past that. On int64
+  words modpk divides only where it must: entries stay nonnegative and the
+  whole batch is reduced mod p^prec once every few rank-1 updates (as many
+  as fit under 2^63) and before each division by p, and its unit test is
+  one wrapping multiply by p^-1 mod 2^64 and one compare. f2t puts
+  coefficient s of t into bit w*s of its word (a lane of w bits), so a
+  carryless product is one wrapping integer multiply masked to the low bit
+  of each lane: lane s of the integer product counts the pairs i + j = s,
+  and its low bit is their XOR (the "multiplication with holes" of
+  constant-time GHASH). Lanes are 4 bits in the narrowest unsigned word of
+  4K bits for K <= 16, and 6 bits in exact Python ints past that. Every
+  kernel is tested to agree with the reference everywhere.
 * :func:`partition_at_prime` runs every cokernel computation. It takes a
   batch of matrices as positions into an entry support, picks the kernel
   for each ring through :func:`reduction_table`, gathers the scalars or
   blocks through :func:`gather`, and escalates K
   geometrically for the saturated matrices only, up to the policy cap
-  (modpk goes from its last int64 rung straight to the cap);
+  (modpk and f2t go from their last machine-word rung straight to the cap);
   a matrix still saturated there gets an ``IndeterminateCokernelError`` so
   callers can report the trial in an explicit bucket.
   :func:`cokernel_local_type` feeds it one element grid and raises that
@@ -163,7 +169,9 @@ MODE_MOD2K = "mod2k"      # Z/2^K in the narrowest unsigned word of K bits (wrap
 # Z/p^K, odd p: int64 up to _ODD_FAST_LIMIT, with lazy reduction and a multiply-compare unit
 # test; exact object ints above, reduced after every update
 MODE_MODPK = "modpk"
-MODE_F2T = "f2t"          # F_2[t]/t^K, bit-packed in the narrowest word of K bits, carryless
+# F_2[t]/t^K, coefficient s in bit w*s: 4-bit lanes in the narrowest unsigned word of 4K bits
+# up to K = 16, 6-bit lanes in exact object ints above; a carryless product is a masked multiply
+MODE_F2T = "f2t"
 MODE_GENERIC = "generic"
 
 
@@ -181,19 +189,21 @@ def matrix_mode(ring: LocalRingSpec) -> str:
 def element_block(mode: str, x: LocalElement) -> list:
     """The f x f matrix of multiplication by x over the base ring in the basis
     1, x, ..., x^(f-1): entry (k, l) is coordinate k of x * x^l, a residue
-    mod p^K, or for f2t coefficient k of every base-g digit packed into the
-    bits of one word."""
+    mod p^K, or for f2t the lane-spread word whose lane s holds coefficient
+    k of base-g digit s."""
     r = x.ring
     columns = [x] + [lr_mul(x, LocalElement(r, tuple(int(i == l) for i in range(len(x.coeffs)))))
                      for l in range(1, r.f)]
     if mode == MODE_F2T:
-        return [[sum(bit << s for s, bit in enumerate(c.coeffs[k::r.f])) for c in columns]
+        w = _lane_bits(r.K)
+        return [[sum(bit << w * s for s, bit in enumerate(c.coeffs[k::r.f])) for c in columns]
                 for k in range(r.f)]
     return [[c.coeffs[k] for c in columns] for k in range(r.f)]
 
 
 def element_to_scalar(mode: str, x: LocalElement) -> int:
-    """The packed word of x in a ring of residue degree 1."""
+    """The packed word of x in a ring of residue degree 1: a residue for
+    mod2k and modpk, a lane-spread word for f2t."""
     if mode == MODE_GENERIC:
         raise ParameterError("generic mode has no scalar packing")
     if x.ring.f > 1:
@@ -202,25 +212,42 @@ def element_to_scalar(mode: str, x: LocalElement) -> int:
     return element_block(mode, x)[0][0]
 
 
+def _lane_bits(K: int) -> int:
+    """Bits per f2t lane at precision K. Lane s < K of a product counts s + 1
+    terms, and only the top lane's carry may leave its lane (for lanes at
+    or past K, masked off or wrapped out of the word), so w-bit lanes serve
+    every K <= 2^w: 4 bits in machine words up to K = 16, and 6 bits in
+    Python ints up to the f2t cap K = 64."""
+    return 4 if K <= 16 else 6
+
+
 def _word_dtype(mode: str, K: int, p: int) -> np.dtype:
     """The array kernel's word at precision K: for modpk int64 up to
     _ODD_FAST_LIMIT, where entries are nonnegative and reduced lazily
     (:func:`_reduction_budget`), and exact Python ints (object) past it,
-    reduced after every update; else the narrowest unsigned word of K bits."""
+    reduced after every update; for mod2k the narrowest unsigned word of K
+    bits; for f2t the narrowest unsigned word of K lanes (:func:`_lane_bits`)
+    up to 64 bits, and exact Python ints past that."""
     if mode == MODE_MODPK:
         return np.dtype(np.int64 if p ** K <= _ODD_FAST_LIMIT else object)
-    return np.dtype(f"uint{max(8, 1 << (K - 1).bit_length())}")
+    bits = K * _lane_bits(K) if mode == MODE_F2T else K
+    return np.dtype(f"uint{max(8, 1 << (bits - 1).bit_length())}" if bits <= 64 else object)
 
 
 # Kernel steps on a batch of shape (b, n, m) at precision prec = K - level.
-# Entries of the 2-power words are exact in their low prec bits; the bits
+# Entries of the mod2k words are exact in their low prec bits; the bits
 # above are cleared only when the batch is divided by the uniformizer.
-# Entries of the modpk words are nonnegative and only congruent mod p^prec
-# to those of the reduced batch until it is next reduced.
+# Entries of the f2t words hold 0 or 1 in each of their first prec lanes
+# and nothing else. Entries of the modpk words are nonnegative and only
+# congruent mod p^prec to those of the reduced batch until it is next reduced.
 
 
 def _units_2(x, p):
-    return x & 1
+    """The low bit of each word, as bools; unsigned words are cast to their
+    low byte first, so the mask takes one byte per entry whatever the word."""
+    if x.dtype == object:
+        return (x & 1).astype(bool)
+    return np.bitwise_and(x, 1, dtype=np.uint8, casting="unsafe").view(bool)
 
 
 def _units_p(x, p):
@@ -277,23 +304,28 @@ def _scale_pk(row, a, p, prec):
     return row * y[:, None] % m
 
 
-def _clmul(x, y, prec):
-    """Carryless products x*y in F_2[t]/t^prec of small broadcastable arrays,
-    one shifted copy of x per bit of y below prec along an extra last axis."""
-    s = np.arange(prec, dtype=x.dtype)
-    return np.bitwise_xor.reduce((y[..., None] >> s & 1) * (x[..., None] << s), axis=-1)
+def _f2t_lanes(B, prec):
+    """The lane width w of B's words (4 bits in unsigned words, 6 in object
+    words) and the mask of the low bit of each of their first prec lanes,
+    the sum of 2^(w s) for s < prec, in B's word type."""
+    w = 6 if B.dtype == object else 4
+    mask = ((1 << w * prec) - 1) // ((1 << w) - 1)
+    return w, (mask if B.dtype == object else B.dtype.type(mask))
 
 
 def _scale_f2t(row, a, p, prec):
     """Rows times the pivot inverses in F_2[t]/t^prec: carryless Newton
-    y <- a y^2 from y = 1, doubling the t-adic digits each round."""
-    a = a | 1  # rows without a pivot get factor 0 later; keep their Newton defined
-    y = np.ones_like(a)
-    for _ in range((prec - 1).bit_length()):
-        y = _clmul(a, _clmul(y, y, prec), prec)
-    mask = (1 << prec) - 1
-    assert np.all(_clmul(a, y, prec) & mask == 1), "carryless Newton inverse failed"
-    return _clmul(row, y[:, None], prec)
+    y <- a y^2 from y = a (a^2 = 1 mod t^2 in characteristic 2), doubling
+    the t-adic digits each round, where each carryless product is a
+    wrapping multiply masked to the lanes."""
+    _, lanes = _f2t_lanes(row, prec)
+    y = a = a | 1  # rows without a pivot get factor 0 later; keep their Newton defined
+    digits = 2
+    while digits < prec:
+        y = a * (y * y & lanes) & lanes
+        digits *= 2
+    assert np.all(a * y & lanes == 1), "carryless Newton inverse failed"
+    return row * y[:, None] & lanes
 
 
 def _update_2k(B, col, row, p, prec, steps):
@@ -317,17 +349,28 @@ def _update_pk(B, col, row, p, prec, steps):
         B %= m
 
 
+# matrices per slice of the f2t update: bounds its product temporary
+_F2T_SLICE = 16
+
+
 def _update_f2t(B, col, row, p, prec, steps):
-    """Carryless rank-1 update, one pass over B per bit present in col."""
-    present = int(np.bitwise_or.reduce(col, axis=None))
-    for s in range(prec):
-        if present >> s & 1:
-            B ^= (col[:, :, None] >> s & 1) * (row[:, None, :] << s)
+    """Carryless rank-1 update B ^= col (x) row: one masked multiply per
+    entry, a slice of matrices at a time."""
+    _, lanes = _f2t_lanes(B, prec)
+    for s in range(0, len(B), _F2T_SLICE):
+        B[s:s + _F2T_SLICE] ^= col[s:s + _F2T_SLICE, :, None] * row[s:s + _F2T_SLICE, None, :] & lanes
 
 
 def _shift_2(B, p, prec, steps):
     B >>= 1
     B &= (1 << prec) - 1
+    return B
+
+
+def _shift_f2t(B, p, prec, steps):
+    """Division by t: drop lane 0. Updates keep every entry inside its
+    first prec + 1 lanes, so no lane at or above prec is left set."""
+    B >>= _f2t_lanes(B, prec)[0]
     return B
 
 
@@ -347,7 +390,7 @@ def _shift_p(B, p, prec, steps):
 _KERNELS = {
     MODE_MOD2K: (_units_2, _scale_2k, _update_2k, _shift_2),
     MODE_MODPK: (_units_p, _scale_pk, _update_pk, _shift_p),
-    MODE_F2T: (_units_2, _scale_f2t, _update_f2t, _shift_2),
+    MODE_F2T: (_units_2, _scale_f2t, _update_f2t, _shift_f2t),
 }
 
 
@@ -355,8 +398,9 @@ def snf_valuations_array(mode: str, B, p: int, K: int):
     """Stratified elimination of a batch of packed scalar matrices.
 
     ``B`` has shape ``(b, n, m)``, or ``(n, m)`` for a single matrix; it is
-    consumed when it already has the mode's word dtype, and for modpk its
-    entries are residues in [0, p^K). At level
+    consumed when it already has the mode's word dtype. For modpk its
+    entries are residues in [0, p^K), and for f2t lane-spread words
+    (:func:`element_to_scalar`) with no bit outside their K lanes. At level
     ``level < K`` entries are taken modulo p^(K - level). Each step pivots
     every matrix on its first unit in row-major order and subtracts the
     rank-1 product of the pivot column and the pivot row scaled by the
@@ -392,8 +436,11 @@ def snf_valuations_array(mode: str, B, p: int, K: int):
             level += 1
             B = shift(B, p, K - level, steps)
             steps = 0
-            keep = B.reshape(len(B), n * m).any(axis=1)
-            B, active = B[keep], active[keep]
+            keep = np.flatnonzero(B.reshape(len(B), n * m).any(axis=1))
+            for dst, src in enumerate(keep):  # compact in place: no copy of the batch
+                if dst != src:
+                    B[dst] = B[src]
+            B, active = B[:len(keep)], active[keep]
             rows, count = np.arange(len(B)), np.zeros(len(B), dtype=np.int64)
     results = []
     for counts in pivots.tolist():
@@ -404,11 +451,10 @@ def snf_valuations_array(mode: str, B, p: int, K: int):
 
 
 def make_scalar_matrix(mode: str, rows) -> np.ndarray:
-    """Packed scalars in uint64; for modpk in int64 when all fit, else exact Python ints."""
-    if mode != MODE_MODPK:
-        return np.array(rows, dtype=np.uint64)
+    """Packed scalars in uint64 (int64 for modpk) when all fit, else exact
+    Python ints: modpk residues past 2^63 and f2t words of K > 16 lanes."""
     try:
-        return np.array(rows, dtype=np.int64)
+        return np.array(rows, dtype=np.int64 if mode == MODE_MODPK else np.uint64)
     except OverflowError:
         return np.array(rows, dtype=object)
 
@@ -428,10 +474,11 @@ def feasible_k_max(prime: PrimeIdealDesc, policy: PrecisionPolicy) -> int:
 @lru_cache(maxsize=64)
 def escalation_ladder(prime: PrimeIdealDesc, policy: PrecisionPolicy) -> tuple:
     """The K values the adaptive loop will try, in order: k_init times powers
-    of the growth factor, up to the cap, without the modpk rungs in object
-    words below the cap. A result not saturated at K is exact at every
-    larger K, and an object pass costs about as much at the cap as below it,
-    so past the int64 word the ladder goes straight to the cap."""
+    of the growth factor, up to the cap, without the rungs in object words
+    below the cap (modpk past int64, f2t past 16 lanes). A result not
+    saturated at K is exact at every larger K, and an object pass costs
+    about as much at the cap as below it, so past the last machine word the
+    ladder goes straight to the cap."""
     cap = feasible_k_max(prime, policy)
     K = min(policy.k_init, cap)
     ladder = [K]

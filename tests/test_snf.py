@@ -24,6 +24,7 @@ from coklab.errors import IndeterminateCokernelError, ParameterError
 from coklab.local_ring import (
     EQUAL_CHAR,
     UNRAMIFIED,
+    LocalElement,
     lr_add,
     lr_mul,
     make_local_ring,
@@ -250,9 +251,25 @@ def test_fast_paths_match_generic():
     assert all(kinds == {"pivot", "shift", "saturated"} for kinds in seen.values()), seen
 
 
-# the word each 2-power kernel uses at precision K: the narrowest holding K bits
+# the narrowest unsigned word holding K bits: mod2k's word at precision K, and
+# the word of an f2t entry's K coefficient bits before they are spread into lanes
 _WORDS = {1: "uint8", 5: "uint8", 8: "uint8", 9: "uint16", 16: "uint16", 17: "uint32",
           32: "uint32", 64: "uint64"}
+
+
+# f2t's word at precision K: K lanes of 4 bits in the narrowest unsigned word
+# that holds them up to K = 16, Python ints (6-bit lanes) past that
+_F2T_WORDS = {1: "uint8", 2: "uint8", 3: "uint16", 4: "uint16", 5: "uint32", 8: "uint32",
+              9: "uint64", 16: "uint64", 17: "object", 21: "object", 32: "object", 64: "object"}
+
+
+def _unspread(x, K):
+    """The K-bit packed form of an f2t word: bit s is lane s. Asserts that
+    the word has no bit outside the low bits of its first K lanes."""
+    w = 4 if K <= 16 else 6
+    packed = sum((int(x) >> w * s & 1) << s for s in range(K))
+    assert sum(1 << w * s for s in range(K) if packed >> s & 1) == int(x)
+    return packed
 
 
 @pytest.mark.parametrize("prime, mode, K, support_at, word", [
@@ -265,17 +282,23 @@ _WORDS = {1: "uint8", 5: "uint8", 8: "uint8", 9: "uint16", 16: "uint16", 17: "ui
     *[(ZI7, "modpk", K, _gauss, "int64") for K in (1, 11)],
     *[(PX2, "f2t", K, _polys, w) for K, w in _WORDS.items() if K <= 32],
     *[(PX3, "f2t", K, _polys, w) for K, w in {**_WORDS, 21: "uint32"}.items() if K <= 21],
+    *[(PX, "f2t", K, _polys, w) for K, w in ((2, "uint8"), (3, "uint8"), (4, "uint8"))],
 ])
 def test_batched_kernel_matches_single_and_generic(prime, mode, K, support_at, word):
     # One batch mixes full-rank, corank, all-zero and saturated matrices with
     # random ones; K crosses every word width, below it (masked) and at it.
     # Each matrix's batched result equals its 2-D result and local_snf. At
     # residue degree f > 1 the kernel sees f x f blocks over the base ring
-    # and every valuation appears f times.
+    # and every valuation appears f times. f2t tables hold lane-spread
+    # words: their K coefficient bits, packed, fit ``word``.
     rng = random.Random(K * 1000 + len(mode))
     support = support_at(prime, K)
     table_mode, ring, table = reduction_table(support, prime, K)
-    assert (table_mode, table.dtype) == (mode, np.dtype(word))
+    if mode == "f2t":
+        assert (table_mode, table.dtype) == (mode, np.dtype(_F2T_WORDS[K]))
+        np.array([_unspread(x, K) for x in table.ravel()], dtype=word)  # raises if they do not fit
+    else:
+        assert (table_mode, table.dtype) == (mode, np.dtype(word))
     reduced = [reduce_mod_prime_power(s, prime, K) for s in support]
     vals = [valuation(x) for x in reduced]
     zero, unit = vals.index(K), vals.index(0)
@@ -339,19 +362,19 @@ def _modpk_precisions(p):
     return (1, 2, last_int64, last_int64 + 1, max_precision(p, 1))
 
 
-# a row is zeroed with probability about 1/4
-_SOME_ZERO_ROWS = st.integers(0, 3).map(lambda k: k == 0)
+# a row is zeroed with probability about 1/8
+_ZERO_ROW = st.integers(0, 7).map(lambda k: k == 0)
 
 
-def _int_grid(draw, p, K, n, u, zero_row=st.booleans()):
-    """An n x (n + u) integer grid for Z/p^K, each row zeroed when zero_row draws True."""
+def _int_grid(draw, p, K, n, u):
+    """An n x (n + u) integer grid for Z/p^K, each row zeroed with probability about 1/8."""
     entry = st.one_of(
         st.integers(-(p ** K), p ** K),
         # c * p^v has valuation v when p does not divide c; v = K is divisible by p^K
         st.builds(lambda c, v: c * p ** v, st.integers(-8, 8), st.integers(0, K)),
     )
     rows = draw(st.lists(st.lists(entry, min_size=n + u, max_size=n + u), min_size=n, max_size=n))
-    zero = draw(st.lists(zero_row, min_size=n, max_size=n))
+    zero = draw(st.lists(_ZERO_ROW, min_size=n, max_size=n))
     return [[0] * (n + u) if z else row for z, row in zip(zero, rows)]
 
 
@@ -385,8 +408,7 @@ _LAZY_MODULI = {(11, 9): 1, (7, 11): 2, (3, 19): 6}
 def _lazy_cases(draw):
     p, K = draw(st.sampled_from(sorted(_LAZY_MODULI)))
     n, u = draw(st.integers(1, 6)), draw(st.integers(0, 2))
-    return p, K, [_int_grid(draw, p, K, n, u, _SOME_ZERO_ROWS)
-                  for _ in range(draw(st.integers(1, 3)))]
+    return p, K, [_int_grid(draw, p, K, n, u) for _ in range(draw(st.integers(1, 3)))]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -434,7 +456,7 @@ def test_modpk_shift_reduces_pending_updates():
 def _mod2k_cases(draw):
     K = draw(st.sampled_from((1, 2, 7, 8, 9, 16, 17, 32, 33, 64)))  # each word, below and at its width
     n, u = draw(st.integers(1, 6)), draw(st.integers(0, 2))
-    return K, _int_grid(draw, 2, K, n, u, _SOME_ZERO_ROWS)
+    return K, _int_grid(draw, 2, K, n, u)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -454,6 +476,34 @@ def test_mod2k_fuzz_matches_local_snf(case):
         else:
             full = sorted(parts + (0,) * (len(rows) - len(parts)))
             assert got == SnfResult(tuple(min(v, K) for v in full), max(full) >= K)
+
+
+@st.composite
+def _f2t_cases(draw):
+    K = draw(st.sampled_from((1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 64)))  # around each lane word
+    n, u = draw(st.integers(1, 6)), draw(st.integers(0, 2))
+    # coefficient bits of t^v * unit, truncated to t^K (v = K is zero), or any bits
+    entry = st.one_of(
+        st.integers(0, 2 ** K - 1),
+        st.builds(lambda c, v: (c | 1) << v & (2 ** K - 1), st.integers(0, 2 ** K - 1),
+                  st.integers(0, K)),
+    )
+    rows = draw(st.lists(st.lists(entry, min_size=n + u, max_size=n + u), min_size=n, max_size=n))
+    zero = draw(st.lists(_ZERO_ROW, min_size=n, max_size=n))
+    return K, [[0] * (n + u) if z else row for z, row in zip(zero, rows)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_f2t_cases())
+def test_f2t_fuzz_matches_local_snf(case):
+    # Any matrix over F_2[[t]]/t^K, packed into lane-spread words (4-bit
+    # lanes in uint8 to uint64, 6-bit lanes in Python ints past K = 16),
+    # gets the same valuations from f2t as from local_snf.
+    K, rows = case
+    ring = make_local_ring(2, 1, K, EQUAL_CHAR)
+    grid = [[LocalElement(ring, tuple(x >> s & 1 for s in range(K))) for x in row] for row in rows]
+    packed = make_scalar_matrix("f2t", [[element_to_scalar("f2t", x) for x in row] for row in grid])
+    assert snf_valuations_array("f2t", packed, 2, K) == local_snf(LocalMatrix.of(ring, grid))
 
 
 def _geometric_ladder(prime, policy):
@@ -497,7 +547,7 @@ def _driver_cases(draw):
     n, u = draw(st.integers(1, 4)), draw(st.integers(0, 2))
     grid = st.lists(st.lists(entry, min_size=n + u, max_size=n + u), min_size=n, max_size=n)
     grids = draw(st.lists(grid, min_size=1, max_size=3))
-    zero = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    zero = draw(st.lists(_ZERO_ROW, min_size=n, max_size=n))
     zero_elem = times_pi(draw(cofactor), ladder[-1])
     grids[0] = [[zero_elem] * (n + u) if z else row for z, row in zip(zero, grids[0])]
     return prime, policy, grids
@@ -527,36 +577,45 @@ ZI_RAM = factor_rational_prime(ZI, 2)[0]
 F3X = factor_rational_prime(poly_domain(3), poly_elem(3, [0, 1]))[0]
 
 
+def _object_rung(prime, K):
+    """Whether the kernel of the prime's ring runs precision K in object
+    words: modpk past the int64 product limit, f2t past 16 lanes of 4 bits."""
+    mode = matrix_mode(local_ring_for(prime, K))
+    return (mode == MODE_MODPK and prime.p ** K > _ODD_FAST_LIMIT) or (mode == "f2t" and K > 16)
+
+
 def test_escalation_ladder_keeps_one_object_rung():
-    # modpk ladders keep every int64 rung of the geometric ladder and, of its
-    # object rungs, only the cap; mod2k, f2t and generic ladders are whole.
+    # modpk and f2t ladders keep every machine-word rung of the geometric
+    # ladder and, of its object rungs, only the cap; mod2k and generic
+    # ladders are whole.
     assert escalation_ladder(ZI5, DEFAULT_POLICY) == (8, 27)
     assert escalation_ladder(P3, DEFAULT_POLICY) == (8, 16, 40)
     assert escalation_ladder(ZI3, DEFAULT_POLICY) == (8, 16, 20)
+    assert escalation_ladder(PX, DEFAULT_POLICY) == (8, 16, 64)
+    assert escalation_ladder(PX2, DEFAULT_POLICY) == (8, 16, 32)
+    assert escalation_ladder(PX, PrecisionPolicy(2, 64, 3)) == (2, 6, 64)
     for policy in (DEFAULT_POLICY, PrecisionPolicy(1, 4), PrecisionPolicy(2, 64, 3),
                    PrecisionPolicy(5, 40)):
         for prime in (P3, ZI5, ZI3, ZI7, P2, PX, PX2, PX3, ZI_RAM, F3X):
             full, ladder = _geometric_ladder(prime, policy), escalation_ladder(prime, policy)
-            if matrix_mode(local_ring_for(prime, full[-1])) != MODE_MODPK:
-                assert ladder == full
-                continue
-            wide = [K for K in ladder if prime.p ** K > _ODD_FAST_LIMIT]
+            wide = [K for K in ladder if _object_rung(prime, K)]
             assert ladder[-1] == full[-1] and wide in ([], [full[-1]])
             assert [K for K in ladder if K not in wide] == [K for K in full
-                                                            if prime.p ** K <= _ODD_FAST_LIMIT]
+                                                            if not _object_rung(prime, K)]
 
 
-@pytest.mark.parametrize("prime, elem", [
-    (ZI5, gauss_elem),
-    (P3, lambda a, b: int_elem(a + 2 * b)),
-], ids=["zi-(2+i)", "z-3"])
-def test_pruned_ladder_matches_geometric_reference(prime, elem):
-    # Entries of valuation between the last int64 rung and the cap, such as
-    # p^20, settle at the cap instead of at a dropped object rung, with the
-    # partition of the whole ladder; singular matrices stay indeterminate,
-    # with the cap's K and local_snf result.
+@pytest.mark.parametrize("prime, elem, twenty", [
+    (ZI5, gauss_elem, gauss_elem(5 ** 20, 0)),
+    (P3, lambda a, b: int_elem(a + 2 * b), int_elem(3 ** 20)),
+    (PX, lambda a, b: poly_elem(2, [a, b]), poly_elem(2, [0] * 20 + [1])),
+], ids=["zi-(2+i)", "z-3", "fx-(x)"])
+def test_pruned_ladder_matches_geometric_reference(prime, elem, twenty):
+    # Entries of valuation between the last machine-word rung and the cap,
+    # such as p^20 or x^20, settle at the cap instead of at a dropped object
+    # rung, with the partition of the whole ladder; singular matrices stay
+    # indeterminate, with the cap's K and local_snf result.
     full = _geometric_ladder(prime, DEFAULT_POLICY)
-    cap, last_int64 = full[-1], max(K for K in full if prime.p ** K <= _ODD_FAST_LIMIT)
+    cap, last_int64 = full[-1], max(K for K in full if not _object_rung(prime, K))
     assert len(escalation_ladder(prime, DEFAULT_POLICY)) < len(full)
 
     def times_pi(x, v):
@@ -572,10 +631,10 @@ def test_pruned_ladder_matches_geometric_reference(prime, elem):
         for k in range(12):
             rows = [[times_pi(elem(rng.randrange(-2, 3), rng.randrange(-2, 3)),
                               rng.choice((0, 1) + deep)) for _ in range(n + u)] for _ in range(n)]
-            if k % 3 == 1:  # upper triangular, diagonal 1, p^20 and pi^v past the int64 rungs
+            if k % 3 == 1:  # upper triangular, diagonal 1, p^20 and pi^v past the word rungs
                 for i in range(n):
                     rows[i][:i] = [elem(0, 0)] * i
-                rows[0][0], rows[1][1] = elem(1, 0), elem(prime.p ** 20, 0)
+                rows[0][0], rows[1][1] = elem(1, 0), twenty
                 rows[2][2] = times_pi(elem(1, 0), deep[k // 3 % 3])
             elif k % 3 == 2:  # singular: a zero row or a repeated row
                 rows[2] = [elem(0, 0)] * (n + u) if k % 2 else list(rows[0])
@@ -600,9 +659,13 @@ def test_residue_degree_f_entries_lower_to_blocks():
     # 1+2i at (3): columns (1+2i)*1 = 1+2i and (1+2i)*i = -2+i, mod 3^4
     x = reduce_mod_prime_power(gauss_elem(1, 2), ZI3, 4)
     assert element_block("modpk", x) == [[1, 79], [2, 1]]
-    # x at (x^2+x+1): x*x = 1 + x + g, so its first coordinate packs 1 + t
+    # x at (x^2+x+1): x*x = 1 + x + g, so its first coordinate is 1 + t, in
+    # lanes 0 and 1 of 4 bits
     y = reduce_mod_prime_power(poly_elem(2, [0, 1]), PX2, 4)
-    assert element_block("f2t", y) == [[0, 0b11], [1, 1]]
+    assert element_block("f2t", y) == [[0, 0x11], [1, 1]]
+    # past 16 lanes of 4 bits the lanes widen to 6 bits
+    assert element_block("f2t", reduce_mod_prime_power(poly_elem(2, [0, 1]), PX2, 17)) == [
+        [0, 0x41], [1, 1]]
     # a packed scalar would drop coordinates, so it is refused
     for mode, z in (("modpk", x), ("f2t", y)):
         with pytest.raises(ParameterError, match="residue degree 2"):
@@ -614,6 +677,33 @@ def test_make_scalar_matrix_word_follows_entries():
     wide = make_scalar_matrix("modpk", [[1, 3 ** 40 - 1]])
     assert wide.dtype == object and wide[0, 1] == 3 ** 40 - 1
     assert make_scalar_matrix("mod2k", [[1, 2 ** 64 - 1]]).dtype == np.uint64
+    # f2t words of more than 16 lanes pass uint64
+    assert make_scalar_matrix("f2t", [[1, 1 << 60]]).dtype == np.uint64
+    assert make_scalar_matrix("f2t", [[1, 1 << 6 * 31]]).dtype == object
+
+
+@pytest.mark.parametrize("K", [8, 16, 32, 64])
+def test_f2t_scalar_packing_matches_local_snf(K):
+    # The packing path of perfbench/replay.py: element_to_scalar words through
+    # make_scalar_matrix into one table, indexed per matrix and handed to
+    # snf_valuations_array as 2-D packed words, which are uint64 up to K = 16
+    # and exact ints past it.
+    support = _polys(PX, K)
+    reduced = [reduce_mod_prime_power(s, PX, K) for s in support]
+    table = make_scalar_matrix("f2t", [element_to_scalar("f2t", x) for x in reduced]).ravel()
+    assert table.dtype == (np.uint64 if K <= 16 else object)
+    ring = local_ring_for(PX, K)
+    rng = random.Random(K)
+    for _ in range(30):
+        n, u = rng.randrange(1, 6), rng.randrange(3)
+        idx = np.array([[rng.randrange(len(support)) for _ in range(n + u)] for _ in range(n)])
+        want = local_snf(LocalMatrix.of(ring, [[reduced[j] for j in row] for row in idx.tolist()]))
+        assert snf_valuations_array("f2t", table[idx], 2, K) == want
+    # a batch of 40 matrices spans several slices of the rank-1 update
+    idx = np.array([[[rng.randrange(len(support)) for _ in range(5)] for _ in range(4)]
+                    for _ in range(40)])
+    assert snf_valuations_array("f2t", table[idx], 2, K) == [
+        local_snf(LocalMatrix.of(ring, [[reduced[j] for j in row] for row in M])) for M in idx.tolist()]
 
 
 def _domain_det(rows, zero):
@@ -693,12 +783,13 @@ def test_driver_keeps_odd_primes_on_modpk(prime, elem):
 @pytest.mark.parametrize("prime, elem, mode, cap_word", [
     (ZI3, gauss_elem, "modpk", object),
     (ZI7, gauss_elem, "modpk", np.int64),
-    (PX2, lambda a, b: poly_elem(2, [a, b]), "f2t", np.uint32),
-    (PX3, lambda a, b: poly_elem(2, [a, b]), "f2t", np.uint32),
+    (PX2, lambda a, b: poly_elem(2, [a, b]), "f2t", object),
+    (PX3, lambda a, b: poly_elem(2, [a, b]), "f2t", object),
 ], ids=["zi-(3)", "zi-(7)", "f2x-(x^2+x+1)", "f2x-(x^3+x+1)"])
 def test_driver_lowers_residue_degree_f_primes(prime, elem, mode, cap_word):
     # Inert Z[i] primes and F_2[x] primes of degree f > 1 never reach the
-    # generic path: the cap is 3^20 (object words), 7^11, and 32 or 21 bits.
+    # generic path: the cap is 3^20 (object words), 7^11, and 32 or 21
+    # lanes of 6 bits (object words).
     _check_driver(prime, elem, mode, cap_word)
 
 
@@ -764,7 +855,6 @@ def test_determinant_valuation_check():
                 rows = [[ring.from_int(rng.randrange(ring.pK)) for _ in range(n)]
                         for _ in range(n)]
             else:
-                from coklab.local_ring import LocalElement
                 rows = [[LocalElement(ring, tuple(rng.randrange(2) for _ in range(ring.K)))
                          for _ in range(n)] for _ in range(n)]
             res = local_snf(LocalMatrix.of(ring, rows))
