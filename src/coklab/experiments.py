@@ -1,8 +1,12 @@
 """Config-driven Monte Carlo experiments and report emission.
 
-A run samples seeded matrices, extracts cokernel types at the configured
-primes, buckets them (exponent/parts caps, an explicit "other" bucket, an
-explicit "indeterminate" bucket), and attaches the limiting predictions.
+A run has one step, ``_tallies``: it passes the balance gate, samples seeded
+matrices at each configured size n, extracts cokernel types at the
+configured primes and tallies them. Three views read the tallies as pure
+functions: type frequencies against the limiting law (exponent/parts caps,
+an explicit "other" bucket, an explicit "indeterminate" bucket), surjection
+averages against the moment prediction, and equal partitions at conjugate
+primes. Their summaries share one report header and one JSON form.
 Trials are pure functions of (seed, n, u, trial index), so tallies are
 identical under any worker count; reports are byte-deterministic.
 """
@@ -15,9 +19,8 @@ import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from decimal import Decimal
-from fractions import Fraction
 
 import numpy as np
 
@@ -31,6 +34,7 @@ from .domains import (
     Element,
     elem_mul,
     factor_rational_prime,
+    format_element,
     gauss_elem,
     int_elem,
     parse_element,
@@ -48,7 +52,7 @@ from .modules import ModuleType, count_sur, module_size, parse_type_string
 from .sampler import BalanceReport, EntryDistribution, balance_report, builtin_distribution, \
     sample_index_matrix
 from .snf import DEFAULT_POLICY, PrecisionPolicy, partition_at_prime
-from .theory import Prediction, partial_sum, predicted_moment, predicted_probability
+from .theory import partial_sum, predicted_moment, predicted_probability
 
 INDETERMINATE = "indeterminate"
 OTHER = "other"
@@ -105,6 +109,8 @@ def parse_config(data: dict) -> ExperimentConfig:
         caps = data.get("type_caps", {})
         cap_exponent = int(caps.get("exponent", 6))
         cap_parts = int(caps.get("parts", 6))
+        if cap_exponent < 0 or cap_parts < 0:
+            raise ConfigError("type caps must be nonnegative")
         strict = bool(data.get("strict_balance", True))
         out = data.get("output", {})
         out_path = out.get("path")
@@ -306,7 +312,78 @@ def _key_to_type(key, primes) -> ModuleType:
 
 
 # ---------------------------------------------------------------------------
-# summaries
+# the run step and the report header
+
+
+def _tallies(cfg: ExperimentConfig, threads: int):
+    """The one run step behind every view: the balance echo, then the tally of
+    cfg.trials trials at each size, as ((n, Counter), ...) in cfg.n_list order."""
+    balance = _balance_echo(run_balance_gate(cfg))
+    return balance, tuple((n, _run_trials(cfg, n, threads)) for n in cfg.n_list)
+
+
+def _timed(t0: float, summary):
+    summary.wall_seconds = time.perf_counter() - t0
+    return summary
+
+
+@dataclass(kw_only=True)
+class Summary:
+    """Report header shared by the three views; ``to_dict`` is the JSON report."""
+    kind: str
+    domain: str
+    seed: int
+    trials: int
+    distribution: dict
+    balance: tuple          # per-ideal dicts
+    config: dict            # the config mapping as given
+    wall_seconds: float = field(default=0.0, compare=False)
+
+    def to_dict(self) -> dict:
+        return _plain(self)
+
+
+def _plain(value):
+    """JSON form of a report value: a dataclass becomes a dict of its compared
+    fields (timings stay out, so reports are byte-deterministic), a tuple a list."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value) if f.compare}
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _header(cfg: ExperimentConfig, kind: str, balance: tuple) -> dict:
+    dist = cfg.distribution
+    return {
+        "kind": kind,
+        "domain": repr(cfg.domain),
+        "seed": cfg.seed,
+        "trials": cfg.trials,
+        "distribution": {"support": [format_element(s) for s in dist.support],
+                         "weights": [str(w) for w in dist.weights]},
+        "balance": balance,
+        "config": cfg.raw or {},
+    }
+
+
+def _balance_echo(report: BalanceReport) -> tuple:
+    return tuple(
+        {
+            "ideal": e.label,
+            "p": e.p,
+            "dim": e.dim,
+            "worst_hyperplane": e.worst_hyperplane,
+            "worst_mass": str(e.worst_mass),
+            "epsilon": str(e.epsilon),
+        }
+        for e in report.entries)
+
+
+# ---------------------------------------------------------------------------
+# distribution view
 
 
 @dataclass(frozen=True)
@@ -330,109 +407,36 @@ class NSummary:
     chi2_df: int
 
 
-@dataclass
-class EmpiricalSummary:
-    kind: str
-    domain: str
+@dataclass(kw_only=True)
+class EmpiricalSummary(Summary):
     primes: tuple           # descriptors
     u: int
-    seed: int
-    trials: int
-    caps: tuple
+    type_caps: dict         # {"exponent": ..., "parts": ...}
     strict_balance: bool
-    distribution: dict
-    balance: tuple          # per-ideal dicts
     per_n: tuple            # NSummary
-    config_echo: dict
-    wall_seconds: float = field(default=0.0, compare=False)
-    trials_per_second: float = field(default=0.0, compare=False)
 
-    def to_dict(self) -> dict:
-        # timing fields stay out: emitted reports are byte-deterministic
-        return {
-            "kind": self.kind,
-            "domain": self.domain,
-            "primes": list(self.primes),
-            "u": self.u,
-            "seed": self.seed,
-            "trials": self.trials,
-            "type_caps": {"exponent": self.caps[0], "parts": self.caps[1]},
-            "strict_balance": self.strict_balance,
-            "distribution": self.distribution,
-            "balance": [dict(b) for b in self.balance],
-            "per_n": [
-                {
-                    "n": s.n,
-                    "trials": s.trials,
-                    "indeterminate_count": s.indeterminate_count,
-                    "tv_distance": s.tv_distance,
-                    "chi2": s.chi2,
-                    "chi2_df": s.chi2_df,
-                    "buckets": [vars(b) for b in s.buckets],
-                }
-                for s in self.per_n
-            ],
-            "config": self.config_echo,
-        }
-
-
-def _dist_echo(dist: EntryDistribution) -> dict:
-    from .domains import format_element
-    return {
-        "support": [format_element(s) for s in dist.support],
-        "weights": [str(w) for w in dist.weights],
-    }
-
-
-def _balance_echo(report: BalanceReport) -> tuple:
-    return tuple(
-        {
-            "ideal": e.label,
-            "p": e.p,
-            "dim": e.dim,
-            "worst_hyperplane": e.worst_hyperplane,
-            "worst_mass": str(e.worst_mass),
-            "epsilon": str(e.epsilon),
-        }
-        for e in report.entries)
-
-
-def _fmt_pred(p: Prediction | Fraction | None):
-    if p is None:
-        return "0.00000000", "0"
-    if isinstance(p, Fraction):
-        return f"{float(p):.8f}", "0"
-    return f"{p.value:.8f}", f"{float(p.truncation_bound):.1e}"
+    @property
+    def trials_per_second(self) -> float:
+        return len(self.per_n) * self.trials / self.wall_seconds if self.wall_seconds > 0 else 0.0
 
 
 def run_distribution_experiment(cfg: ExperimentConfig, threads: int = 1) -> EmpiricalSummary:
     """Observed cokernel-type frequencies against the limiting law."""
     t0 = time.perf_counter()
-    report = run_balance_gate(cfg)
+    return _timed(t0, _distribution_view(cfg, *_tallies(cfg, threads)))
+
+
+def _distribution_view(cfg, balance, tallies) -> EmpiricalSummary:
     box_mass = partial_sum(cfg.primes, cfg.u, cfg.cap_exponent, cfg.cap_parts)
     pred_cache: dict = {}
-    per_n = []
-    for n in cfg.n_list:
-        tally = _run_trials(cfg, n, threads)
-        per_n.append(_summarize_n(cfg, n, tally, box_mass, pred_cache))
-    wall = time.perf_counter() - t0
-    summary = EmpiricalSummary(
-        kind="distribution",
-        domain=repr(cfg.domain),
+    return EmpiricalSummary(
+        **_header(cfg, "distribution", balance),
         primes=tuple(pr.descriptor for pr in cfg.primes),
         u=cfg.u,
-        seed=cfg.seed,
-        trials=cfg.trials,
-        caps=(cfg.cap_exponent, cfg.cap_parts),
+        type_caps={"exponent": cfg.cap_exponent, "parts": cfg.cap_parts},
         strict_balance=cfg.strict_balance,
-        distribution=_dist_echo(cfg.distribution),
-        balance=_balance_echo(report),
-        per_n=tuple(per_n),
-        config_echo=cfg.raw or {},
-        wall_seconds=wall,
-        trials_per_second=len(cfg.n_list) * cfg.trials / wall if wall > 0 else 0.0,
+        per_n=tuple(_summarize_n(cfg, n, tally, box_mass, pred_cache) for n, tally in tallies),
     )
-    return summary
 
 
 def _summarize_n(cfg, n, tally, box_mass, pred_cache) -> NSummary:
@@ -447,11 +451,7 @@ def _summarize_n(cfg, n, tally, box_mass, pred_cache) -> NSummary:
             in_cap[key] = cnt
         else:
             other_count += cnt
-    rows = []
-    pred_mass_observed = Decimal(0)
-    abs_diff = Decimal(0)
-    chi2 = 0.0
-    chi2_df = 0
+    cells = []              # (label, count, predicted mass, truncation bound), in row order
     ordered = sorted(in_cap.items(),
                      key=lambda kv: (module_size(_key_to_type(kv[0], cfg.primes)),
                                      str(_key_to_type(kv[0], cfg.primes))))
@@ -459,39 +459,35 @@ def _summarize_n(cfg, n, tally, box_mass, pred_cache) -> NSummary:
         N = _key_to_type(key, cfg.primes)
         if key not in pred_cache:
             pred_cache[key] = predicted_probability(N, cfg.primes, cfg.u)
-        pred = pred_cache[key]
+        cells.append((str(N), cnt, pred_cache[key].value, pred_cache[key].truncation_bound))
+    # unseen in-cap types contribute their whole predicted mass
+    unseen = max(box_mass.value - sum(cell[2] for cell in cells), Decimal(0))
+    cells.append((OTHER, other_count, max(Decimal(1) - box_mass.value, Decimal(0)),
+                  box_mass.truncation_bound))
+    rows = []
+    abs_diff = Decimal(0)
+    chi2 = 0.0
+    chi2_df = 0
+    for label, cnt, pred, bound in cells:
         freq = cnt / trials
-        rows.append(BucketRow(str(N), cnt, freq, _binom_se(freq, trials), *_fmt_pred(pred)))
-        pred_mass_observed += pred.value
-        abs_diff += abs(Decimal(cnt) / trials - pred.value)
-        expected = float(pred.value) * trials
+        rows.append(BucketRow(label, cnt, freq, _binom_se(freq, trials),
+                              f"{pred:.8f}", f"{float(bound):.1e}"))
+        abs_diff += abs(Decimal(cnt) / trials - pred)
+        expected = float(pred) * trials
         if expected >= 5:
             chi2 += (cnt - expected) ** 2 / expected
             chi2_df += 1
-    other_pred = max(Decimal(1) - box_mass.value, Decimal(0))
-    other_freq = other_count / trials
-    rows.append(BucketRow(OTHER, other_count, other_freq, _binom_se(other_freq, trials),
-                          f"{other_pred:.8f}", f"{float(box_mass.truncation_bound):.1e}"))
-    abs_diff += abs(Decimal(other_count) / trials - other_pred)
-    if float(other_pred) * trials >= 5:
-        chi2 += (other_count - float(other_pred) * trials) ** 2 / (float(other_pred) * trials)
-        chi2_df += 1
     indet_freq = indet / trials
     rows.append(BucketRow(INDETERMINATE, indet, indet_freq, _binom_se(indet_freq, trials),
                           "0.00000000", "0"))
     abs_diff += Decimal(indet) / trials
-    # unseen in-cap types contribute their whole predicted mass
-    unseen = box_mass.value - pred_mass_observed
-    abs_diff += max(unseen, Decimal(0))
+    abs_diff += unseen
     tv = float(abs_diff) / 2
     return NSummary(n, trials, tuple(rows), indet, tv, chi2, max(chi2_df - 1, 0))
 
 
 def _within_caps(key, cap_e, cap_m) -> bool:
-    for _, parts in key:
-        if parts and (parts[0] > cap_e or len(parts) > cap_m):
-            return False
-    return True
+    return all(parts[0] <= cap_e and len(parts) <= cap_m for _, parts in key)
 
 
 def _binom_se(freq: float, trials: int) -> float:
@@ -499,7 +495,7 @@ def _binom_se(freq: float, trials: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# moment experiment
+# moment view
 
 
 @dataclass(frozen=True)
@@ -512,55 +508,36 @@ class MomentRow:
     determined_trials: int
 
 
-@dataclass
-class MomentSummary:
-    kind: str
-    domain: str
-    primes: tuple
+@dataclass(kw_only=True)
+class MomentSummary(Summary):
+    primes: tuple           # descriptors
     u: int
-    seed: int
-    trials: int
-    distribution: dict
-    balance: tuple
-    rows: tuple
-    config_echo: dict
-    wall_seconds: float = field(default=0.0, compare=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "domain": self.domain,
-            "primes": list(self.primes),
-            "u": self.u,
-            "seed": self.seed,
-            "trials": self.trials,
-            "distribution": self.distribution,
-            "balance": [dict(b) for b in self.balance],
-            "rows": [vars(r) for r in self.rows],
-            "config": self.config_echo,
-        }
+    rows: tuple             # MomentRow, per n and target
 
 
-def run_moment_experiment(cfg: ExperimentConfig, targets=None, threads: int = 1) -> MomentSummary:
+def run_moment_experiment(cfg: ExperimentConfig, threads: int = 1) -> MomentSummary:
     """Surjection-count averages against the |N|^-u moment prediction."""
     t0 = time.perf_counter()
-    report = run_balance_gate(cfg)
+    targets = _moment_targets(cfg)  # a bad target fails before the balance audit runs
+    return _timed(t0, _moment_view(cfg, targets, *_tallies(cfg, threads)))
+
+
+def _moment_targets(cfg: ExperimentConfig) -> list:
+    """The parsed cfg.targets; a descriptor outside cfg.primes is a ConfigError."""
     try:
-        target_types = [parse_type_string(t, cfg.primes) for t in (targets or cfg.targets)]
+        targets = [parse_type_string(t, cfg.primes) for t in cfg.targets]
     except ParameterError as e:
         raise ConfigError(f"bad moment target: {e}") from e
-    if not target_types:
+    if not targets:
         raise ConfigError("moment run needs at least one target type")
-    for N in target_types:
-        for prime in N.primes():
-            if prime not in cfg.primes:
-                raise ConfigError(f"target prime {prime} outside the configured prime set")
+    return targets
+
+
+def _moment_view(cfg, targets, balance, tallies) -> MomentSummary:
     rows = []
-    for n in cfg.n_list:
-        tally = _run_trials(cfg, n, threads)
-        indet = tally.get(INDETERMINATE, 0)
-        determined = cfg.trials - indet
-        for N in target_types:
+    for n, tally in tallies:
+        determined = cfg.trials - tally.get(INDETERMINATE, 0)
+        for N in targets:
             mean = 0.0
             second = 0.0
             for key, cnt in tally.items():
@@ -575,77 +552,49 @@ def run_moment_experiment(cfg: ExperimentConfig, targets=None, threads: int = 1)
             rows.append(MomentRow(n, str(N), mean, se,
                                   f"{float(predicted_moment(N, cfg.u)):.8f}", determined))
     return MomentSummary(
-        kind="moments",
-        domain=repr(cfg.domain),
+        **_header(cfg, "moments", balance),
         primes=tuple(pr.descriptor for pr in cfg.primes),
         u=cfg.u,
-        seed=cfg.seed,
-        trials=cfg.trials,
-        distribution=_dist_echo(cfg.distribution),
-        balance=_balance_echo(report),
         rows=tuple(rows),
-        config_echo=cfg.raw or {},
-        wall_seconds=time.perf_counter() - t0,
     )
 
 
 # ---------------------------------------------------------------------------
-# Galois invariance demo
+# Galois view
 
 
-@dataclass
-class GaloisSummary:
-    kind: str
-    domain: str
+@dataclass(kw_only=True)
+class GaloisSummary(Summary):
     prime: str
     conjugate: str
-    seed: int
-    trials: int
     n: int
-    distribution: dict
-    balance: tuple
     equal_fraction: float
-    asymmetric_rows: tuple   # (pair string, count, frequency)
-    config_echo: dict
-    wall_seconds: float = field(default=0.0, compare=False)
+    asymmetric_rows: tuple   # (type string, count, frequency)
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "domain": self.domain,
-            "prime": self.prime,
-            "conjugate": self.conjugate,
-            "seed": self.seed,
-            "trials": self.trials,
-            "n": self.n,
-            "distribution": self.distribution,
-            "balance": [dict(b) for b in self.balance],
-            "equal_fraction": self.equal_fraction,
-            "asymmetric_types": [
-                {"type": t, "count": c, "frequency": f} for t, c, f in self.asymmetric_rows],
-            "config": self.config_echo,
-        }
+        out = super().to_dict()
+        out["asymmetric_types"] = [{"type": t, "count": c, "frequency": f}
+                                   for t, c, f in out.pop("asymmetric_rows")]
+        return out
 
 
 def run_galois_demo(cfg: ExperimentConfig, threads: int = 1) -> GaloisSummary:
     """Conjugate-prime comparison over Z[i]: tau-invariant entry laws force
-    equal partitions at the two primes above a split p."""
+    equal partitions at the two primes above a split p. Runs at the last n."""
     t0 = time.perf_counter()
     if cfg.domain != ZI:
         raise ParameterError("the Galois demo runs over Z[i]")
-    primes = list(cfg.primes)
-    if len(primes) == 1:
-        pr = primes[0]
-        if pr.e != 1 or pr.f != 1:
-            raise ParameterError(f"prime {pr} is not split; the demo needs a split prime")
-        primes = [pr, pr.conjugate()]
+    primes = cfg.primes
+    if len(primes) == 1:  # conjugate() raises unless the prime is split
+        primes = (primes[0], primes[0].conjugate())
     if len(primes) != 2 or primes[0].conjugate() != primes[1]:
         raise ParameterError("the Galois demo needs one split prime or a conjugate pair")
-    cfg = replace(cfg, primes=tuple(primes))
-    report = run_balance_gate(cfg)
-    n = cfg.n_list[-1]
-    tally = _run_trials(cfg, n, threads)
-    indet = tally.get(INDETERMINATE, 0)
+    cfg = replace(cfg, primes=primes, n_list=cfg.n_list[-1:])
+    return _timed(t0, _galois_view(cfg, *_tallies(cfg, threads)))
+
+
+def _galois_view(cfg, balance, tallies) -> GaloisSummary:
+    ((n, tally),) = tallies
     equal = 0
     asym = Counter()
     for key, cnt in tally.items():
@@ -656,22 +605,15 @@ def run_galois_demo(cfg: ExperimentConfig, threads: int = 1) -> GaloisSummary:
             equal += cnt
         else:
             asym[str(_key_to_type(key, cfg.primes))] += cnt
-    determined = cfg.trials - indet
-    rows = tuple(sorted((t, c, c / cfg.trials) for t, c in asym.items()))
+    # _run_trials raises unless at least half of the trials are determined
+    determined = cfg.trials - tally.get(INDETERMINATE, 0)
     return GaloisSummary(
-        kind="galois",
-        domain=repr(cfg.domain),
-        prime=primes[0].descriptor,
-        conjugate=primes[1].descriptor,
-        seed=cfg.seed,
-        trials=cfg.trials,
+        **_header(cfg, "galois", balance),
+        prime=cfg.primes[0].descriptor,
+        conjugate=cfg.primes[1].descriptor,
         n=n,
-        distribution=_dist_echo(cfg.distribution),
-        balance=_balance_echo(report),
-        equal_fraction=equal / determined if determined else 0.0,
-        asymmetric_rows=rows,
-        config_echo=cfg.raw or {},
-        wall_seconds=time.perf_counter() - t0,
+        equal_fraction=equal / determined,
+        asymmetric_rows=tuple(sorted((t, c, c / cfg.trials) for t, c in asym.items())),
     )
 
 
@@ -686,25 +628,17 @@ def emit_report(summary, formats=("csv", "json"), out_path=None) -> list[str]:
     if directory:
         os.makedirs(directory, exist_ok=True)
     written = []
-    if "csv" in formats:
-        path = out_path + ".csv"
-        _write_text(path, _render_csv(summary))
-        written.append(path)
-    if "json" in formats:
-        path = out_path + ".json"
-        _write_text(path, json.dumps(summary.to_dict(), sort_keys=True, indent=2,
-                                     ensure_ascii=False) + "\n")
-        written.append(path)
-    if "svg" in formats:
-        path = out_path + ".svg"
-        _write_text(path, _render_svg(summary))
-        written.append(path)
+    for fmt, render in (("csv", _render_csv), ("json", _render_json), ("svg", _render_svg)):
+        if fmt in formats:  # written in this order, whatever the order of formats
+            path = f"{out_path}.{fmt}"
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(render(summary))
+            written.append(path)
     return written
 
 
-def _write_text(path, text):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def _render_json(summary) -> str:
+    return json.dumps(summary.to_dict(), sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 def _render_csv(summary) -> str:

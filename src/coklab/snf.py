@@ -431,6 +431,9 @@ def snf_valuations_array(mode: str, B, p: int, K: int):
             update(B, col, scale(B[rows, i], flat[rows, first], p, K - level), p, K - level, steps)
             count += has
             steps += 1
+            if steps > n:  # each step clears a row of every matrix that has a unit
+                raise RuntimeError(f"{mode} kernel left a pivot uncleared: {steps} steps "
+                                   f"at level {level} of {n}-row matrices")
         else:
             pivots[active, level] = count
             level += 1

@@ -66,6 +66,7 @@ def test_parse_config_happy_path():
     {"distribution": {"builtin": "nope"}},
     {"distribution": {}},
     {"output": {"formats": ["pdf"]}},
+    {"type_caps": {"exponent": -1}},
 ])
 def test_parse_config_rejects(patch):
     with pytest.raises(ConfigError):
@@ -146,6 +147,18 @@ def test_moment_target_validation():
     cfg2 = parse_config(base_config(targets=[]))
     with pytest.raises(ConfigError):
         run_moment_experiment(cfg2)
+
+
+def test_moment_target_error_comes_before_the_balance_audit(tmp_path, capsys):
+    # the support {0, 1} fails the strict balance gate; the bad target is reported first
+    data = base_config(domain="Z[i]", primes=[{"p": 5, "index": 0}], targets=["3:(1)"],
+                       distribution={"support": ["0", "1"], "weights": [0.5, 0.5]})
+    with pytest.raises(ConfigError, match="bad moment target"):
+        run_moment_experiment(parse_config(data))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["moments", "--config", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_galois_demo_requires_split_prime():

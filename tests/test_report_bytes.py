@@ -38,7 +38,7 @@ _RUNS = {
                     {**_ZI, "primes": [{"generator": "2-i"}, {"generator": "2+i"}]}),
 }
 
-# (csv, json, svg) digests, recorded from the code before the runners shared one run step
+# (csv, json, svg) SHA-256 per run and seed; a new digest needs a reason the bytes changed
 _DIGESTS = {
     ("z-dist", 1): (
         "bf06452dd94fe3fe58da5a8c3b3e39363205654d685a3e9f9a6d5d221cbb600b",

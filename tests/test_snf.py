@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coklab import snf
 from coklab.domains import (
     ZI,
     ZZ,
@@ -441,6 +442,17 @@ def test_modpk_multiply_compare_unit_test(p):
     want = [w % p != 0 for w in words]
     assert _units_p(np.array(words, np.int64), p).tolist() == want
     assert _units_p(np.array(words, object), p).tolist() == want
+
+
+@pytest.mark.parametrize("mode, p", [("mod2k", 2), ("modpk", 3), ("f2t", 2)])
+def test_stalled_kernel_raises_instead_of_looping(monkeypatch, mode, p):
+    # an update that clears nothing keeps the pivot a unit; the level ends
+    # after at most n steps, so step n + 1 is a fault
+    units, scale, _, shift = snf._KERNELS[mode]
+    monkeypatch.setitem(snf._KERNELS, mode, (units, scale, lambda *args: None, shift))
+    B = make_scalar_matrix(mode, np.eye(3, 4, dtype=int).tolist())
+    with pytest.raises(RuntimeError, match=f"{mode} kernel .* at level 0 of 3-row"):
+        snf_valuations_array(mode, B, p, 4)
 
 
 def test_modpk_shift_reduces_pending_updates():
