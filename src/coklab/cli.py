@@ -60,18 +60,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg, args):
+    """cfg with the command-line overrides. The seed and strict_balance
+    overrides also go into ``raw``, the config echoed in the JSON report, so
+    the echo states the run's settings; --out and --format choose where
+    reports go and which files, not what they hold, and leave it as read."""
     from dataclasses import replace
     if args.threads < 1:
         raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+        cfg = replace(cfg, seed=args.seed, raw={**cfg.raw, "seed": args.seed})
     if args.out is not None:
         cfg = replace(cfg, out_path=args.out)
     if args.format is not None:
         formats = parse_formats(f.strip() for f in args.format.split(",") if f.strip())
         cfg = replace(cfg, formats=formats)
     if args.no_strict_balance:
-        cfg = replace(cfg, strict_balance=False)
+        cfg = replace(cfg, strict_balance=False, raw={**cfg.raw, "strict_balance": False})
     return cfg
 
 

@@ -245,23 +245,34 @@ def run_balance_gate(cfg: ExperimentConfig) -> BalanceReport:
 # trial execution
 
 
-# trials sampled and eliminated together; bounds a batch's memory for any chunk size
-_SUB_BATCH = 64
+# kernel entries of the trials sampled and eliminated together: bounds a
+# batch's memory for any chunk size (256 matrices at n = 12, 64 from n = 24)
+_BATCH_ENTRIES = 36_864
+
+
+def _sub_batch(n: int, u: int, primes) -> int:
+    """Trials per sub-batch: as many n f x (n + u) f kernel matrices, at the
+    largest residue degree f of the primes, as fill _BATCH_ENTRIES, and at
+    least 64, so that each numpy step of a small n works on enough entries
+    to outweigh its call overhead."""
+    f = max(pr.f for pr in primes)
+    return max(64, _BATCH_ENTRIES // (n * f * (n + u) * f))
 
 
 def _tally_chunk(args) -> Counter:
     """Worker: observed type keys for a contiguous trial range (pure).
 
-    Trials go through the cokernel driver in sub-batches of ``_SUB_BATCH``,
-    sampled into one reused array of the narrowest index dtype. A trial
-    leaves the batch at its first indeterminate prime. Keys are tallied in
-    trial order.
+    Trials go through the cokernel driver in sub-batches of
+    :func:`_sub_batch` trials, sampled into one reused array of the
+    narrowest index dtype. A trial leaves the batch at its first
+    indeterminate prime. Keys are tallied in trial order.
     """
     dist, primes, u, seed, policy, n, start, stop = args
     tally = Counter()
-    idx = np.empty((_SUB_BATCH, n, n + u), dtype=np.min_scalar_type(len(dist.support) - 1))
-    for first in range(start, stop, _SUB_BATCH):
-        batch = idx[:min(_SUB_BATCH, stop - first)]
+    size = _sub_batch(n, u, primes)
+    idx = np.empty((size, n, n + u), dtype=np.min_scalar_type(len(dist.support) - 1))
+    for first in range(start, stop, size):
+        batch = idx[:min(size, stop - first)]
         for i, dst in enumerate(batch):
             dst[...] = sample_index_matrix(dist, n, u, seed, first + i)
         keys = [[] for _ in batch]
@@ -284,7 +295,7 @@ def _run_trials(cfg: ExperimentConfig, n: int, threads: int) -> Counter:
     """Merged tally of cfg.trials trials at size n; raises DiagnosticsError
     when more than half of them are indeterminate."""
     args = [(cfg.distribution, cfg.primes, cfg.u, cfg.seed, cfg.policy, n, a, b)
-            for a, b in _chunks(cfg.trials, threads)]
+            for a, b in _chunks(cfg.trials, threads, _sub_batch(n, cfg.u, cfg.primes))]
     workers = min(threads, len(args))  # a forked worker without a chunk is wasted
     if workers <= 1:
         tallies = [_tally_chunk(a) for a in args]
@@ -302,8 +313,9 @@ def _run_trials(cfg: ExperimentConfig, n: int, threads: int) -> Counter:
     return total
 
 
-def _chunks(trials: int, threads: int):
-    size = max(64, math.ceil(trials / max(1, threads * 4)))
+def _chunks(trials: int, threads: int, batch: int):
+    """Contiguous trial ranges, about four per worker, of at least one sub-batch."""
+    size = max(batch, math.ceil(trials / max(1, threads * 4)))
     return [(a, min(a + size, trials)) for a in range(0, trials, size)]
 
 

@@ -17,11 +17,18 @@ Three layers:
   matrix on its first unit with a rank-1 update (no swaps); once no matrix
   has a unit, the batch is divided by the uniformizer and goes one level
   deeper. mod2k uses the narrowest unsigned word of K bits, modpk int64
-  while products fit and exact Python ints (object) past that. On int64
-  words modpk divides only where it must: entries stay nonnegative and the
-  whole batch is reduced mod p^prec once every few rank-1 updates (as many
-  as fit under 2^63) and before each division by p, and its unit test is
-  one wrapping multiply by p^-1 mod 2^64 and one compare. f2t puts
+  while products fit and uint64 words in Montgomery form past that. On
+  int64 words modpk divides only where it must: entries stay nonnegative
+  and the whole batch is reduced mod p^prec once every few rank-1 updates
+  (as many as fit under 2^63) and before each division by p. On uint64
+  words every product is one Montgomery reduction (Montgomery, "Modular
+  multiplication without trial division", 1985), built from 32-bit halves.
+  The words are read in Montgomery form as they come, a residue w standing
+  for w 2^-64 mod p^prec: the kernel eliminates the batch times the unit
+  2^-64, which has the same valuations, so no conversion is needed, and
+  division by p maps a word to the one of its value over p at the next
+  level. Either way its unit test is one wrapping multiply by p^-1 mod
+  2^64 and one compare. f2t puts
   coefficient s of t into bit w*s of its word (a lane of w bits), so a
   carryless product is one wrapping integer multiply masked to the low bit
   of each lane: lane s of the integer product counts the pairs i + j = s,
@@ -34,7 +41,8 @@ Three layers:
   for each ring through :func:`reduction_table`, gathers the scalars or
   blocks through :func:`gather`, and escalates K
   geometrically for the saturated matrices only, up to the policy cap
-  (modpk and f2t go from their last machine-word rung straight to the cap);
+  (modpk goes from its last int64 rung and f2t from its last 4-bit-lane
+  rung straight to the cap);
   a matrix still saturated there gets an ``IndeterminateCokernelError`` so
   callers can report the trial in an explicit bucket.
   :func:`cokernel_local_type` feeds it one element grid and raises that
@@ -64,7 +72,7 @@ from .local_ring import (
     valuation,
 )
 
-# largest p^K whose products fit int64: modpk's word switches to object above it
+# largest p^K whose products fit int64: modpk's word switches to Montgomery uint64 above it
 _ODD_FAST_LIMIT = 3_037_000_499
 
 
@@ -166,8 +174,8 @@ def local_snf(M: LocalMatrix) -> SnfResult:
 # vectorized fast paths
 
 MODE_MOD2K = "mod2k"      # Z/2^K in the narrowest unsigned word of K bits (wraparound-exact)
-# Z/p^K, odd p: int64 up to _ODD_FAST_LIMIT, with lazy reduction and a multiply-compare unit
-# test; exact object ints above, reduced after every update
+# Z/p^K, odd p: int64 up to _ODD_FAST_LIMIT, with lazy reduction; Montgomery uint64 words
+# above, up to p^K < 2^64; a multiply-compare unit test on both
 MODE_MODPK = "modpk"
 # F_2[t]/t^K, coefficient s in bit w*s: 4-bit lanes in the narrowest unsigned word of 4K bits
 # up to K = 16, 6-bit lanes in exact object ints above; a carryless product is a masked multiply
@@ -224,12 +232,15 @@ def _lane_bits(K: int) -> int:
 def _word_dtype(mode: str, K: int, p: int) -> np.dtype:
     """The array kernel's word at precision K: for modpk int64 up to
     _ODD_FAST_LIMIT, where entries are nonnegative and reduced lazily
-    (:func:`_reduction_budget`), and exact Python ints (object) past it,
-    reduced after every update; for mod2k the narrowest unsigned word of K
-    bits; for f2t the narrowest unsigned word of K lanes (:func:`_lane_bits`)
-    up to 64 bits, and exact Python ints past that."""
+    (:func:`_reduction_budget`), and uint64 words read in Montgomery form
+    (:func:`_mont_mul`) past it, up to p^K < 2^64, reduced after every
+    update; for mod2k the narrowest unsigned word of K bits; for f2t the
+    narrowest unsigned word of K lanes (:func:`_lane_bits`) up to 64 bits,
+    and exact Python ints past that."""
     if mode == MODE_MODPK:
-        return np.dtype(np.int64 if p ** K <= _ODD_FAST_LIMIT else object)
+        if p ** K >> 64:
+            raise ParameterError(f"{p}^{K} does not fit a 64-bit word")
+        return np.dtype(np.int64 if p ** K <= _ODD_FAST_LIMIT else np.uint64)
     bits = K * _lane_bits(K) if mode == MODE_F2T else K
     return np.dtype(f"uint{max(8, 1 << (bits - 1).bit_length())}" if bits <= 64 else object)
 
@@ -238,8 +249,62 @@ def _word_dtype(mode: str, K: int, p: int) -> np.dtype:
 # Entries of the mod2k words are exact in their low prec bits; the bits
 # above are cleared only when the batch is divided by the uniformizer.
 # Entries of the f2t words hold 0 or 1 in each of their first prec lanes
-# and nothing else. Entries of the modpk words are nonnegative and only
-# congruent mod p^prec to those of the reduced batch until it is next reduced.
+# and nothing else. Entries of the int64 modpk words are nonnegative and
+# only congruent mod p^prec to those of the reduced batch until it is next
+# reduced; those of the uint64 modpk words are reduced, in [0, p^prec), and
+# each stands for itself times 2^-64 mod p^prec (a Montgomery word).
+
+_LO32 = np.uint64(0xFFFF_FFFF)
+_32 = np.uint64(32)
+
+
+def _mulhi(a, b):
+    """The high 64 bits of the 128-bit products of uint64 words a and b
+    (broadcast), from their 32-bit halves; no partial sum below reaches
+    2^64, since (2^32 - 1)^2 + 2 (2^32 - 1) < 2^64."""
+    a0, a1, b0, b1 = a & _LO32, a >> _32, b & _LO32, b >> _32
+    mid = a1 * b0
+    mid += a0 * b0 >> _32
+    low = a0 * b1
+    low += mid & _LO32
+    mid >>= _32
+    mid += a1 * b1
+    low >>= _32
+    mid += low
+    return mid
+
+
+@lru_cache(maxsize=None)
+def _montgomery(m: int) -> tuple:
+    """Constants of Montgomery arithmetic mod an odd m < 2^64 with R = 2^64,
+    as uint64: m, m^-1 mod R and R mod m (the word of 1)."""
+    return tuple(np.uint64(c) for c in (m, pow(m, -1, 1 << 64), (1 << 64) % m))
+
+
+def _mont_mul(a, b, m: int):
+    """a b R^-1 mod m for uint64 words a < 2^64 and b < m (broadcast), with
+    R = 2^64 and odd m < 2^64: the Montgomery product (REDC). q = ab m^-1
+    mod R makes ab - qm divisible by R, and (ab - qm) / R = hi(ab) - hi(qm)
+    lies in (-m, m), so one conditional add of m reduces it."""
+    mw, minv, _ = _montgomery(m)
+    t = _mulhi(a, b)
+    q = a * b
+    q *= minv
+    s = _mulhi(q, mw)
+    wrap = t < s
+    t -= s
+    t += mw * wrap
+    return t
+
+
+# entries per slice of a Montgomery product over a batch: bounds its temporaries
+_MONT_SLICE = 16384
+
+
+def _mont_slices(B) -> list:
+    """Slices of the batch B's matrices of at most _MONT_SLICE entries (or one matrix)."""
+    step = max(1, _MONT_SLICE // (B.shape[1] * B.shape[2]))
+    return [slice(s, s + step) for s in range(0, len(B), step)]
 
 
 def _units_2(x, p):
@@ -251,21 +316,18 @@ def _units_2(x, p):
 
 
 def _units_p(x, p):
-    """p does not divide x. On int64 words (0 <= x < 2^63) this is one
-    wrapping multiply and one compare: for odd p, x * p^-1 mod 2^64 is at
-    most (2^64 - 1) // p exactly when p | x (Granlund and Montgomery,
-    "Division by invariant integers using multiplication", PLDI 1994).
-    Object words use % p."""
-    if x.dtype == object:
-        return x % p != 0
+    """p does not divide x: one wrapping multiply and one compare, since for
+    odd p and any word 0 <= x < 2^64, x * p^-1 mod 2^64 is at most
+    (2^64 - 1) // p exactly when p | x (Granlund and Montgomery, "Division
+    by invariant integers using multiplication", PLDI 1994). It serves the
+    Montgomery words unchanged: 2^64 is a unit mod p."""
     return x.view(np.uint64) * np.uint64(pow(p, -1, 1 << 64)) > np.uint64(((1 << 64) - 1) // p)
 
 
-def _reduction_budget(B, m: int) -> int:
-    """Rank-1 updates B can take between reductions mod m: each adds less than
-    m^2 to entries below m, so int64 words take (2^63 - 1 - m) // m^2 of
-    them; object words take 1, since deferring lets their ints grow."""
-    return 1 if B.dtype == object else ((1 << 63) - 1 - m) // (m * m)
+def _reduction_budget(m: int) -> int:
+    """Rank-1 updates int64 words can take between reductions mod m: each
+    adds less than m^2 to entries below m, so (2^63 - 1 - m) // m^2."""
+    return ((1 << 63) - 1 - m) // (m * m)
 
 
 def _scale_2k(row, a, p, prec):
@@ -289,19 +351,61 @@ def _pow_mod(a, e: int, m: int):
     return r
 
 
-def _scale_pk(row, a, p, prec):
-    """Rows times the pivot inverses, reduced mod p^prec: Fermat mod p, then
-    Newton lifting y <- y(2 - ay), doubling the p-adic digits each round.
-    Non-units get inverse 0."""
+def _inverse_pk(a, p, prec):
+    """Inverses mod m = p^prec of int64 residues 0 <= a < m, for m^2 < 2^63:
+    Fermat mod p, then Newton lifting y <- y(2 - ay), doubling the p-adic
+    digits each round. Non-units get inverse 0."""
     m = p ** prec
-    if row.dtype != object:  # int64 entries may be unreduced sums
-        row, a = row % m, a % m
     y = _pow_mod(a % p, p - 2, p)
     digits = 1
     while digits < prec:
         y = y * (2 - a * y % m) % m
         digits *= 2
-    return row * y[:, None] % m
+    return y
+
+
+def _mont_inverse(a, p, prec):
+    """The Montgomery words of the inverses of the units whose Montgomery
+    words are a, mod m = p^prec. The seed is an inverse mod q = p^d for the
+    largest d with q <= _ODD_FAST_LIMIT, taken on int64 residues: the unit
+    a R^-1 mod q, inverted by :func:`_inverse_pk` and times R mod q, is
+    congruent mod q to the Montgomery word of the inverse. (Past that limit
+    p itself is inverted by Fermat, a^(p-2) in Montgomery products.) Newton
+    rounds y <- y(2 - ay) in Montgomery products then double its digits up
+    to prec."""
+    m = p ** prec
+    mw, _, one = _montgomery(m)
+    digits = 0
+    while digits < prec and p ** (digits + 1) <= _ODD_FAST_LIMIT:
+        digits += 1
+    if digits:
+        q = p ** digits
+        r = (1 << 64) % q
+        x = (a % np.uint64(q)).astype(np.int64) * pow(r, -1, q) % q
+        y = (_inverse_pk(x, p, digits) * r % q).astype(np.uint64)
+    else:
+        y, digits = np.full_like(a, one), 1
+        for bit in bin(p - 2)[2:]:
+            y = _mont_mul(y, y, m)
+            if bit == "1":
+                y = _mont_mul(y, a, m)
+    two = np.uint64(2 * (1 << 64) % m)
+    while digits < prec:
+        ay = _mont_mul(a, y, m)
+        y = _mont_mul(y, two - ay + mw * (ay > two), m)
+        digits *= 2
+    return y
+
+
+def _scale_pk(row, a, p, prec):
+    """Rows times the pivot inverses, reduced mod p^prec: on int64 words by
+    :func:`_inverse_pk`, on Montgomery words by :func:`_mont_inverse` and
+    a Montgomery product. Non-units get inverse 0."""
+    m = p ** prec
+    if row.dtype == np.uint64:
+        return _mont_mul(row, _mont_inverse(a, p, prec)[:, None], m)
+    row, a = row % m, a % m  # int64 entries may be unreduced sums
+    return row * _inverse_pk(a, p, prec)[:, None] % m
 
 
 def _f2t_lanes(B, prec):
@@ -333,19 +437,21 @@ def _update_2k(B, col, row, p, prec, steps):
 
 
 def _update_pk(B, col, row, p, prec, steps):
-    """B - col (x) row mod m = p^prec. With a budget of one update B is
-    reduced after each, and the subtraction keeps the object ints small
-    where the pivot row is zero. Above that B += (col mod m) (x) (m - row)
-    keeps B nonnegative, and B is reduced once the budget of updates since
-    the last reduction has run (``steps`` updates precede this one)."""
+    """B - col (x) row mod m = p^prec. On Montgomery words the product is a
+    Montgomery product and the difference is reduced at once. On int64
+    words B += (col mod m) (x) (m - row) keeps B nonnegative, and B is
+    reduced once the budget of updates since the last reduction has run
+    (``steps`` updates precede this one)."""
     m = p ** prec
-    budget = _reduction_budget(B, m)
-    if budget == 1:
-        B -= col[:, :, None] * row[:, None, :]
-        B %= m
+    if B.dtype == np.uint64:
+        for s in _mont_slices(B):
+            product = _mont_mul(col[s, :, None], row[s, None, :], m)
+            wrap = B[s] < product
+            B[s] -= product
+            B[s] += np.uint64(m) * wrap
         return
     B += (col % m)[:, :, None] * (m - row)[:, None, :]
-    if (steps + 1) % budget == 0:
+    if (steps + 1) % _reduction_budget(m) == 0:
         B %= m
 
 
@@ -376,9 +482,11 @@ def _shift_f2t(B, p, prec, steps):
 
 def _shift_p(B, p, prec, steps):
     """Reduce what the last of ``steps`` updates at precision p^(prec + 1)
-    left pending, then divide by p."""
+    left pending on int64 words, then divide by p. A reduced Montgomery
+    word w = x 2^64 mod p^(prec + 1) with p | x divided by p is
+    (x / p) 2^64 mod p^prec, so those words are only divided."""
     m = p ** (prec + 1)
-    if steps % _reduction_budget(B, m):
+    if B.dtype == np.int64 and steps % _reduction_budget(m):
         B %= m
     B //= p
     return B
@@ -399,7 +507,8 @@ def snf_valuations_array(mode: str, B, p: int, K: int):
 
     ``B`` has shape ``(b, n, m)``, or ``(n, m)`` for a single matrix; it is
     consumed when it already has the mode's word dtype. For modpk its
-    entries are residues in [0, p^K), and for f2t lane-spread words
+    entries are residues in [0, p^K) (read in Montgomery form where the
+    word is uint64), and for f2t lane-spread words
     (:func:`element_to_scalar`) with no bit outside their K lanes. At level
     ``level < K`` entries are taken modulo p^(K - level). Each step pivots
     every matrix on its first unit in row-major order and subtracts the
@@ -455,7 +564,8 @@ def snf_valuations_array(mode: str, B, p: int, K: int):
 
 def make_scalar_matrix(mode: str, rows) -> np.ndarray:
     """Packed scalars in uint64 (int64 for modpk) when all fit, else exact
-    Python ints: modpk residues past 2^63 and f2t words of K > 16 lanes."""
+    Python ints: modpk residues past 2^63 and f2t words of K > 16 lanes.
+    :func:`snf_valuations_array` takes either and casts them to its word."""
     try:
         return np.array(rows, dtype=np.int64 if mode == MODE_MODPK else np.uint64)
     except OverflowError:
@@ -477,11 +587,11 @@ def feasible_k_max(prime: PrimeIdealDesc, policy: PrecisionPolicy) -> int:
 @lru_cache(maxsize=64)
 def escalation_ladder(prime: PrimeIdealDesc, policy: PrecisionPolicy) -> tuple:
     """The K values the adaptive loop will try, in order: k_init times powers
-    of the growth factor, up to the cap, without the rungs in object words
-    below the cap (modpk past int64, f2t past 16 lanes). A result not
-    saturated at K is exact at every larger K, and an object pass costs
-    about as much at the cap as below it, so past the last machine word the
-    ladder goes straight to the cap."""
+    of the growth factor, up to the cap, without the modpk rungs past the
+    int64 product limit and the f2t rungs past 16 lanes below the cap. A
+    result not saturated at K is exact at every larger K, and a pass in
+    Montgomery words or 6-bit lanes costs about as much at the cap as below
+    it, so past the last fast word the ladder goes straight to the cap."""
     cap = feasible_k_max(prime, policy)
     K = min(policy.k_init, cap)
     ladder = [K]
@@ -489,7 +599,8 @@ def escalation_ladder(prime: PrimeIdealDesc, policy: PrecisionPolicy) -> tuple:
         K = min(K * policy.growth, cap)
         ladder.append(K)
     mode = matrix_mode(local_ring_for(prime, cap))
-    return tuple(K for K in ladder if K == cap or _word_dtype(mode, K, prime.p) != object)
+    return tuple(K for K in ladder if K == cap or not (
+        (mode == MODE_MODPK and prime.p ** K > _ODD_FAST_LIMIT) or (mode == MODE_F2T and K > 16)))
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)

@@ -134,3 +134,19 @@ def test_threads_flag_preserves_bytes(tmp_path):
         blobs.append(((tmp_path / f"{name}.csv").read_bytes(),
                       (tmp_path / f"{name}.json").read_bytes()))
     assert blobs[0] == blobs[1]
+
+
+def test_overrides_are_echoed_in_the_config_block(tmp_path):
+    # --seed and --no-strict-balance on a seed-4 config write the report of
+    # a config that says seed 9 and strict_balance false, byte for byte, so
+    # the echoed config reruns the run; --out and --format leave it as read.
+    overridden = write_config(tmp_path, "a.json", seed=4)
+    written = write_config(tmp_path, "b.json", seed=9, strict_balance=False)
+    assert main(["dist", "--config", overridden, "--seed", "9", "--no-strict-balance",
+                 "--out", str(tmp_path / "a"), "--format", "json"]) == 0
+    assert main(["dist", "--config", written, "--out", str(tmp_path / "b"),
+                 "--format", "json"]) == 0
+    report = (tmp_path / "a.json").read_bytes()
+    assert report == (tmp_path / "b.json").read_bytes()
+    echo = json.loads(report)["config"]
+    assert (echo["seed"], echo["strict_balance"]) == (9, False) and "output" not in echo

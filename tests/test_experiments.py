@@ -16,7 +16,9 @@ from coklab.errors import (
 )
 from coklab.experiments import (
     INDETERMINATE,
+    _chunks,
     _run_trials,
+    _sub_batch,
     audit_modulus,
     emit_report,
     parse_config,
@@ -280,8 +282,9 @@ def test_sub_batches_tally_in_trial_order():
 
 
 def test_worker_pool_bounded_by_chunks(monkeypatch):
-    # 100 trials make two chunks, so eight requested workers start two; one
-    # chunk runs in this process. Tallies match the single-worker run.
+    # At n = 24 (sub-batches of 64) 100 trials make two chunks, so eight
+    # requested workers start two; one chunk runs in this process. Tallies
+    # match the single-worker run.
     started = []
 
     class RecordingPool:
@@ -298,10 +301,22 @@ def test_worker_pool_bounded_by_chunks(monkeypatch):
             return map(fn, args)
 
     cfg = parse_config(base_config(trials=100))
-    want = _run_trials(cfg, 12, 1)
+    want = _run_trials(cfg, 24, 1)
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
-    assert _run_trials(cfg, 12, 8) == want
+    assert _run_trials(cfg, 24, 8) == want
     assert started == [2]
     one_chunk = parse_config(base_config(trials=50))
-    assert _run_trials(one_chunk, 12, 8) == _run_trials(one_chunk, 12, 1)
+    assert _run_trials(one_chunk, 24, 8) == _run_trials(one_chunk, 24, 1)
     assert started == [2]
+
+
+def test_sub_batches_sized_by_kernel_entries():
+    # About 36,864 kernel entries per sub-batch, and at least 64 matrices:
+    # 256 at n = 12, 64 from n = 24 and for (3) of residue degree 2 at n = 16
+    # (32 x 32 blocks). Chunks hold at least one sub-batch.
+    z2 = parse_config(base_config()).primes
+    zi3 = parse_config(base_config(domain="Z[i]", primes=[{"p": 3}])).primes
+    assert [_sub_batch(n, 0, z2) for n in (12, 16, 24, 48)] == [256, 144, 64, 64]
+    assert _sub_batch(12, 2, z2) == 219 and _sub_batch(16, 0, zi3) == 64
+    assert _chunks(500, 1, 256) == [(0, 256), (256, 500)]
+    assert _chunks(500, 2, 64) == [(a, min(a + 64, 500)) for a in range(0, 500, 64)]

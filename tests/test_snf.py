@@ -40,9 +40,12 @@ from coklab.snf import (
     LocalMatrix,
     PrecisionPolicy,
     SnfResult,
+    _mont_inverse,
+    _mont_mul,
     _reduction_budget,
     _shift_p,
     _units_p,
+    _word_dtype,
     cokernel_local_type,
     cokernel_type,
     element_block,
@@ -218,7 +221,8 @@ def test_fast_paths_match_generic():
     # of the shared stratified loop: unit pivots, division by the uniformizer
     # and saturation. Supports hold entries of valuation 0, 1, 2, K-1 and K
     # (the last reduce to zero); K = 64 runs mod2k and f2t at full word width,
-    # and modpk crosses from int64 (3^19) to exact object words (3^20, 3^40).
+    # and modpk crosses from int64 (3^19) to Montgomery uint64 words (3^20,
+    # and 3^40 > 2^63).
     # Rings of residue degree f > 1 run over the base ring as f x f blocks,
     # where every valuation appears f times; their K reach the word-size cap.
     rng = random.Random(42)
@@ -277,9 +281,9 @@ def _unspread(x, K):
     *[(P2, "mod2k", K, _ints, w) for K, w in _WORDS.items()],
     *[(P3, "modpk", K, _ints, "int64") for K in (1, 5, 8, 19)],
     *[(PX, "f2t", K, _polys, w) for K, w in _WORDS.items()],
-    *[(P3, "modpk", K, _ints, "object") for K in (20, 40)],
+    *[(P3, "modpk", K, _ints, "uint64") for K in (20, 40)],
     *[(ZI3, "modpk", K, _gauss, "int64") for K in (1, 5, 19)],
-    (ZI3, "modpk", 20, _gauss, "object"),
+    (ZI3, "modpk", 20, _gauss, "uint64"),
     *[(ZI7, "modpk", K, _gauss, "int64") for K in (1, 11)],
     *[(PX2, "f2t", K, _polys, w) for K, w in _WORDS.items() if K <= 32],
     *[(PX3, "f2t", K, _polys, w) for K, w in {**_WORDS, 21: "uint32"}.items() if K <= 21],
@@ -341,13 +345,16 @@ def test_batched_kernel_matches_single_and_generic(prime, mode, K, support_at, w
 @pytest.mark.parametrize("p, K", [(3, 20), (3, 40), (5, 16), (5, 27)])
 def test_modpk_wide_words_match_local_snf(p, K):
     # Past the int64 product limit (3^19 is the last power under it) modpk
-    # runs in exact Python ints, up to the word-size cap max_precision(p, 1)
-    # (3^40 > 2^63, so its residues do not fit int64 either).
+    # runs in Montgomery uint64 words, up to the word-size cap
+    # max_precision(p, 1) (3^40 > 2^63, so its residues do not fit int64).
+    # The kernel reads residues as Montgomery words, which stand for the
+    # matrix times the unit 2^-64: converting them first (times 2^64) gives
+    # the same valuations.
     prime = factor_rational_prime(ZZ, p)[0]
     assert p ** K > _ODD_FAST_LIMIT and K <= max_precision(p, 1)
     support = _ints(prime, K)
     _, ring, table = reduction_table(support, prime, K)
-    assert table.dtype == object
+    assert table.dtype == np.uint64
     reduced = [reduce_mod_prime_power(s, prime, K) for s in support]
     rng = random.Random(p * 100 + K)
     for _ in range(30):
@@ -355,10 +362,11 @@ def test_modpk_wide_words_match_local_snf(p, K):
         idx = np.array([[rng.randrange(len(support)) for _ in range(n + u)] for _ in range(n)])
         want = local_snf(LocalMatrix.of(ring, [[reduced[j] for j in row] for row in idx.tolist()]))
         assert snf_valuations_array("modpk", table[idx], p, K) == want
+        assert snf_valuations_array("modpk", _to_montgomery(table[idx], p ** K), p, K) == want
 
 
 def _modpk_precisions(p):
-    """K for the fuzz: small, the last int64 power, the first object power, the cap."""
+    """K for the fuzz: small, the last int64 power, the first Montgomery power, the cap."""
     last_int64 = max(K for K in range(1, 64) if p ** K <= _ODD_FAST_LIMIT)
     return (1, 2, last_int64, last_int64 + 1, max_precision(p, 1))
 
@@ -367,13 +375,19 @@ def _modpk_precisions(p):
 _ZERO_ROW = st.integers(0, 7).map(lambda k: k == 0)
 
 
-def _int_grid(draw, p, K, n, u):
-    """An n x (n + u) integer grid for Z/p^K, each row zeroed with probability about 1/8."""
-    entry = st.one_of(
+def _int_entry(p, K):
+    """Any integer up to p^K in size, or c * p^v, which has valuation v when p
+    does not divide c; v = K is divisible by p^K."""
+    return st.one_of(
         st.integers(-(p ** K), p ** K),
-        # c * p^v has valuation v when p does not divide c; v = K is divisible by p^K
         st.builds(lambda c, v: c * p ** v, st.integers(-8, 8), st.integers(0, K)),
     )
+
+
+def _int_grid(draw, p, K, n, u, entry=None):
+    """An n x (n + u) integer grid for Z/p^K of ``entry`` draws (by default
+    :func:`_int_entry`), each row zeroed with probability about 1/8."""
+    entry = _int_entry(p, K) if entry is None else entry
     rows = draw(st.lists(st.lists(entry, min_size=n + u, max_size=n + u), min_size=n, max_size=n))
     zero = draw(st.lists(_ZERO_ROW, min_size=n, max_size=n))
     return [[0] * (n + u) if z else row for z, row in zip(zero, rows)]
@@ -384,14 +398,21 @@ def _modpk_cases(draw):
     p = draw(st.sampled_from((3, 5, 7)))
     K = draw(st.sampled_from(_modpk_precisions(p)))
     n, u = draw(st.integers(1, 6)), draw(st.integers(0, 2))
-    return p, K, _int_grid(draw, p, K, n, u)
+    entry = _int_entry(p, K)
+    if p ** K > _ODD_FAST_LIMIT:
+        # Montgomery rungs: three entries in four are nonzero residues across
+        # [1, p^K), so pivots, inverses and products see full-width words
+        wide = st.integers(1, p ** K - 1)
+        entry = st.integers(0, 3).flatmap(lambda k: wide if k else _int_entry(p, K))
+    return p, K, _int_grid(draw, p, K, n, u, entry)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_modpk_cases())
 def test_modpk_fuzz_matches_local_snf(case):
     # Any integer matrix, reduced into Z/p^K, gets the same valuations from
-    # modpk on either side of the int64/object switch as from local_snf.
+    # modpk on either side of the int64/Montgomery switch as from local_snf.
+    # Residues past 2^63 come in as object arrays and are cast to uint64.
     p, K, rows = case
     ring = make_local_ring(p, 1, K, UNRAMIFIED)
     residues = [[x % p ** K for x in row] for row in rows]
@@ -419,7 +440,7 @@ def test_modpk_lazy_reduction_fuzz_matches_local_snf(case):
     # reduction fires between pivots, and in a batch whose matrices run out
     # of units at different steps.
     p, K, grids = case
-    assert _reduction_budget(np.zeros(1, np.int64), p ** K) == _LAZY_MODULI[p, K]
+    assert _reduction_budget(p ** K) == _LAZY_MODULI[p, K]
     ring = make_local_ring(p, 1, K, UNRAMIFIED)
     batch = np.array([[[x % p ** K for x in row] for row in rows] for rows in grids], np.int64)
     assert snf_valuations_array("modpk", batch, p, K) == [local_snf(int_matrix(ring, rows))
@@ -430,18 +451,18 @@ def test_modpk_lazy_reduction_fuzz_matches_local_snf(case):
 def test_modpk_multiply_compare_unit_test(p):
     # x * p^-1 mod 2^64 > (2^64 - 1) // p exactly when p does not divide x,
     # for every int64 word: 0, multiples of p^K up to the largest below 2^63,
-    # 2^63 - 1 and the words just below it; object words keep % p.
-    top = 2 ** 63 - 1
-    words = {0, 1, p - 1, p, p + 1, *range(top - 2 * p, top + 1)}
-    for K in range(1, 40):
-        q = p ** K
-        if q > top:
-            break
-        words |= {q, q - 1, q + 1, 3 * q, top // q * q, top // q * q - 1}
-    words = sorted(w for w in words if 0 <= w <= top)
-    want = [w % p != 0 for w in words]
-    assert _units_p(np.array(words, np.int64), p).tolist() == want
-    assert _units_p(np.array(words, object), p).tolist() == want
+    # 2^63 - 1 and the words just below it; and for every uint64 word, on
+    # the same points below 2^64, which the Montgomery words reach.
+    for top, dtype in ((2 ** 63 - 1, np.int64), (2 ** 64 - 1, np.uint64)):
+        words = {0, 1, p - 1, p, p + 1, *range(top - 2 * p, top + 1)}
+        for K in range(1, 41):
+            q = p ** K
+            if q > top:
+                break
+            words |= {q, q - 1, q + 1, 3 * q, top // q * q, top // q * q - 1}
+        words = sorted(w for w in words if 0 <= w <= top)
+        want = [w % p != 0 for w in words]
+        assert _units_p(np.array(words, dtype), p).tolist() == want
 
 
 @pytest.mark.parametrize("mode, p", [("mod2k", 2), ("modpk", 3), ("f2t", 2)])
@@ -462,6 +483,97 @@ def test_modpk_shift_reduces_pending_updates():
     m = 3 ** 19
     B = np.array([[[5 * m + 21, 3 * m, 0]]], np.int64)
     assert _shift_p(B, 3, 18, 5).tolist() == [[[7, 0, 0]]]
+
+
+def _to_montgomery(x, m):
+    """The Montgomery words x 2^64 mod m of residues x: their Montgomery product with 2^128 mod m."""
+    return _mont_mul(x, np.uint64((1 << 128) % m), m)
+
+
+def _from_montgomery(x, m):
+    """The residues x 2^-64 mod m of Montgomery words x: their Montgomery product with 1."""
+    return _mont_mul(x, np.uint64(1), m)
+
+
+# moduli of Montgomery words: the (2+i) cap 5^27, the Z cap 3^40 > 2^63, the
+# square of the largest prime below 2^32, and the largest prime below 2^64
+_MONTGOMERY = [(5, 27), (3, 40), (4294967291, 2), (2 ** 64 - 59, 1)]
+
+
+@pytest.mark.parametrize("p, K", _MONTGOMERY)
+def test_montgomery_words_match_python_ints(p, K):
+    # The words x R mod m (R = 2^64, m = p^K) against Python ints: conversion
+    # in and out, the product, the multiply-compare unit test, the pivot
+    # inverse, and the division of a multiple of p by p, which is the word of
+    # x / p mod p^(K - 1).
+    m, R = p ** K, 1 << 64
+    rng = random.Random(K)
+    xs = [0, 1, p - 1, p % m, m - 1, m - p, *(rng.randrange(m) for _ in range(300))]
+    ys = [m - 1, m - 1, 1, m - 1, m - 1, 2, *(rng.randrange(m) for _ in range(300))]
+    x, y = _to_montgomery(np.array(xs, np.uint64), m), _to_montgomery(np.array(ys, np.uint64), m)
+    assert x.tolist() == [a * R % m for a in xs]
+    assert _from_montgomery(x, m).tolist() == xs
+    assert _from_montgomery(_mont_mul(x, y, m), m).tolist() == [a * b % m for a, b in zip(xs, ys)]
+    assert _mont_mul(np.array(xs, np.uint64), np.array(ys, np.uint64), m).tolist() == [
+        a * b * pow(R, -1, m) % m for a, b in zip(xs, ys)]
+    assert _units_p(x, p).tolist() == [a % p != 0 for a in xs]
+    units = [a for a in xs if a % p]
+    inverses = _from_montgomery(_mont_inverse(x[_units_p(x, p)], p, K), m).tolist()
+    assert [a * b % m for a, b in zip(units, inverses)] == [1] * len(units)
+    if K > 1:
+        multiples = _to_montgomery(np.array([a * p % m for a in xs], np.uint64), m)
+        shifted = _shift_p(multiples[None, None], p, K - 1, 1).ravel()
+        assert _from_montgomery(shifted, m // p).tolist() == [a % (m // p) for a in xs]
+
+
+def _rank_mod(rows, p):
+    """Rank of an integer grid over F_p, by Gaussian elimination in Python ints."""
+    rows, rank = [[x % p for x in row] for row in rows], 0
+    for j in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][j], -1, p)
+        for i in range(len(rows)):
+            if i != rank and rows[i][j]:
+                c = rows[i][j] * inv % p
+                rows[i] = [(a - c * b) % p for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_modpk_kernel_at_the_largest_prime_below_2_64():
+    # At K = 1 the Montgomery words of F_p for p = 2^64 - 59 give one
+    # valuation 0 per unit of rank and saturate the rest. (The ring itself
+    # is out of reach of local_snf: building it factors p by trial division.)
+    p = 2 ** 64 - 59
+    rng = random.Random(3)
+    batch = []
+    for t in range(24):
+        n, u = 4, t % 3
+        rows = [[rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in range(n + u)]
+                for _ in range(n)]
+        if t % 2:  # row 3 a combination of rows 0 and 1: rank at most 3
+            a, b = rng.randrange(p), rng.randrange(p)
+            rows[3] = [(a * x + b * y) % p for x, y in zip(rows[0], rows[1])]
+        batch.append(rows)
+    for rows in batch:
+        r, n = _rank_mod(rows, p), len(rows)
+        want = SnfResult((0,) * r + (1,) * (n - r), r < n)
+        assert snf_valuations_array("modpk", make_scalar_matrix("modpk", rows), p, 1) == want
+    assert any(_rank_mod(rows, p) < 4 for rows in batch)
+
+
+@pytest.mark.parametrize("p, f", [(3, 1), (5, 1), (7, 1), (11, 1), (1000003, 1), (3, 2)])
+def test_modpk_words_are_machine_words_up_to_the_cap(p, f):
+    # No modpk rung of an accepted prime runs in object words: int64 up to
+    # the product limit, Montgomery uint64 words from there to the cap;
+    # p^K past 2^64 is refused.
+    for K in range(1, max_precision(p, f) + 1):
+        assert _word_dtype("modpk", K, p) == (np.int64 if p ** K <= _ODD_FAST_LIMIT else np.uint64)
+    with pytest.raises(ParameterError, match="64-bit word"):
+        _word_dtype("modpk", max_precision(p, 1) + 1, p)
 
 
 @st.composite
@@ -589,17 +701,18 @@ ZI_RAM = factor_rational_prime(ZI, 2)[0]
 F3X = factor_rational_prime(poly_domain(3), poly_elem(3, [0, 1]))[0]
 
 
-def _object_rung(prime, K):
-    """Whether the kernel of the prime's ring runs precision K in object
-    words: modpk past the int64 product limit, f2t past 16 lanes of 4 bits."""
+def _wide_rung(prime, K):
+    """Whether the kernel of the prime's ring runs precision K in its wide
+    words: modpk in Montgomery words past the int64 product limit, f2t in
+    object words past 16 lanes of 4 bits."""
     mode = matrix_mode(local_ring_for(prime, K))
     return (mode == MODE_MODPK and prime.p ** K > _ODD_FAST_LIMIT) or (mode == "f2t" and K > 16)
 
 
 def test_escalation_ladder_keeps_one_object_rung():
-    # modpk and f2t ladders keep every machine-word rung of the geometric
-    # ladder and, of its object rungs, only the cap; mod2k and generic
-    # ladders are whole.
+    # modpk and f2t ladders keep every fast-word rung of the geometric
+    # ladder and, of its wide rungs (Montgomery words for modpk, object
+    # words for f2t), only the cap; mod2k and generic ladders are whole.
     assert escalation_ladder(ZI5, DEFAULT_POLICY) == (8, 27)
     assert escalation_ladder(P3, DEFAULT_POLICY) == (8, 16, 40)
     assert escalation_ladder(ZI3, DEFAULT_POLICY) == (8, 16, 20)
@@ -610,10 +723,10 @@ def test_escalation_ladder_keeps_one_object_rung():
                    PrecisionPolicy(5, 40)):
         for prime in (P3, ZI5, ZI3, ZI7, P2, PX, PX2, PX3, ZI_RAM, F3X):
             full, ladder = _geometric_ladder(prime, policy), escalation_ladder(prime, policy)
-            wide = [K for K in ladder if _object_rung(prime, K)]
+            wide = [K for K in ladder if _wide_rung(prime, K)]
             assert ladder[-1] == full[-1] and wide in ([], [full[-1]])
             assert [K for K in ladder if K not in wide] == [K for K in full
-                                                            if not _object_rung(prime, K)]
+                                                            if not _wide_rung(prime, K)]
 
 
 @pytest.mark.parametrize("prime, elem, twenty", [
@@ -622,12 +735,12 @@ def test_escalation_ladder_keeps_one_object_rung():
     (PX, lambda a, b: poly_elem(2, [a, b]), poly_elem(2, [0] * 20 + [1])),
 ], ids=["zi-(2+i)", "z-3", "fx-(x)"])
 def test_pruned_ladder_matches_geometric_reference(prime, elem, twenty):
-    # Entries of valuation between the last machine-word rung and the cap,
-    # such as p^20 or x^20, settle at the cap instead of at a dropped object
+    # Entries of valuation between the last fast-word rung and the cap,
+    # such as p^20 or x^20, settle at the cap instead of at a dropped wide
     # rung, with the partition of the whole ladder; singular matrices stay
     # indeterminate, with the cap's K and local_snf result.
     full = _geometric_ladder(prime, DEFAULT_POLICY)
-    cap, last_int64 = full[-1], max(K for K in full if not _object_rung(prime, K))
+    cap, last_int64 = full[-1], max(K for K in full if not _wide_rung(prime, K))
     assert len(escalation_ladder(prime, DEFAULT_POLICY)) < len(full)
 
     def times_pi(x, v):
@@ -789,19 +902,19 @@ def _check_driver(prime, elem, mode, cap_word):
     (P3, lambda a, b: int_elem(a + 2 * b)),
 ], ids=["zi-(2+i)", "z-3"])
 def test_driver_keeps_odd_primes_on_modpk(prime, elem):
-    _check_driver(prime, elem, "modpk", object)
+    _check_driver(prime, elem, "modpk", np.uint64)
 
 
 @pytest.mark.parametrize("prime, elem, mode, cap_word", [
-    (ZI3, gauss_elem, "modpk", object),
+    (ZI3, gauss_elem, "modpk", np.uint64),
     (ZI7, gauss_elem, "modpk", np.int64),
     (PX2, lambda a, b: poly_elem(2, [a, b]), "f2t", object),
     (PX3, lambda a, b: poly_elem(2, [a, b]), "f2t", object),
 ], ids=["zi-(3)", "zi-(7)", "f2x-(x^2+x+1)", "f2x-(x^3+x+1)"])
 def test_driver_lowers_residue_degree_f_primes(prime, elem, mode, cap_word):
     # Inert Z[i] primes and F_2[x] primes of degree f > 1 never reach the
-    # generic path: the cap is 3^20 (object words), 7^11, and 32 or 21
-    # lanes of 6 bits (object words).
+    # generic path: the cap is 3^20 (Montgomery uint64 words), 7^11, and 32
+    # or 21 lanes of 6 bits (object words).
     _check_driver(prime, elem, mode, cap_word)
 
 
