@@ -175,7 +175,7 @@ def local_snf(M: LocalMatrix) -> SnfResult:
 
 MODE_MOD2K = "mod2k"      # Z/2^K in the narrowest unsigned word of K bits (wraparound-exact)
 # Z/p^K, odd p: int64 up to _ODD_FAST_LIMIT, with lazy reduction; Montgomery uint64 words
-# above, up to p^K < 2^64; a multiply-compare unit test on both
+# above, up to p^K < 2^64; on both a multiply-compare unit test and one batch pivot inverse
 MODE_MODPK = "modpk"
 # F_2[t]/t^K, coefficient s in bit w*s: 4-bit lanes in the narrowest unsigned word of 4K bits
 # up to K = 16, 6-bit lanes in exact object ints above; a carryless product is a masked multiply
@@ -276,9 +276,10 @@ def _mulhi(a, b):
 
 @lru_cache(maxsize=None)
 def _montgomery(m: int) -> tuple:
-    """Constants of Montgomery arithmetic mod an odd m < 2^64 with R = 2^64,
-    as uint64: m, m^-1 mod R and R mod m (the word of 1)."""
-    return tuple(np.uint64(c) for c in (m, pow(m, -1, 1 << 64), (1 << 64) % m))
+    """Constants of Montgomery arithmetic mod an odd m < 2^64 with R = 2^64:
+    m and m^-1 mod R as uint64 for :func:`_mont_mul`, and R^2 mod m as a
+    Python int for :func:`_batch_inverse`."""
+    return np.uint64(m), np.uint64(pow(m, -1, 1 << 64)), (1 << 128) % m
 
 
 def _mont_mul(a, b, m: int):
@@ -341,71 +342,39 @@ def _scale_2k(row, a, p, prec):
     return row * y[:, None]
 
 
-def _pow_mod(a, e: int, m: int):
-    r = np.ones_like(a)
-    while e:
-        if e & 1:
-            r = r * a % m
-        a = a * a % m
-        e >>= 1
-    return r
-
-
-def _inverse_pk(a, p, prec):
-    """Inverses mod m = p^prec of int64 residues 0 <= a < m, for m^2 < 2^63:
-    Fermat mod p, then Newton lifting y <- y(2 - ay), doubling the p-adic
-    digits each round. Non-units get inverse 0."""
+def _batch_inverse(a, p, prec):
+    """Inverses mod m = p^prec of the pivot words a, by Montgomery's trick
+    (Montgomery, "Speeding the Pollard and elliptic curve methods of
+    factorization", 1987) in Python ints: one pow(., -1, m) of the product of
+    the units, then a walk back through the prefix products. Non-units get 0.
+    A Montgomery word w stands for w R^-1 (R = 2^64), so the word of its
+    inverse is w^-1 R^2: on uint64 words the product's inverse carries R^2."""
     m = p ** prec
-    y = _pow_mod(a % p, p - 2, p)
-    digits = 1
-    while digits < prec:
-        y = y * (2 - a * y % m) % m
-        digits *= 2
-    return y
-
-
-def _mont_inverse(a, p, prec):
-    """The Montgomery words of the inverses of the units whose Montgomery
-    words are a, mod m = p^prec. The seed is an inverse mod q = p^d for the
-    largest d with q <= _ODD_FAST_LIMIT, taken on int64 residues: the unit
-    a R^-1 mod q, inverted by :func:`_inverse_pk` and times R mod q, is
-    congruent mod q to the Montgomery word of the inverse. (Past that limit
-    p itself is inverted by Fermat, a^(p-2) in Montgomery products.) Newton
-    rounds y <- y(2 - ay) in Montgomery products then double its digits up
-    to prec."""
-    m = p ** prec
-    mw, _, one = _montgomery(m)
-    digits = 0
-    while digits < prec and p ** (digits + 1) <= _ODD_FAST_LIMIT:
-        digits += 1
-    if digits:
-        q = p ** digits
-        r = (1 << 64) % q
-        x = (a % np.uint64(q)).astype(np.int64) * pow(r, -1, q) % q
-        y = (_inverse_pk(x, p, digits) * r % q).astype(np.uint64)
-    else:
-        y, digits = np.full_like(a, one), 1
-        for bit in bin(p - 2)[2:]:
-            y = _mont_mul(y, y, m)
-            if bit == "1":
-                y = _mont_mul(y, a, m)
-    two = np.uint64(2 * (1 << 64) % m)
-    while digits < prec:
-        ay = _mont_mul(a, y, m)
-        y = _mont_mul(y, two - ay + mw * (ay > two), m)
-        digits *= 2
-    return y
+    xs = a.tolist()
+    prefix = [1]
+    for x in xs:
+        prefix.append(prefix[-1] * x % m if x % p else prefix[-1])
+    inv = pow(prefix[-1], -1, m)
+    if a.dtype == np.uint64:
+        inv = inv * _montgomery(m)[2] % m
+    out = [0] * len(xs)
+    for i in reversed(range(len(xs))):
+        if xs[i] % p:
+            out[i] = inv * prefix[i] % m
+            inv = inv * xs[i] % m
+    return np.array(out, a.dtype)
 
 
 def _scale_pk(row, a, p, prec):
-    """Rows times the pivot inverses, reduced mod p^prec: on int64 words by
-    :func:`_inverse_pk`, on Montgomery words by :func:`_mont_inverse` and
-    a Montgomery product. Non-units get inverse 0."""
+    """Rows times the pivot inverses (:func:`_batch_inverse`), reduced mod
+    p^prec: on Montgomery words by a Montgomery product, on int64 words,
+    whose entries may be unreduced sums, after reducing rows and pivots, so
+    that the inverse multiplies small Python ints."""
     m = p ** prec
     if row.dtype == np.uint64:
-        return _mont_mul(row, _mont_inverse(a, p, prec)[:, None], m)
-    row, a = row % m, a % m  # int64 entries may be unreduced sums
-    return row * _inverse_pk(a, p, prec)[:, None] % m
+        return _mont_mul(row, _batch_inverse(a, p, prec)[:, None], m)
+    row, a = row % m, a % m
+    return row * _batch_inverse(a, p, prec)[:, None] % m
 
 
 def _f2t_lanes(B, prec):

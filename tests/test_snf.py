@@ -40,7 +40,7 @@ from coklab.snf import (
     LocalMatrix,
     PrecisionPolicy,
     SnfResult,
-    _mont_inverse,
+    _batch_inverse,
     _mont_mul,
     _reduction_budget,
     _shift_p,
@@ -372,7 +372,7 @@ def _modpk_precisions(p):
 
 
 # a row is zeroed with probability about 1/8
-_ZERO_ROW = st.integers(0, 7).map(lambda k: k == 0)
+_ZERO_ROW = st.integers(0, 7).map(lambda k: k == 3)
 
 
 def _int_entry(p, K):
@@ -495,17 +495,20 @@ def _from_montgomery(x, m):
     return _mont_mul(x, np.uint64(1), m)
 
 
-# moduli of Montgomery words: the (2+i) cap 5^27, the Z cap 3^40 > 2^63, the
-# square of the largest prime below 2^32, and the largest prime below 2^64
-_MONTGOMERY = [(5, 27), (3, 40), (4294967291, 2), (2 ** 64 - 59, 1)]
+# moduli of int64 words, 5^8, the last int64 power 3^19 and 11^9, on which the
+# Montgomery arithmetic holds as well; and moduli of Montgomery words: the (2+i)
+# cap 5^27, the Z cap 3^40 > 2^63, the square of the largest prime below 2^32,
+# and the largest prime below 2^64
+_MODULI = [(5, 27), (3, 40), (4294967291, 2), (2 ** 64 - 59, 1), (5, 8), (3, 19), (11, 9)]
 
 
-@pytest.mark.parametrize("p, K", _MONTGOMERY)
+@pytest.mark.parametrize("p, K", _MODULI)
 def test_montgomery_words_match_python_ints(p, K):
     # The words x R mod m (R = 2^64, m = p^K) against Python ints: conversion
     # in and out, the product, the multiply-compare unit test, the pivot
     # inverse, and the division of a multiple of p by p, which is the word of
-    # x / p mod p^(K - 1).
+    # x / p mod p^(K - 1). Below the int64 product limit the pivot inverse
+    # also runs on int64 words.
     m, R = p ** K, 1 << 64
     rng = random.Random(K)
     xs = [0, 1, p - 1, p % m, m - 1, m - p, *(rng.randrange(m) for _ in range(300))]
@@ -517,9 +520,16 @@ def test_montgomery_words_match_python_ints(p, K):
     assert _mont_mul(np.array(xs, np.uint64), np.array(ys, np.uint64), m).tolist() == [
         a * b * pow(R, -1, m) % m for a, b in zip(xs, ys)]
     assert _units_p(x, p).tolist() == [a % p != 0 for a in xs]
-    units = [a for a in xs if a % p]
-    inverses = _from_montgomery(_mont_inverse(x[_units_p(x, p)], p, K), m).tolist()
-    assert [a * b % m for a, b in zip(units, inverses)] == [1] * len(units)
+    # each unit times its inverse is 1, and each non-unit gets 0
+    want = [int(a % p != 0) for a in xs]
+    inverses = [_from_montgomery(_batch_inverse(x, p, K), m)]
+    if m <= _ODD_FAST_LIMIT:
+        inverses.append(_batch_inverse(np.array(xs, np.int64), p, K))
+    for inv in inverses:
+        assert [a * b % m if a % p else b for a, b in zip(xs, inv.tolist())] == want
+    for dtype in (np.uint64, np.int64) if m <= _ODD_FAST_LIMIT else (np.uint64,):
+        assert _batch_inverse(np.array([0, p % m, m - p], dtype), p, K).tolist() == [0, 0, 0]
+        assert _batch_inverse(np.array([], dtype), p, K).tolist() == []
     if K > 1:
         multiples = _to_montgomery(np.array([a * p % m for a in xs], np.uint64), m)
         shifted = _shift_p(multiples[None, None], p, K - 1, 1).ravel()
