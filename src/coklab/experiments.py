@@ -50,7 +50,7 @@ from .errors import (
 )
 from .modules import ModuleType, count_sur, module_size, parse_type_string
 from .sampler import BalanceReport, EntryDistribution, balance_report, builtin_distribution, \
-    sample_index_matrix
+    sample_index_batch
 from .snf import DEFAULT_POLICY, PrecisionPolicy, partition_at_prime
 from .theory import partial_sum, predicted_moment, predicted_probability
 
@@ -273,8 +273,7 @@ def _tally_chunk(args) -> Counter:
     idx = np.empty((size, n, n + u), dtype=np.min_scalar_type(len(dist.support) - 1))
     for first in range(start, stop, size):
         batch = idx[:min(size, stop - first)]
-        for i, dst in enumerate(batch):
-            dst[...] = sample_index_matrix(dist, n, u, seed, first + i)
+        sample_index_batch(dist, n, u, seed, first, batch)
         keys = [[] for _ in batch]
         live = list(range(len(batch)))  # trials determined at every prime so far
         for pi, prime in enumerate(primes):
@@ -341,7 +340,9 @@ def _timed(t0: float, summary):
 
 @dataclass(kw_only=True)
 class Summary:
-    """Report header shared by the three views; ``to_dict`` is the JSON report."""
+    """Report header shared by the three views; ``to_dict`` is the JSON report.
+    Each view adds ``csv_lines`` (the CSV report's lines, header first) and
+    ``svg_panels`` ((title, [(label, observed, predicted), ...]) per panel)."""
     kind: str
     domain: str
     seed: int
@@ -430,6 +431,18 @@ class EmpiricalSummary(Summary):
     @property
     def trials_per_second(self) -> float:
         return len(self.per_n) * self.trials / self.wall_seconds if self.wall_seconds > 0 else 0.0
+
+    def csv_lines(self) -> list:
+        lines = ["n,type,count,frequency,stderr,prediction,truncation_bound"]
+        for s in self.per_n:
+            for b in s.buckets:
+                lines.append(f"{s.n},{_csv_quote(b.type_string)},{b.count},{b.frequency:.5f},"
+                             f"{b.stderr:.5f},{b.prediction},{b.truncation_bound}")
+        return lines
+
+    def svg_panels(self) -> list:
+        return [(f"n={s.n}", [(b.type_string, b.frequency, float(b.prediction))
+                              for b in s.buckets]) for s in self.per_n]
 
 
 def run_distribution_experiment(cfg: ExperimentConfig, threads: int = 1) -> EmpiricalSummary:
@@ -526,6 +539,15 @@ class MomentSummary(Summary):
     u: int
     rows: tuple             # MomentRow, per n and target
 
+    def csv_lines(self) -> list:
+        return ["n,target,estimate,stderr,prediction,determined_trials"] + [
+            f"{r.n},{_csv_quote(r.target)},{r.estimate:.6f},{r.stderr:.6f},"
+            f"{r.prediction},{r.determined_trials}" for r in self.rows]
+
+    def svg_panels(self) -> list:
+        return [("moments", [(f"n={r.n} {r.target}", r.estimate, float(r.prediction))
+                             for r in self.rows])]
+
 
 def run_moment_experiment(cfg: ExperimentConfig, threads: int = 1) -> MomentSummary:
     """Surjection-count averages against the |N|^-u moment prediction."""
@@ -588,6 +610,15 @@ class GaloisSummary(Summary):
         out["asymmetric_types"] = [{"type": t, "count": c, "frequency": f}
                                    for t, c, f in out.pop("asymmetric_rows")]
         return out
+
+    def csv_lines(self) -> list:
+        return ["n,metric,value,count",
+                f"{self.n},conjugate_equal_fraction,{self.equal_fraction:.6f},{self.trials}"] + [
+            f"{self.n},asymmetric_type {_csv_quote(t)},{f:.6f},{c}"
+            for t, c, f in self.asymmetric_rows]
+
+    def svg_panels(self) -> list:
+        return [("galois", [("conjugate equal", self.equal_fraction, 1.0)])]
 
 
 def run_galois_demo(cfg: ExperimentConfig, threads: int = 1) -> GaloisSummary:
@@ -654,28 +685,7 @@ def _render_json(summary) -> str:
 
 
 def _render_csv(summary) -> str:
-    lines = []
-    if summary.kind == "distribution":
-        lines.append("n,type,count,frequency,stderr,prediction,truncation_bound")
-        for s in summary.per_n:
-            for b in s.buckets:
-                t = _csv_quote(b.type_string)
-                lines.append(f"{s.n},{t},{b.count},{b.frequency:.5f},{b.stderr:.5f},"
-                             f"{b.prediction},{b.truncation_bound}")
-    elif summary.kind == "moments":
-        lines.append("n,target,estimate,stderr,prediction,determined_trials")
-        for r in summary.rows:
-            lines.append(f"{r.n},{_csv_quote(r.target)},{r.estimate:.6f},{r.stderr:.6f},"
-                         f"{r.prediction},{r.determined_trials}")
-    elif summary.kind == "galois":
-        lines.append("n,metric,value,count")
-        lines.append(f"{summary.n},conjugate_equal_fraction,{summary.equal_fraction:.6f},"
-                     f"{summary.trials}")
-        for t, c, f in summary.asymmetric_rows:
-            lines.append(f"{summary.n},asymmetric_type {_csv_quote(t)},{f:.6f},{c}")
-    else:
-        raise ParameterError(f"cannot render summary kind {summary.kind!r}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(summary.csv_lines()) + "\n"
 
 
 def _csv_quote(text: str) -> str:
@@ -686,14 +696,7 @@ def _csv_quote(text: str) -> str:
 
 def _render_svg(summary) -> str:
     """Frequency vs prediction bars, one panel per n (plain hand-rolled SVG)."""
-    if summary.kind == "distribution":
-        panels = [(f"n={s.n}", [(b.type_string, b.frequency, float(b.prediction))
-                                for b in s.buckets]) for s in summary.per_n]
-    elif summary.kind == "moments":
-        panels = [("moments", [(f"n={r.n} {r.target}", r.estimate, float(r.prediction))
-                               for r in summary.rows])]
-    else:
-        panels = [("galois", [("conjugate equal", summary.equal_fraction, 1.0)])]
+    panels = summary.svg_panels()
     bar_w, gap, panel_pad, height = 18, 10, 40, 220
     width = max(sum(panel_pad + len(rows) * (2 * bar_w + gap) for _, rows in panels), 300)
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height + 60}">']

@@ -87,8 +87,8 @@ class EntryDistribution:
         return EntryDistribution(domain, support, tuple(fracs))
 
     def thresholds(self) -> np.ndarray:
-        """Cumulative 64-bit cutoffs for searchsorted sampling (all but last),
-        computed once per distribution."""
+        """Cumulative 64-bit cutoffs, all but the last, computed once per
+        distribution: a 64-bit draw d picks support index #{cutoffs <= d}."""
         return self._cutoffs
 
     def __str__(self):
@@ -222,19 +222,60 @@ def balance_report(dist: EntryDistribution, domain: DomainId, modulus: Element) 
 # seeded sampling
 
 
-def sample_index_matrix(dist: EntryDistribution, n: int, u: int, seed: int,
-                        trial: int = 0) -> np.ndarray:
-    """Support indices for one trial matrix, schedule-independent.
+# entries whose searchsorted costs about as much as comparing with one more
+# cutoff (two numpy calls); measured crossover, recorded in BENCH_cold.json
+_SEARCH_ENTRIES = 192
 
-    The draws are the raw 64-bit outputs of a Philox stream keyed by
-    (seed, trial) with counter (0, n, u, 0), in row-major order.
-    """
+
+def _shape(n: int, u: int) -> tuple:
     if n < 1 or u < 0:
         raise ParameterError("need n >= 1 and u >= 0")
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, trial], dtype=np.uint64)
-    counter = np.array([0, n, u, 0], dtype=np.uint64)
-    draws = np.random.Philox(key=key, counter=counter).random_raw(n * (n + u))
-    return np.searchsorted(dist.thresholds(), draws.reshape(n, n + u), side="right")
+    return n, n + u
+
+
+def sample_index_batch(dist: EntryDistribution, n: int, u: int, seed: int, first: int,
+                       out: np.ndarray) -> None:
+    """Support indices of trials first, first + 1, ... into the rows of
+    ``out``, of shape ``(b, n, n + u)``, schedule-independent.
+
+    The draws of trial t are the raw 64-bit outputs of a Philox stream keyed
+    by (seed, t) with counter (0, n, u, 0), in row-major order, and each
+    index counts the cutoffs at or below its draw. Philox is counter-based,
+    so one generator whose key and counter are set per trial gives the
+    stream of a new one (Salmon et al., "Parallel random numbers: as easy
+    as 1, 2, 3", SC 2011). The generator lives for one call: threads that
+    sample at once never share it. Draws are compared with each cutoff in
+    turn while each cutoff past the first has _SEARCH_ENTRIES entries to
+    itself, and searched (searchsorted) otherwise.
+    """
+    shape = _shape(n, u)
+    cutoffs = dist.thresholds()
+    if not len(cutoffs):  # one support element: no draw decides anything
+        out[...] = 0
+        return
+    gen = np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF, first], dtype=np.uint64),
+                           counter=np.array([0, n, u, 0], dtype=np.uint64))
+    state = gen.state  # as new: counter (0, n, u, 0), buffer empty (buffer_pos 4)
+    key = state["state"]["key"]
+    search = (len(cutoffs) - 1) * _SEARCH_ENTRIES > shape[0] * shape[1]
+    for trial, dst in enumerate(out, first):
+        key[1] = trial
+        gen.state = state
+        draws = gen.random_raw(shape[0] * shape[1]).reshape(shape)
+        if search:
+            dst[...] = np.searchsorted(cutoffs, draws, side="right")
+            continue
+        np.greater_equal(draws, cutoffs[0], out=dst, casting="unsafe")
+        for cut in cutoffs[1:]:
+            dst += draws >= cut
+
+
+def sample_index_matrix(dist: EntryDistribution, n: int, u: int, seed: int,
+                        trial: int = 0) -> np.ndarray:
+    """Support indices for one trial matrix: :func:`sample_index_batch` of one."""
+    out = np.empty((1, *_shape(n, u)), dtype=np.intp)
+    sample_index_batch(dist, n, u, seed, trial, out)
+    return out[0]
 
 
 def sample_matrix(dist: EntryDistribution, n: int, u: int, seed: int, trial: int = 0):

@@ -9,9 +9,10 @@ Three layers:
   odd-characteristic F_p[[t]].
 * :func:`snf_valuations_array` covers the hot representations, Z/p^K
   entries and lane-spread F_2[[t]]/t^K entries in machine words, for a whole
-  batch of matrices at once. Galois rings and F_2[x]/(g^K) of residue
-  degree f > 1 lower onto these base rings by restriction of scalars: such
-  a ring is free of rank f over its base ring, so each entry becomes the
+  batch of matrices at once; its loop, :func:`_pivot_counts`, returns
+  the number of pivots per matrix and level. Galois rings and F_2[x]/(g^K)
+  of residue degree f > 1 lower onto these base rings by restriction of
+  scalars: such a ring is free of rank f over its base ring, so each entry becomes the
   f x f block of multiplication by it (:func:`element_block`) and each
   part of the cokernel appears f times. Each step of its stratified loop pivots every
   matrix on its first unit with a rank-1 update (no swaps); once no matrix
@@ -39,7 +40,8 @@ Three layers:
 * :func:`partition_at_prime` runs every cokernel computation. It takes a
   batch of matrices as positions into an entry support, picks the kernel
   for each ring through :func:`reduction_table`, gathers the scalars or
-  blocks through :func:`gather`, and escalates K
+  blocks through :func:`gather`, reads each partition from the pivot counts
+  (once per distinct count row), and escalates K
   geometrically for the saturated matrices only, up to the policy cap
   (modpk goes from its last int64 rung and f2t from its last 4-bit-lane
   rung straight to the cap);
@@ -472,27 +474,45 @@ _KERNELS = {
 
 
 def snf_valuations_array(mode: str, B, p: int, K: int):
+    """Valuations of a batch of packed scalar matrices (:func:`_pivot_counts`).
+
+    Returns one :class:`SnfResult` per matrix, or a single one for a 2-D
+    ``B`` of shape ``(n, m)``.
+    """
+    single = B.ndim == 2
+    pivots = _pivot_counts(mode, B[None] if single else B, p, K)
+    results = [_snf_result(counts, B.shape[-2], K) for counts in pivots.tolist()]
+    return results[0] if single else results
+
+
+def _snf_result(counts, n: int, K: int) -> SnfResult:
+    """The SnfResult of an n-row matrix from its pivot counts per level."""
+    vals = [v for v, c in enumerate(counts) for _ in range(c)]
+    rest = n - len(vals)
+    return SnfResult(tuple(vals) + (K,) * rest, rest > 0)
+
+
+def _pivot_counts(mode: str, B, p: int, K: int) -> np.ndarray:
     """Stratified elimination of a batch of packed scalar matrices.
 
-    ``B`` has shape ``(b, n, m)``, or ``(n, m)`` for a single matrix; it is
-    consumed when it already has the mode's word dtype. For modpk its
-    entries are residues in [0, p^K) (read in Montgomery form where the
-    word is uint64), and for f2t lane-spread words
-    (:func:`element_to_scalar`) with no bit outside their K lanes. At level
+    ``B`` has shape ``(b, n, m)``; it is consumed when it already has the
+    mode's word dtype. For modpk its entries are residues in [0, p^K) (read
+    in Montgomery form where the word is uint64), and for f2t lane-spread
+    words (:func:`element_to_scalar`) with no bit outside their K lanes. At level
     ``level < K`` entries are taken modulo p^(K - level). Each step pivots
     every matrix on its first unit in row-major order and subtracts the
     rank-1 product of the pivot column and the pivot row scaled by the
     pivot's inverse, which zeroes both; a matrix with no unit gets factor 0.
     Once no matrix has a unit, the batch is divided by the uniformizer and
-    goes one level deeper, and all-zero matrices leave it. Rows without a
-    pivot get valuation K (saturated). Returns one :class:`SnfResult` per
-    matrix, or a single one for a 2-D ``B``.
+    goes one level deeper, and all-zero matrices leave it. Returns the
+    ``(b, K)`` array of pivots per matrix and level: row t holds the number
+    of diagonal entries of valuation v at v, and rows without a pivot
+    (n minus the row's sum) have valuation K (saturated).
     """
     if mode not in _KERNELS:
         raise ParameterError(f"no array path for mode {mode!r}")
     units, scale, update, shift = _KERNELS[mode]
-    single = B.ndim == 2
-    B = np.ascontiguousarray(B[None] if single else B, dtype=_word_dtype(mode, K, p))
+    B = np.ascontiguousarray(B, dtype=_word_dtype(mode, K, p))
     b, n, m = B.shape
     pivots = np.zeros((b, K), dtype=np.int64)  # pivots per matrix and level
     active = rows = np.arange(b)               # batch row -> matrix; batch rows
@@ -523,12 +543,7 @@ def snf_valuations_array(mode: str, B, p: int, K: int):
                     B[dst] = B[src]
             B, active = B[:len(keep)], active[keep]
             rows, count = np.arange(len(B)), np.zeros(len(B), dtype=np.int64)
-    results = []
-    for counts in pivots.tolist():
-        vals = [v for v, c in enumerate(counts) for _ in range(c)]
-        rest = n - len(vals)
-        results.append(SnfResult(tuple(vals) + (K,) * rest, rest > 0))
-    return results[0] if single else results
+    return pivots
 
 
 def make_scalar_matrix(mode: str, rows) -> np.ndarray:
@@ -617,9 +632,11 @@ def partition_at_prime(idx, support: tuple, prime: PrimeIdealDesc,
     kernel its ring lowers onto, so only those climb to the next K (for any
     u). At residue degree f > 1 the kernel sees each matrix over the base
     ring, where every part of the cokernel appears f times; every f-th
-    sorted valuation is kept. Returns one entry per matrix: its partition,
-    or an ``IndeterminateCokernelError`` (not raised) when it is still
-    saturated at the last feasible K.
+    sorted valuation is kept. The kernels' pivot counts per level
+    (:func:`_pivot_counts`) give the partitions directly, each distinct
+    count row once. Returns one entry per matrix: its partition, or an
+    ``IndeterminateCokernelError`` (not raised) carrying the last
+    ``SnfResult`` when it is still saturated at the last feasible K.
     """
     out = [None] * len(idx)  # partition, or the last saturated SnfResult
     todo = list(range(len(idx)))
@@ -629,20 +646,40 @@ def partition_at_prime(idx, support: tuple, prime: PrimeIdealDesc,
         if mode == MODE_GENERIC:
             results = [local_snf(LocalMatrix.of(ring, [[table[j] for j in row] for row in M]))
                        for M in sub.tolist()]
+            results = [res if res.saturated else tuple(
+                sorted((v for v in res.valuations if v), reverse=True)) for res in results]
         else:
-            results = snf_valuations_array(mode, gather(table, sub), prime.p, K)
-            if ring.f > 1:
-                results = [SnfResult(r.valuations[::ring.f], r.saturated) for r in results]
+            pivots = _pivot_counts(mode, gather(table, sub), prime.p, K)
+            results = _read_partitions(pivots, sub.shape[1], ring.f, K)
         for t, res in zip(todo, results):
-            out[t] = res if res.saturated else tuple(
-                sorted((v for v in res.valuations if v), reverse=True))
-        todo = [t for t, res in zip(todo, results) if res.saturated]
+            out[t] = res
+        todo = [t for t, res in zip(todo, results) if isinstance(res, SnfResult)]
         if not todo:
             return out
     for t in todo:
         out[t] = IndeterminateCokernelError(
             f"cokernel type at {prime} undetermined at K={K}", out[t])
     return out
+
+
+def _read_partitions(pivots, n: int, f: int, K: int) -> list:
+    """Per row of ``pivots`` (:func:`_pivot_counts` over the base ring, where
+    each part appears f times): the partition, with part v repeated
+    count(v) / f times, or for a saturated matrix (fewer than n f pivots) the
+    SnfResult of every f-th sorted valuation. Equal count rows share one
+    partition."""
+    saturated = (pivots.sum(axis=1) < n * f).tolist()
+    parts_of = {}
+    results = []
+    for row, sat in zip(pivots.tolist(), saturated):
+        if sat:
+            results.append(SnfResult(_snf_result(row, n * f, K).valuations[::f], True))
+            continue
+        key = tuple(row[1:])
+        if key not in parts_of:
+            parts_of[key] = tuple(v for v in range(K - 1, 0, -1) for _ in range(key[v - 1] // f))
+        results.append(parts_of[key])
+    return results
 
 
 def cokernel_local_type(M, prime: PrimeIdealDesc, policy: PrecisionPolicy = DEFAULT_POLICY) -> tuple:

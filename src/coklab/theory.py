@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import ParameterError
 from .modules import ModuleType, count_aut, module_size
@@ -35,22 +36,29 @@ class Prediction:
 
 
 def _tol_fraction(tol) -> Fraction:
-    tol = Fraction(tol) if not isinstance(tol, float) else Fraction(tol)
+    tol = Fraction(tol)
     if tol <= 0:
         raise ParameterError("tolerance must be positive")
     return tol
 
 
+@lru_cache(maxsize=256)
 def _truncated_factor(q: int, u: int, tol_share: Fraction):
     """(product over j <= J of (1 - q^-u-j), exact tail bound) with
-    tail(J) = sum_{j>J} q^(-u-j) = q^(-u-J)/(q-1) < tol_share."""
+    tail(J) = sum_{j>J} q^(-u-j) = q^(-u-J)/(q-1) < tol_share. Computed
+    once per argument triple and then served from the cache to every
+    caller, so it is computed in its own 50-digit context: its value then
+    depends on the arguments alone. Both callers here (predicted_probability
+    and partial_sum) already run at 50 digits; a direct call in another
+    context, as in the tests, gets the same value."""
     J = 1
     while Fraction(1, q ** (u + J) * (q - 1)) >= tol_share:
         J += 1
-    prod = Decimal(1)
-    qd = Decimal(q)
-    for j in range(1, J + 1):
-        prod *= 1 - 1 / qd ** (u + j)
+    with localcontext(prec=_DIGITS):
+        prod = Decimal(1)
+        qd = Decimal(q)
+        for j in range(1, J + 1):
+            prod *= 1 - 1 / qd ** (u + j)
     return prod, Fraction(1, q ** (u + J) * (q - 1))
 
 
@@ -92,24 +100,25 @@ def _aut_inverse_box_sum(q: int, u: int, cap_exponent: int, cap_parts: int) -> F
     """Exact sum over partitions in the box of 1 / (|Aut| * q^(u |lambda|)).
 
     Runs over conjugate-partition columns c_1 >= ... >= c_E (heights <= the
-    part cap), using |Aut| = q^(sum c_k^2) * prod_k prod_{i<=c_k - c_{k+1}}
+    part cap m), using |Aut| = q^(sum c_k^2) * prod_k prod_{i<=c_k - c_{k+1}}
     (1 - q^-i); a direct DP, so caps like (20, 20) stay cheap while agreeing
-    with literal enumeration on small boxes.
+    with literal enumeration on small boxes. It runs in integers over one
+    common denominator: with P_k = prod_{i<=k} (q^i - 1) and T = m^2 + u m,
+    1 / prod_{i<=k} (1 - q^-i) = q^(k(k+1)/2) (P_m / P_k) / P_m and
+    q^-(c^2 + u c) = q^(T - c^2 - u c) / q^T, so each column multiplies the
+    denominator by P_m q^T.
     """
     E, m = cap_exponent, cap_parts
-    if E == 0 or m == 0:
-        return Fraction(1)
-    inv_prod = [Fraction(1)]
+    P = [1]
     for i in range(1, m + 1):
-        inv_prod.append(inv_prod[-1] / (1 - Fraction(1, q ** i)))
-    nxt = [Fraction(1)] + [Fraction(0)] * m  # chain terminator c_(E+1) = 0
-    for _ in range(E, 0, -1):
-        cur = []
-        for c in range(m + 1):
-            s = sum(inv_prod[c - c2] * nxt[c2] for c2 in range(c + 1))
-            cur.append(Fraction(1, q ** (c * c + u * c)) * s)
-        nxt = cur
-    return sum(nxt)
+        P.append(P[-1] * (q ** i - 1))
+    inv_prod = [q ** (k * (k + 1) // 2) * (P[m] // P[k]) for k in range(m + 1)]
+    weight = [q ** (m * m + u * m - c * c - u * c) for c in range(m + 1)]
+    nxt = [1] + [0] * m  # chain terminator c_(E+1) = 0
+    for _ in range(E):
+        nxt = [weight[c] * sum(inv_prod[c - c2] * nxt[c2] for c2 in range(c + 1))
+               for c in range(m + 1)]
+    return Fraction(sum(nxt), (P[m] * q ** (m * m + u * m)) ** E)
 
 
 def partial_sum(P, u: int, cap_exponent: int, cap_parts: int, tol=DEFAULT_TOL) -> Prediction:

@@ -16,9 +16,11 @@ from coklab.domains import (
 )
 from coklab.errors import ParameterError
 from coklab.sampler import (
+    _SEARCH_ENTRIES,
     EntryDistribution,
     balance_report,
     builtin_distribution,
+    sample_index_batch,
     sample_index_matrix,
     sample_matrix,
 )
@@ -193,6 +195,54 @@ def test_raw_draws_match_generator_integers():
         draws = gen.integers(0, 2 ** 64 - 1, size=(n, n + u), dtype=np.uint64, endpoint=True)
         want = np.searchsorted(dist.thresholds(), draws, side="right")
         assert np.array_equal(sample_index_matrix(dist, n, u, seed, trial), want)
+
+
+def _reference_indices(dist, n, u, seed, trial):
+    """One new Philox generator for the trial and one searchsorted."""
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, trial], dtype=np.uint64)
+    draws = np.random.Philox(key=key, counter=np.array([0, n, u, 0], dtype=np.uint64)) \
+        .random_raw(n * (n + u))
+    return np.searchsorted(dist.thresholds(), draws.reshape(n, n + u), side="right")
+
+
+def test_batch_sampler_matches_one_generator_per_trial():
+    # sample_index_batch reuses one generator per call, setting its key and
+    # counter per trial, and compares draws with each cutoff instead of
+    # searching them when the matrix is large enough (here: 48 x 48, and one
+    # cutoff at any shape); each row must equal the reference bit for bit.
+    # Calls of different shapes and supports are interleaved in one process.
+    dists = [EntryDistribution.of(ZZ, [int_elem(v) for v in range(s)], (Fraction(1, s),) * s)
+             for s in (1, 2, 4, 5, 7)]  # 0, 1, 3, 4 and 6 cutoffs
+    assert [len(d.thresholds()) for d in dists] == [0, 1, 3, 4, 6]
+    for seed, first in product((0, 7, -3, 2 ** 64 - 1), (0, 999)):
+        for n, u in ((12, 0), (48, 0), (5, 3)):
+            for dist in dists:
+                out = np.empty((3, n, n + u), np.min_scalar_type(len(dist.support) - 1))
+                sample_index_batch(dist, n, u, seed, first, out)
+                for i, got in enumerate(out):
+                    assert np.array_equal(got, _reference_indices(dist, n, u, seed, first + i))
+    with pytest.raises(ParameterError):
+        sample_index_batch(dists[1], 3, -1, 0, 0, np.empty((1, 3, 2), np.uint8))
+
+
+def test_batch_sampler_counts_a_cutoff_equal_to_its_draw():
+    # A draw equal to a cutoff counts that cutoff, as searchsorted(side="right")
+    # does, with one, three and six cutoffs: compared in a 1 x 2560 matrix,
+    # searched (but for one cutoff) in a 1 x 1 matrix.
+    unit = Fraction(1, 2 ** 64)
+    paths = set()
+    for u, s in product((0, 2559), (1, 3, 6)):
+        d = int(np.random.Philox(key=np.array([5, 0], dtype=np.uint64),
+                                 counter=np.array([0, 1, u, 0], dtype=np.uint64)).random_raw())
+        weights = [(d - s + 1) * unit] + [unit] * (s - 1) + [1 - d * unit]
+        dist = EntryDistribution.of(ZZ, [int_elem(v) for v in range(s + 1)], weights)
+        assert dist.thresholds()[-1] == d
+        out = np.empty((1, 1, 1 + u), np.uint8)
+        sample_index_batch(dist, 1, u, 5, 0, out)
+        assert out[0, 0, 0] == s
+        paths.add((s - 1) * _SEARCH_ENTRIES > 1 + u)
+    assert paths == {False, True}
+
 
 def test_degenerate_distribution():
     d = EntryDistribution.of(ZZ, (int_elem(0),), (1,))

@@ -1,5 +1,6 @@
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import product
 
 import mpmath as mp
 import pytest
@@ -7,7 +8,13 @@ import pytest
 from coklab.domains import ZI, ZZ, factor_rational_prime, poly_domain, poly_elem
 from coklab.errors import ParameterError
 from coklab.modules import ModuleType, count_aut, enumerate_types
-from coklab.theory import partial_sum, predicted_moment, predicted_probability
+from coklab.theory import (
+    _aut_inverse_box_sum,
+    _truncated_factor,
+    partial_sum,
+    predicted_moment,
+    predicted_probability,
+)
 
 P2 = factor_rational_prime(ZZ, 2)[0]
 P3 = factor_rational_prime(ZZ, 3)[0]
@@ -142,3 +149,46 @@ def test_function_field_prime_prediction():
     (px,) = factor_rational_prime(poly_domain(2), poly_elem(2, [0, 1]))
     got = predicted_probability(ModuleType.trivial(), [px], 0, tol=Fraction(1, 10 ** 15))
     assert abs(float(got.value) - 0.2887880950866024) < 1e-12
+
+
+def _fraction_box_sum(q, u, E, m):
+    """The box sum by the Fraction DP over conjugate-partition columns."""
+    inv_prod = [Fraction(1)]
+    for i in range(1, m + 1):
+        inv_prod.append(inv_prod[-1] / (1 - Fraction(1, q ** i)))
+    nxt = [Fraction(1)] + [Fraction(0)] * m
+    for _ in range(E):
+        nxt = [Fraction(1, q ** (c * c + u * c)) * sum(inv_prod[c - c2] * nxt[c2]
+                                                       for c2 in range(c + 1))
+               for c in range(m + 1)]
+    return sum(nxt)
+
+
+def test_integer_box_sum_matches_fraction_dp():
+    for q, u, E, m in product((2, 3, 5, 9), (0, 1, 2), (0, 1, 2, 6), (0, 1, 3, 6)):
+        assert _aut_inverse_box_sum(q, u, E, m) == _fraction_box_sum(q, u, E, m), (q, u, E, m)
+    assert _aut_inverse_box_sum(2, 0, 20, 20) == _fraction_box_sum(2, 0, 20, 20)
+    assert _aut_inverse_box_sum(3, 1, 0, 5) == 1 == _aut_inverse_box_sum(3, 1, 5, 0)
+
+
+def test_cached_factor_ignores_caller_context():
+    # The factor is cached; one first computed under a 10-digit context must
+    # still carry 50 digits, so predictions do not depend on call order.
+    N = ModuleType.of({P3: (1,)})
+    _truncated_factor.cache_clear()
+    with localcontext(prec=10):
+        low = predicted_probability(N, [P3], 1)
+    assert predicted_probability(N, [P3], 1) == low
+    _truncated_factor.cache_clear()
+    fresh = predicted_probability(N, [P3], 1)
+    assert fresh == low
+    with localcontext(prec=10):
+        assert predicted_probability(N, [P3], 1) == fresh
+    # called directly, the factor is the same 50-digit value in any context
+    share = Fraction(1, 10 ** 9)
+    _truncated_factor.cache_clear()
+    with localcontext(prec=10):
+        low_prod, _ = _truncated_factor(2, 0, share)
+    _truncated_factor.cache_clear()
+    prod, _ = _truncated_factor(2, 0, share)
+    assert prod == low_prod and len(prod.as_tuple().digits) == 50
