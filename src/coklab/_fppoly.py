@@ -11,9 +11,16 @@ from __future__ import annotations
 from .errors import ParameterError
 
 
+# trial division tries at most 2^20 divisors: larger inputs are refused
+FACTOR_LIMIT = 1 << 40
+
+
 def prime_divisors(n: int) -> list[int]:
     """Distinct prime divisors of n, ascending, by trial division; empty for
-    n < 2, so n is prime exactly when the list is [n]."""
+    n < 2, so n is prime exactly when the list is [n]. Raises ParameterError
+    for n >= FACTOR_LIMIT."""
+    if n >= FACTOR_LIMIT:
+        raise ParameterError(f"{n} is too large to factor by trial division (limit 2^40)")
     out = []
     d = 2
     while d * d <= n:

@@ -33,6 +33,7 @@ from .domains import (
     DomainId,
     Element,
     elem_mul,
+    elementary_quotient_ideals,
     factor_rational_prime,
     format_element,
     gauss_elem,
@@ -45,14 +46,13 @@ from .errors import (
     BalanceError,
     ConfigError,
     DiagnosticsError,
-    IndeterminateCokernelError,
     ParameterError,
 )
 from .modules import ModuleType, count_sur, module_size, parse_type_string
 from .sampler import BalanceReport, EntryDistribution, balance_report, builtin_distribution, \
     sample_index_batch
-from .snf import DEFAULT_POLICY, PrecisionPolicy, partition_at_prime
-from .theory import partial_sum, predicted_moment, predicted_probability
+from .snf import DEFAULT_POLICY, PrecisionPolicy, counts_partition, partition_at_prime
+from .theory import check_caps, partial_sum, predicted_moment, predicted_probability
 
 INDETERMINATE = "indeterminate"
 OTHER = "other"
@@ -109,16 +109,17 @@ def parse_config(data: dict) -> ExperimentConfig:
         caps = data.get("type_caps", {})
         cap_exponent = int(caps.get("exponent", 6))
         cap_parts = int(caps.get("parts", 6))
-        if cap_exponent < 0 or cap_parts < 0:
-            raise ConfigError("type caps must be nonnegative")
+        check_caps(primes, u, cap_exponent, cap_parts)
         strict = bool(data.get("strict_balance", True))
         out = data.get("output", {})
         out_path = out.get("path")
         formats = parse_formats(out.get("formats", ("csv", "json")))
         targets = tuple(data.get("targets", ()))
-        return ExperimentConfig(domain, primes, u, n_list, trials, dist, seed, policy,
-                                cap_exponent, cap_parts, strict, out_path, formats,
-                                targets, raw=data)
+        cfg = ExperimentConfig(domain, primes, u, n_list, trials, dist, seed, policy,
+                               cap_exponent, cap_parts, strict, out_path, formats,
+                               targets, raw=data)
+        elementary_quotient_ideals(domain, audit_modulus(cfg))  # the audit's factoring, in budget
+        return cfg
     except (ParameterError, ConfigError) as e:
         raise ConfigError(str(e)) from e
     except (KeyError, TypeError, ValueError) as e:
@@ -265,7 +266,12 @@ def _tally_chunk(args) -> Counter:
     Trials go through the cokernel driver in sub-batches of
     :func:`_sub_batch` trials, sampled into one reused array of the
     narrowest index dtype. A trial leaves the batch at its first
-    indeterminate prime. Keys are tallied in trial order.
+    indeterminate prime. Each trial's pivot-count rows at the primes
+    (:func:`partition_at_prime`) are placed side by side and equal ones are
+    counted, so each distinct row becomes one key: INDETERMINATE when a
+    prime's counts sum below n, else the (prime index, partition) pairs of
+    the primes with a nontrivial partition (fewer than n counts at level
+    0). Keys are tallied in order of first appearance, which is trial order.
     """
     dist, primes, u, seed, policy, n, start, stop = args
     tally = Counter()
@@ -274,19 +280,18 @@ def _tally_chunk(args) -> Counter:
     for first in range(start, stop, size):
         batch = idx[:min(size, stop - first)]
         sample_index_batch(dist, n, u, seed, first, batch)
-        keys = [[] for _ in batch]
-        live = list(range(len(batch)))  # trials determined at every prime so far
-        for pi, prime in enumerate(primes):
+        rows, live = [], np.arange(len(batch))  # trials determined at every prime so far
+        for prime in primes:
             sub = batch if len(live) == len(batch) else batch[live]
-            outcomes = partition_at_prime(sub, dist.support, prime, policy)
-            for t, parts in zip(live, outcomes):
-                if isinstance(parts, IndeterminateCokernelError):
-                    keys[t] = None
-                elif parts:
-                    keys[t].append((pi, parts))
-            live = [t for t in live if keys[t] is not None]
-        for key in keys:
-            tally[INDETERMINATE if key is None else tuple(key)] += 1
+            counts = partition_at_prime(sub, dist.support, prime, policy)
+            full = np.zeros((len(batch), counts.shape[1]), np.int64)
+            full[live] = counts
+            rows.append(map(tuple, full.tolist()))
+            live = live[counts.sum(axis=1) == n]
+        for row, count in Counter(zip(*rows)).items():
+            key = INDETERMINATE if any(sum(c) < n for c in row) else tuple(
+                (pi, counts_partition(c)) for pi, c in enumerate(row) if c[0] < n)
+            tally[key] += count
     return tally
 
 

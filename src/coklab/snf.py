@@ -40,15 +40,16 @@ Three layers:
 * :func:`partition_at_prime` runs every cokernel computation. It takes a
   batch of matrices as positions into an entry support, picks the kernel
   for each ring through :func:`reduction_table`, gathers the scalars or
-  blocks through :func:`gather`, reads each partition from the pivot counts
-  (once per distinct count row), and escalates K
-  geometrically for the saturated matrices only, up to the policy cap
-  (modpk goes from its last int64 rung and f2t from its last 4-bit-lane
-  rung straight to the cap);
-  a matrix still saturated there gets an ``IndeterminateCokernelError`` so
-  callers can report the trial in an explicit bucket.
-  :func:`cokernel_local_type` feeds it one element grid and raises that
-  error.
+  blocks through :func:`gather`, and escalates K geometrically for the
+  saturated matrices only, up to the policy cap (modpk goes from its last
+  int64 rung and f2t from its last 4-bit-lane rung straight to the cap).
+  It returns one int64 row per matrix: the pivot counts per level from the
+  rung that settled the matrix, or from the cap (on the generic path, the
+  counts of the ``local_snf`` valuations). A row that sums to n gives the
+  partition (:func:`counts_partition`); one that sums below n is still
+  saturated at the cap, and callers report its trial in an explicit
+  indeterminate bucket. :func:`cokernel_local_type` feeds it one element
+  grid and raises ``IndeterminateCokernelError`` for such a row.
 """
 
 from __future__ import annotations
@@ -623,75 +624,61 @@ def gather(table, idx) -> np.ndarray:
 
 
 def partition_at_prime(idx, support: tuple, prime: PrimeIdealDesc,
-                       policy: PrecisionPolicy) -> list:
-    """Partitions of uniformizer exponents of cok(M) tensored up at one prime.
+                       policy: PrecisionPolicy) -> np.ndarray:
+    """Pivot counts per level of cok(M) tensored up at one prime.
 
     ``idx`` is a batch of shape ``(b, n, m)`` of support positions:
     ``M_t[i][j] = support[idx[t, i, j]]``, with rows <= columns. Each rung of
     the escalation ladder runs the matrices still saturated through the
     kernel its ring lowers onto, so only those climb to the next K (for any
-    u). At residue degree f > 1 the kernel sees each matrix over the base
-    ring, where every part of the cokernel appears f times; every f-th
-    sorted valuation is kept. The kernels' pivot counts per level
-    (:func:`_pivot_counts`) give the partitions directly, each distinct
-    count row once. Returns one entry per matrix: its partition, or an
-    ``IndeterminateCokernelError`` (not raised) carrying the last
-    ``SnfResult`` when it is still saturated at the last feasible K.
+    u), and writes their rows of the ``(b, cap)`` int64 result: row t holds
+    at v the number of diagonal entries of valuation v, at the rung that
+    settled the matrix or at the cap. At residue degree f > 1 the kernel
+    sees each matrix over the base ring, where every part of the cokernel
+    appears f times, so its counts are divided by f. A row is settled
+    exactly when it sums to n; its partition is :func:`counts_partition`.
+    A row summing below n is still saturated at the cap, and its matrix is
+    indeterminate.
     """
-    out = [None] * len(idx)  # partition, or the last saturated SnfResult
-    todo = list(range(len(idx)))
-    for K in escalation_ladder(prime, policy):
+    b, n = idx.shape[:2]
+    ladder = escalation_ladder(prime, policy)
+    counts = np.zeros((b, ladder[-1]), np.int64)
+    todo = np.arange(b)  # matrices saturated at every rung so far
+    for K in ladder:
+        if not len(todo):
+            break
         mode, ring, table = reduction_table(support, prime, K)
-        sub = idx if len(todo) == len(idx) else idx[todo]
+        sub = idx if len(todo) == b else idx[todo]
         if mode == MODE_GENERIC:
-            results = [local_snf(LocalMatrix.of(ring, [[table[j] for j in row] for row in M]))
-                       for M in sub.tolist()]
-            results = [res if res.saturated else tuple(
-                sorted((v for v in res.valuations if v), reverse=True)) for res in results]
+            rows = np.array([np.bincount(local_snf(LocalMatrix.of(
+                ring, [[table[j] for j in row] for row in M])).valuations, minlength=K + 1)[:K]
+                for M in sub.tolist()])
         else:
-            pivots = _pivot_counts(mode, gather(table, sub), prime.p, K)
-            results = _read_partitions(pivots, sub.shape[1], ring.f, K)
-        for t, res in zip(todo, results):
-            out[t] = res
-        todo = [t for t, res in zip(todo, results) if isinstance(res, SnfResult)]
-        if not todo:
-            return out
-    for t in todo:
-        out[t] = IndeterminateCokernelError(
-            f"cokernel type at {prime} undetermined at K={K}", out[t])
-    return out
+            rows = _pivot_counts(mode, gather(table, sub), prime.p, K) // ring.f
+        counts[todo, :K] = rows
+        todo = todo[rows.sum(axis=1) < n]
+    return counts
 
 
-def _read_partitions(pivots, n: int, f: int, K: int) -> list:
-    """Per row of ``pivots`` (:func:`_pivot_counts` over the base ring, where
-    each part appears f times): the partition, with part v repeated
-    count(v) / f times, or for a saturated matrix (fewer than n f pivots) the
-    SnfResult of every f-th sorted valuation. Equal count rows share one
-    partition."""
-    saturated = (pivots.sum(axis=1) < n * f).tolist()
-    parts_of = {}
-    results = []
-    for row, sat in zip(pivots.tolist(), saturated):
-        if sat:
-            results.append(SnfResult(_snf_result(row, n * f, K).valuations[::f], True))
-            continue
-        key = tuple(row[1:])
-        if key not in parts_of:
-            parts_of[key] = tuple(v for v in range(K - 1, 0, -1) for _ in range(key[v - 1] // f))
-        results.append(parts_of[key])
-    return results
+def counts_partition(counts) -> tuple:
+    """The partition of a settled row of :func:`partition_at_prime`: part v
+    repeated counts[v] times, largest first."""
+    return tuple(v for v in range(len(counts) - 1, 0, -1) for _ in range(counts[v]))
 
 
 def cokernel_local_type(M, prime: PrimeIdealDesc, policy: PrecisionPolicy = DEFAULT_POLICY) -> tuple:
     """:func:`partition_at_prime` for a grid M of domain Elements; raises
-    ``IndeterminateCokernelError`` when the type stays undetermined."""
+    ``IndeterminateCokernelError``, carrying the ``SnfResult`` at the cap,
+    when the type stays undetermined."""
     support = tuple(dict.fromkeys(x for row in M for x in row))
     position = {x: i for i, x in enumerate(support)}
     idx = np.array([[position[x] for x in row] for row in M])
-    (parts,) = partition_at_prime(idx[None], support, prime, policy)
-    if isinstance(parts, IndeterminateCokernelError):
-        raise parts
-    return parts
+    (row,) = partition_at_prime(idx[None], support, prime, policy).tolist()
+    n, cap = len(M), len(row)
+    if sum(row) < n:
+        raise IndeterminateCokernelError(f"cokernel type at {prime} undetermined at K={cap}",
+                                         _snf_result(row, n, cap))
+    return counts_partition(row)
 
 
 def cokernel_type(M, primes, policy: PrecisionPolicy = DEFAULT_POLICY):

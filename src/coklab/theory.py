@@ -18,12 +18,19 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
+from math import log2
 
 from .errors import ParameterError
 from .modules import ModuleType, count_aut, module_size
 
 _DIGITS = 50
 DEFAULT_TOL = Fraction(1, 10 ** 9)
+# bounds on the type caps (check_caps); types past a cap of 64 have a
+# limiting mass of order q^-64. The box-sum DP took 0.3-0.4 s at caps
+# (32, 32) with q = 2 and u = 0, where E (m + 1) B = 1.6e6 (Python 3.11, one
+# core of a Xeon host).
+MAX_CAP = 64
+BOX_SUM_BUDGET = 2 * 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -54,7 +61,8 @@ def _truncated_factor(q: int, u: int, tol_share: Fraction):
     J = 1
     while Fraction(1, q ** (u + J) * (q - 1)) >= tol_share:
         J += 1
-    with localcontext(prec=_DIGITS):
+    with localcontext() as ctx:
+        ctx.prec = _DIGITS
         prod = Decimal(1)
         qd = Decimal(q)
         for j in range(1, J + 1):
@@ -121,6 +129,25 @@ def _aut_inverse_box_sum(q: int, u: int, cap_exponent: int, cap_parts: int) -> F
     return Fraction(sum(nxt), (P[m] * q ** (m * m + u * m)) ** E)
 
 
+def check_caps(P, u: int, cap_exponent: int, cap_parts: int) -> None:
+    """Raise ParameterError for caps outside [0, MAX_CAP], or for caps whose
+    box sum (:func:`_aut_inverse_box_sum`) at the largest q of P is over
+    budget.
+
+    With E = cap_exponent, m = cap_parts and B = (3m^2/2 + m/2 + u m) log2 q
+    about the bits of P_m q^T, the DP makes E rounds of (m + 1)^2 / 2
+    products of B-bit integers with integers of up to E B bits, so its time
+    grows as (E (m + 1) B)^2; E (m + 1) B must be at most BOX_SUM_BUDGET.
+    """
+    E, m = cap_exponent, cap_parts
+    if not (0 <= E <= MAX_CAP and 0 <= m <= MAX_CAP):
+        raise ParameterError(f"type caps ({E}, {m}) must lie in [0, {MAX_CAP}]")
+    work = E * (m + 1) * (m * (3 * m + 1) / 2 + u * m) * log2(max((pr.q for pr in P), default=1))
+    if work > BOX_SUM_BUDGET:
+        raise ParameterError(f"type caps ({E}, {m}) are over the box-sum budget: E (m + 1) "
+                             f"(3m^2/2 + m/2 + u m) log2 q = {work:.3g} > {BOX_SUM_BUDGET:.0e}")
+
+
 def partial_sum(P, u: int, cap_exponent: int, cap_parts: int, tol=DEFAULT_TOL) -> Prediction:
     """Total predicted mass of all types within the exponent/parts box.
 
@@ -129,8 +156,7 @@ def partial_sum(P, u: int, cap_exponent: int, cap_parts: int, tol=DEFAULT_TOL) -
     is prod_i C_i(u) * S_i(box). Monotone nondecreasing in either cap.
     """
     P = list(P)
-    if cap_exponent < 0 or cap_parts < 0:
-        raise ParameterError("caps must be nonnegative")
+    check_caps(P, u, cap_exponent, cap_parts)
     tol = _tol_fraction(tol)
     with localcontext() as ctx:
         ctx.prec = _DIGITS

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -80,6 +81,35 @@ def test_exit_code_2_on_bad_config(tmp_path, capsys):
     cfg = write_config(tmp_path, "bad2.json", domain="Q")
     assert main(["dist", "--config", cfg]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("overrides", [
+    {"primes": [{"p": 2 ** 61 - 1}]},
+    {"domain": "Z[i]", "primes": [{"generator": "2097152+i"}],
+     "distribution": {"builtin": "gaussian-basis"}},
+    {"domain": "Fp[x]", "char": 2 ** 61 - 1, "primes": [{"generator": "0,1"}]},
+    {"primes": [{"p": 2 ** 31 - 1}, {"p": 2 ** 31 - 19}]},
+], ids=["z-prime", "gaussian-norm", "poly-char", "audit-modulus"])
+def test_exit_code_2_past_the_factoring_limit(tmp_path, capsys, overrides):
+    # Trial division refuses inputs from 2^40 on every path that reaches it:
+    # a rational prime selector, a Gaussian generator's norm (2^42 + 1), a
+    # polynomial characteristic, and the audit modulus, here the product of
+    # two primes below 2^31.
+    cfg = write_config(tmp_path, **overrides)
+    start = time.perf_counter()
+    assert main(["dist", "--config", cfg]) == 2
+    assert time.perf_counter() - start < 5
+    assert "too large to factor" in capsys.readouterr().err
+
+
+def test_exit_code_2_on_caps_over_the_box_sum_budget(tmp_path, capsys):
+    # Caps of (80, 80) would keep the exact box sum busy for minutes; they
+    # are refused before it runs.
+    cfg = write_config(tmp_path, type_caps={"exponent": 80, "parts": 80})
+    start = time.perf_counter()
+    assert main(["predict", "--config", cfg]) == 2
+    assert time.perf_counter() - start < 5
+    assert "type caps (80, 80)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("threads", ["0", "-2"])

@@ -48,6 +48,7 @@ from coklab.snf import (
     _word_dtype,
     cokernel_local_type,
     cokernel_type,
+    counts_partition,
     element_block,
     element_to_scalar,
     escalation_ladder,
@@ -182,6 +183,9 @@ ZI3 = factor_rational_prime(ZI, 3)[0]
 ZI7 = factor_rational_prime(ZI, 7)[0]
 PX2 = factor_rational_prime(poly_domain(2), poly_elem(2, [1, 1, 1]))[0]
 PX3 = factor_rational_prime(poly_domain(2), poly_elem(2, [1, 1, 0, 1]))[0]
+# the generic path: the ramified (1+i) and odd-characteristic F_3[x] at (x)
+ZI_RAM = factor_rational_prime(ZI, 2)[0]
+F3X = factor_rational_prime(poly_domain(3), poly_elem(3, [0, 1]))[0]
 
 
 def _support(prime, K, extra, units):
@@ -563,7 +567,8 @@ def _rank_mod(rows, p):
 def test_modpk_kernel_at_the_largest_prime_below_2_64():
     # At K = 1 the Montgomery words of F_p for p = 2^64 - 59 give one
     # valuation 0 per unit of rank and saturate the rest. (The ring itself
-    # is out of reach of local_snf: building it factors p by trial division.)
+    # is out of reach of local_snf: building it would factor p, which is past
+    # the limit of trial division.)
     p = 2 ** 64 - 59
     rng = random.Random(3)
     batch = []
@@ -667,15 +672,16 @@ def _ladder_reference(rows, prime, policy):
 
 
 @st.composite
-def _driver_cases(draw):
-    prime = draw(st.sampled_from((PX, ZI3, ZI7, PX2, PX3)))
+def _driver_cases(draw, primes):
+    prime = draw(st.sampled_from(primes))
     policy = draw(st.sampled_from((PrecisionPolicy(1, 4), PrecisionPolicy(2, 8), DEFAULT_POLICY)))
     ladder = _geometric_ladder(prime, policy)
     if prime.domain == ZI:
         cofactor = st.builds(gauss_elem, st.integers(-9, 9), st.integers(-9, 9)).filter(
             lambda c: c.value != (0, 0))
     else:
-        cofactor = st.builds(lambda cs: poly_elem(2, [1] + cs), st.lists(st.integers(0, 1), max_size=4))
+        cofactor = st.builds(lambda cs: poly_elem(prime.p, [1] + cs),
+                             st.lists(st.integers(0, prime.p - 1), max_size=4))
 
     def times_pi(c, v):
         for _ in range(v):
@@ -695,31 +701,51 @@ def _driver_cases(draw):
     return prime, policy, grids
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
-@given(_driver_cases())
-def test_lowered_driver_fuzz_matches_local_snf_ladder(case):
-    # The cokernel driver on f2t at (x) and on the primes of residue degree
-    # f > 1 that lower onto modpk and f2t gives, for a batch of matrices, the
-    # partitions (or indeterminate outcomes) of the local_snf ladder; an
-    # indeterminate outcome carries the SnfResult at the cap over the prime's
-    # own ring (every f-th valuation over the base ring).
+def _check_counts(counts, rows, want):
+    """A row of partition_at_prime against the local_snf ladder's outcome for
+    its grid: a settled row sums to n and gives the partition; a saturated
+    one (an indeterminate matrix) holds the counts per level of the
+    SnfResult at the cap over the prime's own ring."""
+    if isinstance(want, SnfResult):
+        assert counts == [want.valuations.count(v) for v in range(len(counts))]
+        assert sum(counts) < len(rows)
+    else:
+        assert sum(counts) == len(rows) and counts_partition(counts) == want
+
+
+def _check_driver_batch(case):
+    """partition_at_prime on a batch of grids gives one row per grid, as wide
+    as the cap, that matches the local_snf ladder (:func:`_check_counts`)."""
     prime, policy, grids = case
     support = tuple(dict.fromkeys(x for rows in grids for row in rows for x in row))
     position = {x: i for i, x in enumerate(support)}
     idx = np.array([[[position[x] for x in row] for row in rows] for rows in grids])
     got = partition_at_prime(idx, support, prime, policy)
-    for rows, parts in zip(grids, got):
-        want = _ladder_reference(rows, prime, policy)
-        if isinstance(want, SnfResult):
-            assert isinstance(parts, IndeterminateCokernelError)
-            assert parts.last_result == want
-        else:
-            assert parts == want
+    assert got.dtype == np.int64 and got.shape == (len(grids), _geometric_ladder(prime, policy)[-1])
+    for rows, counts in zip(grids, got.tolist()):
+        _check_counts(counts, rows, _ladder_reference(rows, prime, policy))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_driver_cases((PX, ZI3, ZI7, PX2, PX3)))
+def test_lowered_driver_fuzz_matches_local_snf_ladder(case):
+    # The cokernel driver on f2t at (x) and on the primes of residue degree
+    # f > 1 that lower onto modpk and f2t gives, for a batch of matrices, the
+    # partitions of the local_snf ladder, and for an indeterminate matrix the
+    # counts of its SnfResult at the cap (every f-th valuation over the base
+    # ring).
+    _check_driver_batch(case)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_driver_cases((ZI_RAM, F3X)))
+def test_generic_driver_fuzz_matches_local_snf_ladder(case):
+    # The same on the generic path, at the ramified (1+i) and at (x) of
+    # F_3[x], where each row is the bincount of the local_snf valuations.
+    _check_driver_batch(case)
 
 
 ZI5 = factor_rational_prime(ZI, 5)[0]  # (2+i)
-ZI_RAM = factor_rational_prime(ZI, 2)[0]
-F3X = factor_rational_prime(poly_domain(3), poly_elem(3, [0, 1]))[0]
 
 
 def _wide_rung(prime, K):
@@ -788,14 +814,17 @@ def test_pruned_ladder_matches_geometric_reference(prime, elem, twenty):
         support = tuple(dict.fromkeys(x for rows in grids for row in rows for x in row))
         position = {x: i for i, x in enumerate(support)}
         idx = np.array([[[position[x] for x in row] for row in rows] for rows in grids])
-        for rows, parts in zip(grids, partition_at_prime(idx, support, prime, DEFAULT_POLICY)):
+        got = partition_at_prime(idx, support, prime, DEFAULT_POLICY)
+        assert got.shape == (len(grids), cap)
+        for rows, counts in zip(grids, got.tolist()):
             want = _ladder_reference(rows, prime, DEFAULT_POLICY)
+            _check_counts(counts, rows, want)
             if not isinstance(want, SnfResult):
-                assert parts == want
                 settled_deep += max(want, default=0) > last_int64
                 continue
-            assert isinstance(parts, IndeterminateCokernelError) and f"K={cap}" in str(parts)
-            assert parts.last_result == want
+            with pytest.raises(IndeterminateCokernelError, match=f"K={cap}$") as exc:
+                cokernel_local_type(rows, prime)
+            assert exc.value.last_result == want
     assert settled_deep >= 8
 
 
@@ -901,18 +930,20 @@ def _check_driver(prime, elem, mode, cap_word):
         assert table.dtype == cap_word
         ring = local_ring_for(prime, cap)
         got = partition_at_prime(idx, support, prime, DEFAULT_POLICY)
+        assert got.shape == (len(grids), cap)
         singular = 0
-        for rows, parts in zip(grids, got):
+        for rows, counts in zip(grids, got.tolist()):
             minors = [_domain_det([[row[j] for j in cols] for row in rows], elem(0, 0))
                       for cols in combinations(range(n + u), n)]
             if all(d.is_zero() for d in minors):
                 singular += 1
-                assert isinstance(parts, IndeterminateCokernelError)
+                assert sum(counts) < n
                 continue
             want = local_snf(LocalMatrix.of(ring, [[reduce_mod_prime_power(x, prime, cap)
                                                     for x in row] for row in rows]))
             assert not want.saturated
-            assert parts == tuple(sorted((v for v in want.valuations if v), reverse=True))
+            _check_counts(counts, rows, tuple(sorted((v for v in want.valuations if v),
+                                                     reverse=True)))
         assert singular >= 4
 
 

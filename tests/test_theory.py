@@ -11,6 +11,7 @@ from coklab.modules import ModuleType, count_aut, enumerate_types
 from coklab.theory import (
     _aut_inverse_box_sum,
     _truncated_factor,
+    check_caps,
     partial_sum,
     predicted_moment,
     predicted_probability,
@@ -111,6 +112,21 @@ def test_partial_sum_examples():
     assert big.value < 1 + big.truncation_bound
 
 
+def test_caps_within_the_box_sum_budget():
+    # (20, 20) and (32, 32) at q = 2 and (24, 24) at q = 5 are within the
+    # budget. Refused: caps past 64, (80, 80), (16, 64) (5.3 s) and (32, 32)
+    # at q = 5 with u = 2 (1.7 s), and negative caps.
+    check_caps([P2], 0, 20, 20)
+    check_caps([P2], 0, 32, 32)
+    check_caps([P2, G5A], 0, 24, 24)
+    for P, u, E, m in (([P2], 0, 65, 0), ([P2], 0, 80, 80), ([P2], 0, 16, 64),
+                       ([P2, G5A], 2, 32, 32), ([P2], 0, -1, 2)):
+        with pytest.raises(ParameterError, match="type caps"):
+            check_caps(P, u, E, m)
+        with pytest.raises(ParameterError, match="type caps"):
+            partial_sum(P, u, E, m)
+
+
 def test_partial_sum_matches_enumeration_small_caps():
     # dual route: DP box sum vs literal sum of per-type predictions
     for prime in (P2, P3):
@@ -176,18 +192,21 @@ def test_cached_factor_ignores_caller_context():
     # still carry 50 digits, so predictions do not depend on call order.
     N = ModuleType.of({P3: (1,)})
     _truncated_factor.cache_clear()
-    with localcontext(prec=10):
+    with localcontext() as ctx:
+        ctx.prec = 10
         low = predicted_probability(N, [P3], 1)
     assert predicted_probability(N, [P3], 1) == low
     _truncated_factor.cache_clear()
     fresh = predicted_probability(N, [P3], 1)
     assert fresh == low
-    with localcontext(prec=10):
+    with localcontext() as ctx:
+        ctx.prec = 10
         assert predicted_probability(N, [P3], 1) == fresh
     # called directly, the factor is the same 50-digit value in any context
     share = Fraction(1, 10 ** 9)
     _truncated_factor.cache_clear()
-    with localcontext(prec=10):
+    with localcontext() as ctx:
+        ctx.prec = 10
         low_prod, _ = _truncated_factor(2, 0, share)
     _truncated_factor.cache_clear()
     prod, _ = _truncated_factor(2, 0, share)
