@@ -16,9 +16,10 @@ from __future__ import annotations
 import json
 import math
 import os
+import pickle
+import sys
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from decimal import Decimal
 
@@ -49,8 +50,8 @@ from .errors import (
     ParameterError,
 )
 from .modules import ModuleType, count_sur, module_size, parse_type_string
-from .sampler import BalanceReport, EntryDistribution, balance_report, builtin_distribution, \
-    sample_index_batch
+from .sampler import BalanceReport, EntryDistribution, audit_directions, balance_report, \
+    builtin_distribution, sample_index_batch
 from .snf import DEFAULT_POLICY, PrecisionPolicy, counts_partition, partition_at_prime
 from .theory import check_caps, partial_sum, predicted_moment, predicted_probability
 
@@ -118,7 +119,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         cfg = ExperimentConfig(domain, primes, u, n_list, trials, dist, seed, policy,
                                cap_exponent, cap_parts, strict, out_path, formats,
                                targets, raw=data)
-        elementary_quotient_ideals(domain, audit_modulus(cfg))  # the audit's factoring, in budget
+        audit_directions(elementary_quotient_ideals(domain, audit_modulus(cfg)))  # in budget
         return cfg
     except (ParameterError, ConfigError) as e:
         raise ConfigError(str(e)) from e
@@ -296,19 +297,16 @@ def _tally_chunk(args) -> Counter:
 
 
 def _run_trials(cfg: ExperimentConfig, n: int, threads: int) -> Counter:
-    """Merged tally of cfg.trials trials at size n; raises DiagnosticsError
-    when more than half of them are indeterminate."""
-    args = [(cfg.distribution, cfg.primes, cfg.u, cfg.seed, cfg.policy, n, a, b)
-            for a, b in _chunks(cfg.trials, threads, _sub_batch(n, cfg.u, cfg.primes))]
-    workers = min(threads, len(args))  # a forked worker without a chunk is wasted
-    if workers <= 1:
-        tallies = [_tally_chunk(a) for a in args]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            tallies = list(pool.map(_tally_chunk, args))
-    total = Counter()
-    for t in tallies:  # merged in trial-index order
-        total += t
+    """Merged tally of cfg.trials trials at size n, in contiguous near-equal
+    shares, one per worker and at most one per sub-batch (:func:`_forked`),
+    merged in share order; raises DiagnosticsError when more than half of
+    the trials are indeterminate."""
+    if threads > 1 and not hasattr(os, "fork"):
+        raise ConfigError("--threads above 1 needs os.fork, which this platform lacks")
+    workers = min(threads, math.ceil(cfg.trials / _sub_batch(n, cfg.u, cfg.primes)))
+    cuts = [cfg.trials * i // workers for i in range(workers + 1)]
+    total = sum(_forked(_tally_chunk, [(cfg.distribution, cfg.primes, cfg.u, cfg.seed, cfg.policy,
+                                        n, a, b) for a, b in zip(cuts, cuts[1:])]), Counter())
     indet = total.get(INDETERMINATE, 0)
     if indet > cfg.trials * 0.5:
         raise DiagnosticsError(
@@ -317,10 +315,51 @@ def _run_trials(cfg: ExperimentConfig, n: int, threads: int) -> Counter:
     return total
 
 
-def _chunks(trials: int, threads: int, batch: int):
-    """Contiguous trial ranges, about four per worker, of at least one sub-batch."""
-    size = max(batch, math.ceil(trials / max(1, threads * 4)))
-    return [(a, min(a + size, trials)) for a in range(0, trials, size)]
+def _forked(fn, args) -> list:
+    """[fn(a) for a in args]: this process runs fn(args[0]), and one forked
+    child per further argument sends back its pickled _outcome over a pipe.
+    The first exception in argument order is raised; every child is reaped."""
+    sys.stdout.flush()
+    sys.stderr.flush()  # else a child that writes would repeat the caller's buffers
+    pipes, pids = [], []
+    try:
+        for a in args[1:]:
+            r, w = os.pipe()
+            pipes.append(os.fdopen(r, "rb"))
+            with os.fdopen(w, "wb") as out:  # the caller's write end closes here
+                pid = os.fork()
+                if pid == 0:  # the child never returns into the caller
+                    try:
+                        out.write(_outcome(fn, a))
+                        out.flush()
+                    finally:
+                        os._exit(0)
+            pids.append(pid)
+        results = [fn(args[0])]
+        for pid, pipe in zip(pids, pipes):
+            data = pipe.read()
+            ok, value = pickle.loads(data) if data else (False, RuntimeError(f"worker {pid} died"))
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _outcome(fn, a) -> bytes:
+    """Pickled (True, fn(a)), or (False, the exception it raised), or (False,
+    a RuntimeError naming its type) when that exception does not pickle."""
+    try:
+        return pickle.dumps((True, fn(a)))
+    except Exception as e:
+        try:
+            return pickle.dumps((False, pickle.loads(pickle.dumps(e))))
+        except Exception:
+            return pickle.dumps((False, RuntimeError(f"worker raised {type(e).__name__}: {e}")))
 
 
 def _key_to_type(key, primes) -> ModuleType:
@@ -388,16 +427,9 @@ def _header(cfg: ExperimentConfig, kind: str, balance: tuple) -> dict:
 
 
 def _balance_echo(report: BalanceReport) -> tuple:
-    return tuple(
-        {
-            "ideal": e.label,
-            "p": e.p,
-            "dim": e.dim,
-            "worst_hyperplane": e.worst_hyperplane,
-            "worst_mass": str(e.worst_mass),
-            "epsilon": str(e.epsilon),
-        }
-        for e in report.entries)
+    return tuple({"ideal": e.label, "p": e.p, "dim": e.dim, "worst_hyperplane": e.worst_hyperplane,
+                  "worst_mass": str(e.worst_mass), "epsilon": str(e.epsilon)}
+                 for e in report.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -482,11 +514,8 @@ def _summarize_n(cfg, n, tally, box_mass, pred_cache) -> NSummary:
         else:
             other_count += cnt
     cells = []              # (label, count, predicted mass, truncation bound), in row order
-    ordered = sorted(in_cap.items(),
-                     key=lambda kv: (module_size(_key_to_type(kv[0], cfg.primes)),
-                                     str(_key_to_type(kv[0], cfg.primes))))
-    for key, cnt in ordered:
-        N = _key_to_type(key, cfg.primes)
+    typed = [(_key_to_type(key, cfg.primes), key, cnt) for key, cnt in in_cap.items()]
+    for N, key, cnt in sorted(typed, key=lambda t: (module_size(t[0]), str(t[0]))):
         if key not in pred_cache:
             pred_cache[key] = predicted_probability(N, cfg.primes, cfg.u)
         cells.append((str(N), cnt, pred_cache[key].value, pred_cache[key].truncation_bound))

@@ -31,7 +31,7 @@ from .domains import (
     poly_elem,
     residue_vector,
 )
-from .errors import ParameterError
+from .errors import ConfigError, ParameterError
 
 _WEIGHT_DENOM = 10 ** 12
 
@@ -179,12 +179,26 @@ class BalanceReport:
         return all(e.epsilon > 0 for e in self.entries)
 
 
+# hyperplane directions one balance audit may scan, summed over its ideals
+AUDIT_DIRECTIONS = 100_000
+
+
+def audit_directions(ideals) -> int:
+    """Hyperplane directions the audit scans over ideals, (p^k - 1)/(p - 1)
+    each; ConfigError past AUDIT_DIRECTIONS."""
+    total = sum((ideal.p ** ideal.k - 1) // (ideal.p - 1) for ideal in ideals)
+    if total > AUDIT_DIRECTIONS:
+        raise ConfigError(f"the balance audit would scan {total} hyperplane directions, "
+                          f"over its budget of {AUDIT_DIRECTIONS}")
+    return total
+
+
 def _hyperplane_directions(p: int, k: int):
-    """Nonzero functionals on F_p^k up to scalar: first nonzero coefficient 1."""
-    for vec in product(range(p), repeat=k):
-        lead = next((c for c in vec if c), None)
-        if lead == 1:
-            yield vec
+    """Nonzero functionals on F_p^k up to scalar, first nonzero coefficient 1,
+    in lexicographic order; none other is built."""
+    for lead in range(k - 1, -1, -1):
+        for tail in product(range(p), repeat=k - 1 - lead) if lead < k - 1 else [()]:
+            yield (0,) * lead + (1,) + tail
 
 
 def balance_report(dist: EntryDistribution, domain: DomainId, modulus: Element) -> BalanceReport:
@@ -199,7 +213,9 @@ def balance_report(dist: EntryDistribution, domain: DomainId, modulus: Element) 
         raise ParameterError("distribution and domain disagree")
     from .domains import format_element, poly_pretty
     entries = []
-    for ideal in elementary_quotient_ideals(domain, modulus):
+    ideals = elementary_quotient_ideals(domain, modulus)
+    audit_directions(ideals)
+    for ideal in ideals:
         vectors = [residue_vector(s, ideal) for s in dist.support]
         worst_mass = Fraction(0)
         worst = ""

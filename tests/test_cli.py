@@ -1,4 +1,5 @@
 import json
+import os
 import time
 
 import pytest
@@ -117,6 +118,38 @@ def test_exit_code_2_on_threads_below_one(tmp_path, capsys, threads):
     cfg = write_config(tmp_path)
     assert main(["dist", "--config", cfg, "--threads", threads]) == 2
     assert "config error: --threads must be at least 1" in capsys.readouterr().err
+
+
+def test_exit_code_2_on_threads_without_fork(tmp_path, capsys, monkeypatch):
+    # Without os.fork (Windows) more than one worker is refused, not run serially.
+    monkeypatch.delattr(os, "fork")
+    cfg = write_config(tmp_path)
+    assert main(["dist", "--config", cfg, "--threads", "2"]) == 2
+    assert "config error: --threads above 1 needs os.fork" in capsys.readouterr().err
+    assert main(["dist", "--config", cfg]) == 0
+
+
+@pytest.mark.parametrize("command", ["dist", "audit"])
+def test_exit_code_2_past_the_audit_budget(tmp_path, capsys, command):
+    # The inert prime 524287 of Z[i] brings the rank-2 ideal (524287) into the
+    # audit: 524288 hyperplane directions, past the budget of 100000. They are
+    # counted, not walked.
+    cfg = write_config(tmp_path, domain="Z[i]", primes=[{"p": 524287}],
+                       distribution={"builtin": "gaussian-basis"})
+    start = time.perf_counter()
+    assert main([command, "--config", cfg]) == 2
+    assert time.perf_counter() - start < 5
+    assert "524288 hyperplane directions, over its budget of 100000" in capsys.readouterr().err
+
+
+def test_audit_of_a_prime_near_the_factoring_limit(tmp_path, capsys):
+    # Z at p = 1099511627689 has one hyperplane direction; the audit builds
+    # only that one instead of walking all p residues.
+    cfg = write_config(tmp_path, primes=[{"p": 1099511627689}])
+    start = time.perf_counter()
+    assert main(["audit", "--config", cfg]) == 0
+    assert time.perf_counter() - start < 5
+    assert "overall epsilon: 1/2" in capsys.readouterr().out
 
 
 def test_exit_code_3_on_strict_balance_violation(tmp_path, capsys):

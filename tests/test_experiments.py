@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -15,7 +18,6 @@ from coklab.errors import (
 )
 from coklab.experiments import (
     INDETERMINATE,
-    _chunks,
     _run_trials,
     _sub_batch,
     audit_modulus,
@@ -254,11 +256,10 @@ def test_balance_echo_in_summary():
 
 
 def test_sub_batches_tally_in_trial_order():
-    # 300 trials: one worker runs chunks of 75 (sub-batches of 64 and 11), two
-    # workers run chunks of 64 and a last one of 44. With K capped at 4, some
-    # trials are indeterminate at p=2 only; they leave the batch before p=3.
-    # Both tallies equal one built trial by trial, keys in order of first
-    # appearance.
+    # 300 trials at n = 5 fit one sub-batch, so two workers run one share.
+    # With K capped at 4, some trials are indeterminate at p=2 only; they
+    # leave the batch before p=3. The tally equals one built trial by trial,
+    # keys in order of first appearance.
     cfg = parse_config(base_config(
         primes=[{"p": 2}, {"p": 3}], trials=300, n=[5], precision={"k_init": 2, "k_max": 4},
         distribution={"builtin": "uniform-support", "params": {"support": ["0", "1", "-1", "6"]}}))
@@ -281,42 +282,82 @@ def test_sub_batches_tally_in_trial_order():
         assert list(_run_trials(cfg, 5, threads).items()) == list(want.items())
 
 
-def test_worker_pool_bounded_by_chunks(monkeypatch):
-    # At n = 24 (sub-batches of 64) 100 trials make two chunks, so eight
-    # requested workers start two; one chunk runs in this process. Tallies
-    # match the single-worker run.
-    started = []
+def _counted_forks(monkeypatch) -> list:
+    forks = []
+    real_fork = os.fork
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
+    def fork():
+        forks.append(1)
+        return real_fork()
 
-        def __enter__(self):
-            return self
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
 
-        def __exit__(self, *exc):
-            return False
 
-        def map(self, fn, args):
-            return map(fn, args)
-
+def test_each_extra_share_forks_once(monkeypatch):
+    # At n = 24 (sub-batches of 64) 100 trials make two shares, so eight
+    # requested workers fork one child; 50 trials make one share and fork
+    # none. Tallies, keys in the same order, match the single-worker run.
     cfg = parse_config(base_config(trials=100))
     want = _run_trials(cfg, 24, 1)
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
-    assert _run_trials(cfg, 24, 8) == want
-    assert started == [2]
-    one_chunk = parse_config(base_config(trials=50))
-    assert _run_trials(one_chunk, 24, 8) == _run_trials(one_chunk, 24, 1)
-    assert started == [2]
+    forks = _counted_forks(monkeypatch)
+    assert list(_run_trials(cfg, 24, 8).items()) == list(want.items())
+    assert len(forks) == 1
+    one_share = parse_config(base_config(trials=50))
+    assert _run_trials(one_share, 24, 8) == _run_trials(one_share, 24, 1)
+    assert len(forks) == 1
+
+
+def _tally_failing_from(start, error=ParameterError):
+    real = experiments._tally_chunk
+
+    def tally(args):
+        if args[6] == start:
+            raise error(f"share from trial {start} failed")
+        return real(args)
+    return tally
+
+
+@pytest.mark.parametrize("start", [50, 0], ids=["child", "caller"])
+def test_share_errors_reach_the_caller_and_every_child_is_reaped(monkeypatch, start):
+    # 100 trials at n = 24 split into shares from 0 (this process) and from
+    # 50 (one forked child). Either failure is raised as itself, and no child
+    # is left behind.
+    cfg = parse_config(base_config(trials=100))
+    monkeypatch.setattr(experiments, "_tally_chunk", _tally_failing_from(start))
+    with pytest.raises(ParameterError, match=f"^share from trial {start} failed$"):
+        _run_trials(cfg, 24, 2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_an_unpicklable_child_error_comes_back_named(monkeypatch):
+    class LocalError(Exception):  # a class local to a function does not pickle
+        pass
+
+    cfg = parse_config(base_config(trials=100))
+    monkeypatch.setattr(experiments, "_tally_chunk", _tally_failing_from(50, LocalError))
+    with pytest.raises(RuntimeError, match="LocalError: share from trial 50 failed"):
+        _run_trials(cfg, 24, 2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_importing_experiments_leaves_out_the_pool_modules():
+    # The workers are plain forks; the pool modules cost 13-15 ms of set-up.
+    code = ("import sys, coklab.experiments; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    src = os.path.dirname(os.path.dirname(experiments.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_sub_batches_sized_by_kernel_entries():
     # About 36,864 kernel entries per sub-batch, and at least 64 matrices:
     # 256 at n = 12, 64 from n = 24 and for (3) of residue degree 2 at n = 16
-    # (32 x 32 blocks). Chunks hold at least one sub-batch.
+    # (32 x 32 blocks).
     z2 = parse_config(base_config()).primes
     zi3 = parse_config(base_config(domain="Z[i]", primes=[{"p": 3}])).primes
     assert [_sub_batch(n, 0, z2) for n in (12, 16, 24, 48)] == [256, 144, 64, 64]
     assert _sub_batch(12, 2, z2) == 219 and _sub_batch(16, 0, zi3) == 64
-    assert _chunks(500, 1, 256) == [(0, 256), (256, 500)]
-    assert _chunks(500, 2, 64) == [(a, min(a + 64, 500)) for a in range(0, 500, 64)]
