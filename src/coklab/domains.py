@@ -424,18 +424,13 @@ def elementary_quotient_ideals(domain: DomainId, a: Element) -> list[ElementaryQ
     # F_p[x]: every finite quotient is an F_p-space, so the ideals are the
     # nonconstant monic divisors of a
     p = domain.char
-    _, factors = fp.factor(a.value, p)
-    divisors = [(1,)]
-    for (g, m) in factors:
+    divisors = [(1,)]  # distinct, as the factors are
+    for g, m in fp.factor(a.value, p)[1]:
         powers = [(1,)]
         for _ in range(m):
             powers.append(fp.mul(powers[-1], g, p))
         divisors = [fp.mul(d, gp, p) for d in divisors for gp in powers]
-    out = []
-    for h in sorted(set(divisors)):
-        if fp.degree(h) < 1:
-            continue
-        out.append(ElementaryQuotientIdeal(
-            domain, p, fp.degree(h), f"({poly_pretty(h)})", "poly-divisor", h))
+    out = [ElementaryQuotientIdeal(domain, p, fp.degree(h), f"({poly_pretty(h)})",
+                                   "poly-divisor", h) for h in divisors if fp.degree(h) >= 1]
     out.sort(key=lambda i: (i.k, i.label))
     return out

@@ -262,7 +262,8 @@ def _sub_batch(n: int, u: int, primes) -> int:
 
 
 def _tally_chunk(args) -> Counter:
-    """Worker: observed type keys for a contiguous trial range (pure).
+    """Observed type keys of trials start, ..., stop - 1 of cfg at size n,
+    for args = (cfg, n, start, stop) (pure).
 
     Trials go through the cokernel driver in sub-batches of
     :func:`_sub_batch` trials, sampled into one reused array of the
@@ -274,17 +275,18 @@ def _tally_chunk(args) -> Counter:
     the primes with a nontrivial partition (fewer than n counts at level
     0). Keys are tallied in order of first appearance, which is trial order.
     """
-    dist, primes, u, seed, policy, n, start, stop = args
+    cfg, n, start, stop = args
+    dist, u = cfg.distribution, cfg.u
     tally = Counter()
-    size = _sub_batch(n, u, primes)
+    size = _sub_batch(n, u, cfg.primes)
     idx = np.empty((size, n, n + u), dtype=np.min_scalar_type(len(dist.support) - 1))
     for first in range(start, stop, size):
         batch = idx[:min(size, stop - first)]
-        sample_index_batch(dist, n, u, seed, first, batch)
+        sample_index_batch(dist, n, u, cfg.seed, first, batch)
         rows, live = [], np.arange(len(batch))  # trials determined at every prime so far
-        for prime in primes:
+        for prime in cfg.primes:
             sub = batch if len(live) == len(batch) else batch[live]
-            counts = partition_at_prime(sub, dist.support, prime, policy)
+            counts = partition_at_prime(sub, dist.support, prime, cfg.policy)
             full = np.zeros((len(batch), counts.shape[1]), np.int64)
             full[live] = counts
             rows.append(map(tuple, full.tolist()))
@@ -305,8 +307,8 @@ def _run_trials(cfg: ExperimentConfig, n: int, threads: int) -> Counter:
         raise ConfigError("--threads above 1 needs os.fork, which this platform lacks")
     workers = min(threads, math.ceil(cfg.trials / _sub_batch(n, cfg.u, cfg.primes)))
     cuts = [cfg.trials * i // workers for i in range(workers + 1)]
-    total = sum(_forked(_tally_chunk, [(cfg.distribution, cfg.primes, cfg.u, cfg.seed, cfg.policy,
-                                        n, a, b) for a, b in zip(cuts, cuts[1:])]), Counter())
+    total = sum(_forked(_tally_chunk, [(cfg, n, a, b) for a, b in zip(cuts, cuts[1:])]),
+                Counter())
     indet = total.get(INDETERMINATE, 0)
     if indet > cfg.trials * 0.5:
         raise DiagnosticsError(
@@ -701,17 +703,20 @@ def _galois_view(cfg, balance, tallies) -> GaloisSummary:
 def emit_report(summary, formats=("csv", "json"), out_path=None) -> list[str]:
     """Write CSV/JSON/SVG artifacts next to out_path; returns written paths."""
     out_path = out_path or "coklab-report"
-    directory = os.path.dirname(out_path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
     written = []
     for fmt, render in (("csv", _render_csv), ("json", _render_json), ("svg", _render_svg)):
         if fmt in formats:  # written in this order, whatever the order of formats
             path = f"{out_path}.{fmt}"
-            with open(path, "w", encoding="utf-8") as fh:
+            with open_output(path) as fh:
                 fh.write(render(summary))
             written.append(path)
     return written
+
+
+def open_output(path: str):
+    """path opened for writing text, after creating its directory."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return open(path, "w", encoding="utf-8")
 
 
 def _render_json(summary) -> str:

@@ -55,9 +55,9 @@ def _truncated_factor(q: int, u: int, tol_share: Fraction):
     tail(J) = sum_{j>J} q^(-u-j) = q^(-u-J)/(q-1) < tol_share. Computed
     once per argument triple and then served from the cache to every
     caller, so it is computed in its own 50-digit context: its value then
-    depends on the arguments alone. Both callers here (predicted_probability
-    and partial_sum) already run at 50 digits; a direct call in another
-    context, as in the tests, gets the same value."""
+    depends on the arguments alone. Its caller here, _interval, already runs
+    at 50 digits; a direct call in another context, as in the tests, gets
+    the same value."""
     J = 1
     while Fraction(1, q ** (u + J) * (q - 1)) >= tol_share:
         J += 1
@@ -74,27 +74,36 @@ def _frac_to_dec(x: Fraction) -> Decimal:
     return Decimal(x.numerator) / Decimal(x.denominator)
 
 
+def _interval(lead: Fraction, P, u: int, tol, box=None) -> Prediction:
+    """lead times the truncated product of each prime of P (and box(q) when
+    given) in 50 digits, as the value hi and the bound hi - lo, where lo
+    takes each product less its tail; each tail gets tol / (2 |P|)."""
+    tol = _tol_fraction(tol)
+    with localcontext() as ctx:
+        ctx.prec = _DIGITS
+        share = tol / (2 * len(P)) if P else tol
+        hi = lo = _frac_to_dec(lead)
+        for prime in P:
+            prod, tail = _truncated_factor(prime.q, u, share)
+            low = max(prod - _frac_to_dec(tail), Decimal(0))
+            if box is not None:
+                b = _frac_to_dec(box(prime.q))
+                prod, low = prod * b, low * b
+            hi *= prod
+            lo *= low
+        return Prediction(hi, hi - lo)
+
+
 def predicted_probability(N: ModuleType, P, u: int, tol=DEFAULT_TOL) -> Prediction:
     """Limiting probability of observing type N among the primes P."""
     P = list(P)
     if u < 0:
         raise ParameterError("u must be nonnegative")
-    tol = _tol_fraction(tol)
     known = set(P)
     for prime in N.primes():
         if prime not in known:
             raise ParameterError(f"type component at {prime} outside the prime set")
-    lead = Fraction(1, count_aut(N) * module_size(N) ** u)
-    with localcontext() as ctx:
-        ctx.prec = _DIGITS
-        share = tol / (2 * len(P)) if P else tol
-        hi = _frac_to_dec(lead)
-        lo = _frac_to_dec(lead)
-        for prime in P:
-            prod, tail = _truncated_factor(prime.q, u, share)
-            hi *= prod
-            lo *= max(prod - _frac_to_dec(tail), Decimal(0))
-        return Prediction(hi, hi - lo)
+    return _interval(Fraction(1, count_aut(N) * module_size(N) ** u), P, u, tol)
 
 
 def predicted_moment(N: ModuleType, u: int) -> Fraction:
@@ -157,15 +166,5 @@ def partial_sum(P, u: int, cap_exponent: int, cap_parts: int, tol=DEFAULT_TOL) -
     """
     P = list(P)
     check_caps(P, u, cap_exponent, cap_parts)
-    tol = _tol_fraction(tol)
-    with localcontext() as ctx:
-        ctx.prec = _DIGITS
-        share = tol / (2 * len(P)) if P else tol
-        hi = Decimal(1)
-        lo = Decimal(1)
-        for prime in P:
-            prod, tail = _truncated_factor(prime.q, u, share)
-            box = _frac_to_dec(_aut_inverse_box_sum(prime.q, u, cap_exponent, cap_parts))
-            hi *= prod * box
-            lo *= max(prod - _frac_to_dec(tail), Decimal(0)) * box
-        return Prediction(hi, hi - lo)
+    return _interval(Fraction(1), P, u, tol,
+                     lambda q: _aut_inverse_box_sum(q, u, cap_exponent, cap_parts))

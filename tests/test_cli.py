@@ -74,6 +74,26 @@ def test_predict_command(tmp_path, capsys):
     assert "partial sum" in out
 
 
+def test_predict_lists_at_most_its_type_budget(tmp_path, capsys):
+    # 70 types per prime within caps (4, 4): 4900 at two primes are listed,
+    # 343000 at three are refused before any is built.
+    cfg = write_config(tmp_path, primes=[{"p": 2}, {"p": 3}])
+    assert main(["predict", "--config", cfg]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4900 + 3
+    cfg = write_config(tmp_path, primes=[{"p": 2}, {"p": 3}, {"p": 5}])
+    start = time.perf_counter()
+    assert main(["predict", "--config", cfg]) == 2
+    assert time.perf_counter() - start < 5
+    assert "predict would list 343000 types" in capsys.readouterr().err
+
+
+def test_audit_out_creates_its_directory(tmp_path):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "new" / "audit"
+    assert main(["audit", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads((tmp_path / "new" / "audit.json").read_text())["overall"] == "1/2"
+
+
 def test_exit_code_2_on_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
@@ -86,19 +106,65 @@ def test_exit_code_2_on_bad_config(tmp_path, capsys):
 
 @pytest.mark.parametrize("overrides", [
     {"primes": [{"p": 2 ** 61 - 1}]},
-    {"domain": "Z[i]", "primes": [{"generator": "2097152+i"}],
+    {"domain": "Z[i]", "primes": [{"generator": "2097164+i"}],
      "distribution": {"builtin": "gaussian-basis"}},
     {"domain": "Fp[x]", "char": 2 ** 61 - 1, "primes": [{"generator": "0,1"}]},
     {"primes": [{"p": 2 ** 31 - 1}, {"p": 2 ** 31 - 19}]},
 ], ids=["z-prime", "gaussian-norm", "poly-char", "audit-modulus"])
 def test_exit_code_2_past_the_factoring_limit(tmp_path, capsys, overrides):
-    # Trial division refuses inputs from 2^40 on every path that reaches it:
-    # a rational prime selector, a Gaussian generator's norm (2^42 + 1), a
-    # polynomial characteristic, and the audit modulus, here the product of
-    # two primes below 2^31.
+    # Trial division refuses an integer that needs more than 2^20 divisors on
+    # every path that reaches it: a rational prime selector, a Gaussian
+    # generator's norm (the prime 4398096842897, above 2^40), a polynomial
+    # characteristic, and the audit modulus, here the product of two primes
+    # near 2^31.
     cfg = write_config(tmp_path, **overrides)
     start = time.perf_counter()
     assert main(["dist", "--config", cfg]) == 2
+    assert time.perf_counter() - start < 5
+    assert "too large to factor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides", [
+    {"domain": "Z[i]", "primes": [{"p": 101, "index": 0}, {"p": 103}, {"p": 107}],
+     "distribution": {"builtin": "gaussian-basis"}},
+    {"primes": [{"p": p} for p in (101, 103, 107, 109, 113, 127)]},
+], ids=["gaussian", "integers"])
+def test_audit_moduli_past_2_40_of_small_primes(tmp_path, capsys, overrides):
+    # Audit moduli above 2^40 whose primes are small factor at once: the
+    # square of 101 * 103 * 107 over Z[i], and 101 * 103 * ... * 127 over Z.
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["audit", "--config", cfg]) == 0
+    assert "overall epsilon:" in capsys.readouterr().out
+
+
+# irreducibles over F_2 of degrees 16 and 20, lowest coefficient first
+_F2_DEG16 = "1,1,0,1,0,1" + ",0" * 10 + ",1"
+_F2_DEG20 = "1,0,0,1" + ",0" * 16 + ",1"
+
+
+def _f2x_config(tmp_path, *generators):
+    return write_config(tmp_path, domain="Fp[x]", char=2,
+                        primes=[{"generator": g} for g in generators],
+                        distribution={"builtin": "poly-powers", "params": {"p": 2, "m": 3}})
+
+
+def test_audit_of_a_degree_16_function_field_prime(tmp_path, capsys):
+    # One Rabin test factors the irreducible modulus; the audit then scans
+    # its 65535 hyperplane directions. The four entries 1, x, x^2, x^3 span
+    # a hyperplane of F_2^16, so epsilon is 0 and strict balance is off.
+    cfg = _f2x_config(tmp_path, _F2_DEG16)
+    start = time.perf_counter()
+    assert main(["audit", "--config", cfg, "--no-strict-balance"]) == 0
+    assert time.perf_counter() - start < 5
+    assert "overall epsilon: 0" in capsys.readouterr().out
+
+
+def test_exit_code_2_past_the_polynomial_factoring_budget(tmp_path, capsys):
+    # The product of the degree-16 and degree-20 primes has no factor below
+    # degree 16, past the 2^15 monic divisors of degree at most 14.
+    cfg = _f2x_config(tmp_path, _F2_DEG16, _F2_DEG20)
+    start = time.perf_counter()
+    assert main(["audit", "--config", cfg]) == 2
     assert time.perf_counter() - start < 5
     assert "too large to factor" in capsys.readouterr().err
 

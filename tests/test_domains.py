@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from coklab import _fppoly as fp
 from coklab.domains import (
     ZI,
     ZZ,
@@ -180,6 +183,42 @@ def test_elementary_quotient_ideals_polynomials():
         elementary_quotient_ideals(F2X, poly_elem(2, [1]))
     with pytest.raises(ParameterError):
         elementary_quotient_ideals(ZZ, int_elem(0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(0, 3), st.integers(1, 3),
+       st.lists(st.lists(st.integers(0, 4), max_size=4), min_size=1, max_size=4))
+def test_factor_is_a_sorted_product_of_distinct_irreducibles(p, unit, power, parts):
+    # a = unit * g_0^power * g_1 * ... for monic g_i of degree 0-4, so that
+    # repeated and shared factors come up
+    monic = [fp.normalize(cs + [1], p) for cs in parts]
+    a = (1 + unit % (p - 1),)
+    for g in [monic[0]] * power + monic[1:]:
+        a = fp.mul(a, g, p)
+    unit, factors = fp.factor(a, p)
+    product = (unit,)
+    for g, m in factors:
+        assert g[-1] == 1 and fp.is_irreducible(g, p) and m >= 1
+        for _ in range(m):
+            product = fp.mul(product, g, p)
+    assert product == a
+    keys = [(fp.degree(g), sum(c * p ** i for i, c in enumerate(g))) for g, _ in factors]
+    assert keys == sorted(set(keys))  # distinct, in (degree, code) order
+
+
+def test_trial_division_budgets():
+    # integers: at most 2^20 divisors, so every n below 2^40 factors, and so
+    # do larger products of small primes
+    assert fp.prime_divisors((2 ** 20 - 3) ** 2) == [2 ** 20 - 3]
+    assert fp.prime_divisors(2 ** 40 - 87) == [2 ** 40 - 87]
+    assert fp.prime_divisors(101 * 103 * 107 * 109 * 113 * 127) == [101, 103, 107, 109, 113, 127]
+    with pytest.raises(ParameterError, match="too large to factor"):
+        fp.prime_divisors(2 ** 61 - 1)
+    # polynomials: an irreducible costs one Rabin test whatever its degree
+    g42 = fp.smallest_irreducible(2, 42)
+    assert fp.factor(g42, 2) == (1, [(g42, 1)])
+    x = (0, 1)
+    assert fp.factor(fp.mul(x, g42, 2), 2) == (1, [(x, 1), (g42, 1)])
 
 
 def test_residue_vector_examples():

@@ -312,7 +312,7 @@ def _tally_failing_from(start, error=ParameterError):
     real = experiments._tally_chunk
 
     def tally(args):
-        if args[6] == start:
+        if args[2] == start:
             raise error(f"share from trial {start} failed")
         return real(args)
     return tally
