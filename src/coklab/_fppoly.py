@@ -2,22 +2,19 @@
 
 Polynomials are canonical tuples of coefficients in [0, p), lowest degree
 first, with no trailing zeros; the zero polynomial is the empty tuple.
-Everything here is exact arithmetic on Python ints and tuples. Integers and
-polynomials are both factored by trial division, each under a budget of
-divisors tried.
+Everything here is exact arithmetic on Python ints and tuples. Integers are
+factored by trial division under a budget of divisors tried; polynomials
+are only tested for irreducibility, never factored.
 """
 
 from __future__ import annotations
 
-from itertools import count
-
 from .errors import ParameterError
 
-# trial divisors tried before an input is refused: at about 0.13 us per
-# integer and 35 us per polynomial division (Python 3.11, 2-core sandbox),
-# either budget runs out within about a second
+# trial divisors tried before an integer is refused: at about 0.13 us per
+# division (Python 3.11, 2-core Xeon) the budget runs out within about a
+# second
 INT_TRIAL_DIVISORS = 1 << 20
-POLY_TRIAL_DIVISORS = 1 << 15
 
 
 def prime_divisors(n: int) -> list[int]:
@@ -163,34 +160,3 @@ def smallest_irreducible(p, f):
         if is_irreducible(g, p):
             return g
     raise ParameterError(f"no irreducible polynomial of degree {f} over F_{p}")
-
-
-def factor(a, p):
-    """Factor a nonzero polynomial into monic irreducibles.
-
-    Returns (unit, [(g, multiplicity), ...]) with factors in the (degree,
-    code) order of :func:`monic_polys`, found by trial division in that
-    order as :func:`prime_divisors` does for integers. It stops once the
-    cofactor is constant or irreducible (one Rabin test for an irreducible
-    input), and raises ParameterError past POLY_TRIAL_DIVISORS divisors.
-    """
-    if not a:
-        raise ParameterError("cannot factor the zero polynomial")
-    unit = a[-1]
-    a = whole = scale(a, pow(unit, p - 2, p), p)
-    factors = []
-    divisors = enumerate((g for f in count(1) for g in monic_polys(p, f)), 1)
-    while degree(a) >= 1 and not is_irreducible(a, p):
-        for tried, g in divisors:  # a is composite, so one of them divides it
-            if tried > POLY_TRIAL_DIVISORS:
-                raise ParameterError(f"polynomial {whole} over F_{p} is too large to factor "
-                                     "by trial division (more than 2^15 divisors)")
-            if mod(a, g, p) == ():
-                break
-        m = 0
-        while (qr := divmod_poly(a, g, p))[1] == ():
-            a, m = qr[0], m + 1
-        factors.append((g, m))
-    if degree(a) >= 1:
-        factors.append((a, 1))
-    return unit, factors

@@ -387,50 +387,39 @@ def residue_vector(x: Element, ideal: ElementaryQuotientIdeal) -> tuple:
     raise ParameterError(f"unknown projection kind {kind!r}")
 
 
-def elementary_quotient_ideals(domain: DomainId, a: Element) -> list[ElementaryQuotientIdeal]:
-    """All ideals I with aT <= I < T and T/I an elementary abelian group.
+def elementary_quotient_ideals(domain: DomainId, primes) -> list[ElementaryQuotientIdeal]:
+    """The ideals I the balance audit scans for the given primes: T/I is an
+    elementary abelian group and I contains the rational prime p below one
+    of them (over F_p[x], where p = 0, the product of their generators).
 
-    Such an I always contains its residue characteristic p, so candidates
-    are the ideals between pT and T; the list keeps those containing a.
+    Over Z and Z[i] these are the ideals between pT and T for each such p,
+    ordered by (p, k, label); over F_p[x], the products of the nonempty sets
+    of distinct generators, ordered by (k, label). Nothing is factored.
     """
-    if a.domain != domain:
-        raise RingMismatchError("modulus belongs to a different domain")
-    if a.is_zero() or a.is_unit():
-        raise ParameterError("modulus must be nonzero and not a unit")
-    if domain.kind == INTEGERS:
-        out = []
-        for p in fp.prime_divisors(abs(a.value)):
+    if not primes:
+        raise ParameterError("the balance audit needs at least one prime")
+    if any(pr.domain != domain for pr in primes):
+        raise RingMismatchError("primes belong to a different domain")
+    if domain.kind == POLYNOMIALS:
+        p = domain.char
+        products = [(1,)]
+        for g in sorted({pr.generator.value for pr in primes}):
+            products += [fp.mul(h, g, p) for h in products]
+        out = [ElementaryQuotientIdeal(domain, p, fp.degree(h), f"({poly_pretty(h)})",
+                                       "poly-divisor", h) for h in products[1:]]
+        out.sort(key=lambda i: (i.k, i.label))
+        return out
+    out = []
+    for p in sorted({pr.p for pr in primes}):
+        if domain.kind == INTEGERS:
             out.append(ElementaryQuotientIdeal(domain, p, 1, f"({p})", "int-prime", ()))
-        return out
-    if domain.kind == GAUSSIAN:
-        av, bv = a.value
-        norm = av * av + bv * bv
-        out = []
-        for p in fp.prime_divisors(norm):
-            candidates = []
-            if p == 2:
-                candidates.append(ElementaryQuotientIdeal(domain, 2, 1, "(1+i)", "gauss-ramified", ()))
-            elif p % 4 == 1:
-                for pr in factor_rational_prime(domain, p):
-                    r = split_prime_root(pr, 1)
-                    candidates.append(ElementaryQuotientIdeal(
-                        domain, p, 1, f"({pr.descriptor})", "gauss-split", (r,)))
-            candidates.append(ElementaryQuotientIdeal(domain, p, 2, f"({p})", "gauss-rational", ()))
-            for ideal in candidates:
-                if all(c == 0 for c in residue_vector(a, ideal)):
-                    out.append(ideal)
-        out.sort(key=lambda i: (i.p, i.k, i.label))
-        return out
-    # F_p[x]: every finite quotient is an F_p-space, so the ideals are the
-    # nonconstant monic divisors of a
-    p = domain.char
-    divisors = [(1,)]  # distinct, as the factors are
-    for g, m in fp.factor(a.value, p)[1]:
-        powers = [(1,)]
-        for _ in range(m):
-            powers.append(fp.mul(powers[-1], g, p))
-        divisors = [fp.mul(d, gp, p) for d in divisors for gp in powers]
-    out = [ElementaryQuotientIdeal(domain, p, fp.degree(h), f"({poly_pretty(h)})",
-                                   "poly-divisor", h) for h in divisors if fp.degree(h) >= 1]
-    out.sort(key=lambda i: (i.k, i.label))
+            continue
+        if p == 2:
+            out.append(ElementaryQuotientIdeal(domain, 2, 1, "(1+i)", "gauss-ramified", ()))
+        elif p % 4 == 1:
+            for pr in factor_rational_prime(domain, p):
+                out.append(ElementaryQuotientIdeal(domain, p, 1, f"({pr.descriptor})",
+                                                   "gauss-split", (split_prime_root(pr, 1),)))
+        out.append(ElementaryQuotientIdeal(domain, p, 2, f"({p})", "gauss-rational", ()))
+    out.sort(key=lambda i: (i.p, i.k, i.label))
     return out

@@ -25,33 +25,22 @@ from decimal import Decimal
 
 import numpy as np
 
-from ._fppoly import prime_divisors
+from ._fppoly import degree, prime_divisors
 from .domains import (
     GAUSSIAN,
     INTEGERS,
     POLYNOMIALS,
     ZI,
     DomainId,
-    Element,
-    elem_mul,
-    elementary_quotient_ideals,
     factor_rational_prime,
     format_element,
-    gauss_elem,
-    int_elem,
     parse_element,
     poly_domain,
-    poly_elem,
 )
-from .errors import (
-    BalanceError,
-    ConfigError,
-    DiagnosticsError,
-    ParameterError,
-)
+from .errors import ConfigError, DiagnosticsError, ParameterError
 from .modules import ModuleType, count_sur, module_size, parse_type_string
-from .sampler import BalanceReport, EntryDistribution, audit_directions, balance_report, \
-    builtin_distribution, sample_index_batch
+from .sampler import BalanceReport, EntryDistribution, audit_ideals, audit_pairs, \
+    balance_report, builtin_distribution, sample_index_batch
 from .snf import DEFAULT_POLICY, PrecisionPolicy, counts_partition, partition_at_prime
 from .theory import check_caps, partial_sum, predicted_moment, predicted_probability
 
@@ -88,7 +77,8 @@ def parse_config(data: dict) -> ExperimentConfig:
     """Validate a raw config mapping; raises ConfigError with a reason."""
     try:
         domain = _parse_domain(data)
-        primes = _parse_primes(domain, data.get("primes"))
+        dist = _parse_distribution(domain, data.get("distribution"))
+        primes = _parse_primes(domain, data.get("primes"), len(dist.support))
         u = int(data.get("u", 0))
         if u < 0:
             raise ConfigError("u must be nonnegative")
@@ -101,7 +91,6 @@ def parse_config(data: dict) -> ExperimentConfig:
         trials = int(data.get("trials", 1000))
         if trials < 1:
             raise ConfigError("trials must be at least 1")
-        dist = _parse_distribution(domain, data.get("distribution"))
         seed = int(data.get("seed", 0))
         pol = data.get("precision", {})
         policy = PrecisionPolicy(int(pol.get("k_init", DEFAULT_POLICY.k_init)),
@@ -119,7 +108,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         cfg = ExperimentConfig(domain, primes, u, n_list, trials, dist, seed, policy,
                                cap_exponent, cap_parts, strict, out_path, formats,
                                targets, raw=data)
-        audit_directions(elementary_quotient_ideals(domain, audit_modulus(cfg)))  # in budget
+        audit_ideals(dist, primes)  # in budget
         return cfg
     except (ParameterError, ConfigError) as e:
         raise ConfigError(str(e)) from e
@@ -157,7 +146,10 @@ def _parse_domain(data) -> DomainId:
     return DomainId(kind)
 
 
-def _parse_primes(domain, selectors):
+def _parse_primes(domain, selectors, support: int):
+    """Resolved primes of the selectors. A polynomial generator's own ideal
+    is audited, so its directions are counted against the audit budget for
+    the given support size before its Rabin test runs."""
     if not selectors:
         raise ConfigError("at least one prime selector is required")
     primes = []
@@ -165,6 +157,7 @@ def _parse_primes(domain, selectors):
         if "generator" in sel:
             gen = parse_element(domain, str(sel["generator"]))
             if domain.kind == POLYNOMIALS:
+                audit_pairs([(domain.char, max(degree(gen.value), 1))], support)
                 primes.extend(factor_rational_prime(domain, gen))
             elif domain.kind == GAUSSIAN:
                 a, b = gen.value
@@ -212,34 +205,10 @@ def _parse_distribution(domain, spec) -> EntryDistribution:
     raise ConfigError("distribution needs either builtin+params or support+weights")
 
 
-def audit_modulus(cfg: ExperimentConfig) -> Element:
-    """Product of the distinct rational primes (or irreducibles) below cfg.primes.
-
-    An ideal I with elementary abelian quotient contains its residue
-    characteristic, so the audited ideal set does not depend on the exponent;
-    first powers suffice.
-    """
-    domain = cfg.domain
-    if domain.kind == POLYNOMIALS:
-        mod = poly_elem(domain.char, [1])
-        for g in sorted({pr.generator.value for pr in cfg.primes}):
-            mod = elem_mul(mod, Element(domain, g))
-        return mod
-    chars = sorted({pr.p for pr in cfg.primes})
-    total = 1
-    for p in chars:
-        total *= p
-    return int_elem(total) if domain.kind == INTEGERS else gauss_elem(total, 0)
-
-
 def run_balance_gate(cfg: ExperimentConfig) -> BalanceReport:
-    report = balance_report(cfg.distribution, cfg.domain, audit_modulus(cfg))
-    if cfg.strict_balance and not report.is_balanced():
-        worst = min(report.entries, key=lambda e: e.epsilon)
-        raise BalanceError(
-            f"entry distribution is not balanced: epsilon = 0 at ideal {worst.label} "
-            f"(worst affine hyperplane {worst.worst_hyperplane}); "
-            "pass --no-strict-balance to run anyway")
+    report = balance_report(cfg.distribution, cfg.domain, cfg.primes)
+    if cfg.strict_balance:
+        report.require_balanced()
     return report
 
 

@@ -69,10 +69,6 @@ class ModuleType:
     def primes(self) -> tuple:
         return tuple(pr for pr, _ in self.components)
 
-    @property
-    def is_trivial(self) -> bool:
-        return not self.components
-
     def __str__(self):
         if not self.components:
             return "∅"

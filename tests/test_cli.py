@@ -109,14 +109,12 @@ def test_exit_code_2_on_bad_config(tmp_path, capsys):
     {"domain": "Z[i]", "primes": [{"generator": "2097164+i"}],
      "distribution": {"builtin": "gaussian-basis"}},
     {"domain": "Fp[x]", "char": 2 ** 61 - 1, "primes": [{"generator": "0,1"}]},
-    {"primes": [{"p": 2 ** 31 - 1}, {"p": 2 ** 31 - 19}]},
-], ids=["z-prime", "gaussian-norm", "poly-char", "audit-modulus"])
+], ids=["z-prime", "gaussian-norm", "poly-char"])
 def test_exit_code_2_past_the_factoring_limit(tmp_path, capsys, overrides):
     # Trial division refuses an integer that needs more than 2^20 divisors on
     # every path that reaches it: a rational prime selector, a Gaussian
-    # generator's norm (the prime 4398096842897, above 2^40), a polynomial
-    # characteristic, and the audit modulus, here the product of two primes
-    # near 2^31.
+    # generator's norm (the prime 4398096842897, above 2^40) and a polynomial
+    # characteristic.
     cfg = write_config(tmp_path, **overrides)
     start = time.perf_counter()
     assert main(["dist", "--config", cfg]) == 2
@@ -130,8 +128,9 @@ def test_exit_code_2_past_the_factoring_limit(tmp_path, capsys, overrides):
     {"primes": [{"p": p} for p in (101, 103, 107, 109, 113, 127)]},
 ], ids=["gaussian", "integers"])
 def test_audit_moduli_past_2_40_of_small_primes(tmp_path, capsys, overrides):
-    # Audit moduli above 2^40 whose primes are small factor at once: the
-    # square of 101 * 103 * 107 over Z[i], and 101 * 103 * ... * 127 over Z.
+    # Audit moduli above 2^40 are never factored: the audit takes the ideals
+    # at each configured prime, here 101 * 103 * 107 over Z[i] and
+    # 101 * 103 * ... * 127 over Z.
     cfg = write_config(tmp_path, **overrides)
     assert main(["audit", "--config", cfg]) == 0
     assert "overall epsilon:" in capsys.readouterr().out
@@ -149,9 +148,9 @@ def _f2x_config(tmp_path, *generators):
 
 
 def test_audit_of_a_degree_16_function_field_prime(tmp_path, capsys):
-    # One Rabin test factors the irreducible modulus; the audit then scans
-    # its 65535 hyperplane directions. The four entries 1, x, x^2, x^3 span
-    # a hyperplane of F_2^16, so epsilon is 0 and strict balance is off.
+    # The audit scans the 65535 hyperplane directions of the prime against
+    # four entries, 262140 pairs. The entries 1, x, x^2, x^3 span a
+    # hyperplane of F_2^16, so epsilon is 0 and strict balance is off.
     cfg = _f2x_config(tmp_path, _F2_DEG16)
     start = time.perf_counter()
     assert main(["audit", "--config", cfg, "--no-strict-balance"]) == 0
@@ -160,13 +159,31 @@ def test_audit_of_a_degree_16_function_field_prime(tmp_path, capsys):
 
 
 def test_exit_code_2_past_the_polynomial_factoring_budget(tmp_path, capsys):
-    # The product of the degree-16 and degree-20 primes has no factor below
-    # degree 16, past the 2^15 monic divisors of degree at most 14.
+    # No polynomial is factored: the degree-20 prime alone has 1048575
+    # hyperplane directions, past the audit budget at four entries.
     cfg = _f2x_config(tmp_path, _F2_DEG16, _F2_DEG20)
     start = time.perf_counter()
     assert main(["audit", "--config", cfg]) == 2
     assert time.perf_counter() - start < 5
-    assert "too large to factor" in capsys.readouterr().err
+    assert ("1048575 hyperplane directions against 4 support elements, 4194300 pairs, "
+            "over its budget of 1000000") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("generator,m,message", [
+    # the degree-16 prime passes at four entries (262140 pairs) but not at
+    # the 41 entries 1, x, ..., x^40: each direction counts once per entry
+    (_F2_DEG16, 40, "2686935 pairs, over its budget of 1000000"),
+    # x^532+x+1 brings 2^532 - 1 directions, counted from its degree before
+    # its irreducibility test, which alone takes seconds
+    ("1,1" + ",0" * 530 + ",1", 3, f"{2 ** 532 - 1} hyperplane directions"),
+], ids=["pairs", "before-rabin"])
+def test_exit_code_2_at_once_past_the_audit_budget(tmp_path, capsys, generator, m, message):
+    cfg = write_config(tmp_path, domain="Fp[x]", char=2, primes=[{"generator": generator}],
+                       distribution={"builtin": "poly-powers", "params": {"p": 2, "m": m}})
+    start = time.perf_counter()
+    assert main(["audit", "--config", cfg]) == 2
+    assert time.perf_counter() - start < 1
+    assert message in capsys.readouterr().err
 
 
 def test_exit_code_2_on_caps_over_the_box_sum_budget(tmp_path, capsys):
@@ -198,14 +215,15 @@ def test_exit_code_2_on_threads_without_fork(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("command", ["dist", "audit"])
 def test_exit_code_2_past_the_audit_budget(tmp_path, capsys, command):
     # The inert prime 524287 of Z[i] brings the rank-2 ideal (524287) into the
-    # audit: 524288 hyperplane directions, past the budget of 100000. They are
-    # counted, not walked.
+    # audit: 524288 hyperplane directions against 3 entries, past the budget
+    # of 1000000 pairs. They are counted, not walked.
     cfg = write_config(tmp_path, domain="Z[i]", primes=[{"p": 524287}],
                        distribution={"builtin": "gaussian-basis"})
     start = time.perf_counter()
     assert main([command, "--config", cfg]) == 2
     assert time.perf_counter() - start < 5
-    assert "524288 hyperplane directions, over its budget of 100000" in capsys.readouterr().err
+    assert ("524288 hyperplane directions against 3 support elements, 1572864 pairs, "
+            "over its budget of 1000000") in capsys.readouterr().err
 
 
 def test_audit_of_a_prime_near_the_factoring_limit(tmp_path, capsys):
@@ -218,12 +236,28 @@ def test_audit_of_a_prime_near_the_factoring_limit(tmp_path, capsys):
     assert "overall epsilon: 1/2" in capsys.readouterr().out
 
 
+def test_audit_of_two_primes_near_2_31(tmp_path, capsys):
+    # Z at 2^31 - 1 and 2^31 - 19: one ideal each, never their product
+    cfg = write_config(tmp_path, primes=[{"p": 2 ** 31 - 1}, {"p": 2 ** 31 - 19}])
+    start = time.perf_counter()
+    assert main(["audit", "--config", cfg]) == 0
+    assert time.perf_counter() - start < 5
+    out = capsys.readouterr().out
+    assert f"balance audit modulo {(2 ** 31 - 1) * (2 ** 31 - 19)}:" in out
+    assert "overall epsilon: 1/2" in out
+
+
 def test_exit_code_3_on_strict_balance_violation(tmp_path, capsys):
     cfg = write_config(tmp_path, domain="Z[i]", primes=[{"p": 5, "index": 0}],
                        distribution={"support": ["0", "1"], "weights": [0.5, 0.5]},
                        n=[16], trials=100)
     assert main(["dist", "--config", cfg]) == 3
-    assert "balance violation" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "balance violation: entry distribution is not balanced: epsilon = 0 at ideal (5)" in err
+    # audit prints its report first, then fails with the same message
+    assert main(["audit", "--config", cfg]) == 3
+    captured = capsys.readouterr()
+    assert "overall epsilon: 0" in captured.out and captured.err == err
     # the same config passes with strict balance disabled
     assert main(["dist", "--config", cfg, "--no-strict-balance"]) == 0
 

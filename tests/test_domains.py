@@ -159,51 +159,62 @@ def test_reduce_uniformizer_valuations():
     assert valuation(reduce_mod_prime_power(gauss_elem(3, 0), inert, 5)) == 1
 
 
+def primes_below(domain, *ps):
+    """Every prime of domain above each rational prime (or irreducible) in ps."""
+    return [pr for p in ps for pr in factor_rational_prime(domain, p)]
+
+
 def test_elementary_quotient_ideals_integers():
-    ideals = elementary_quotient_ideals(ZZ, int_elem(12))
+    ideals = elementary_quotient_ideals(ZZ, primes_below(ZZ, 3, 2))
     assert [(i.p, i.k) for i in ideals] == [(2, 1), (3, 1)]
 
 
 def test_elementary_quotient_ideals_gaussian():
-    ideals = elementary_quotient_ideals(ZI, gauss_elem(5, 0))
+    ideals = elementary_quotient_ideals(ZI, primes_below(ZI, 5))
     assert sorted((i.k, i.label) for i in ideals) == [
         (1, "(2+i)"), (1, "(2-i)"), (2, "(5)")]
-    # a = 2+i: only the ideal (2+i) itself contains it
-    ideals = elementary_quotient_ideals(ZI, gauss_elem(2, 1))
-    assert [(i.k, i.label) for i in ideals] == [(1, "(2+i)")]
-    # a = 2: the ramified ideal and (2)
-    ideals = elementary_quotient_ideals(ZI, gauss_elem(2, 0))
+    # one split prime brings every ideal between 5T and T, its conjugate too
+    (p5,) = factor_rational_prime(ZI, 5)[:1]
+    assert [i.label for i in elementary_quotient_ideals(ZI, [p5])] == ["(2+i)", "(2-i)", "(5)"]
+    # the ramified prime (1+i): the ideal itself and (2)
+    ideals = elementary_quotient_ideals(ZI, primes_below(ZI, 2))
     assert [(i.k, i.label) for i in ideals] == [(1, "(1+i)"), (2, "(2)")]
 
 
 def test_elementary_quotient_ideals_polynomials():
-    ideals = elementary_quotient_ideals(F2X, poly_elem(2, [0, 0, 1]))  # x^2
-    assert [(i.k, i.label) for i in ideals] == [(1, "(x)"), (2, "(x^2)")]
+    # two degree-1 primes of F_3[x]: each, and their product of rank 2
+    ideals = elementary_quotient_ideals(F3X, primes_below(F3X, (0, 1), (1, 1)))
+    assert [(i.k, i.label) for i in ideals] == [(1, "(x)"), (1, "(x+1)"), (2, "(x^2+x)")]
     with pytest.raises(ParameterError):
-        elementary_quotient_ideals(F2X, poly_elem(2, [1]))
-    with pytest.raises(ParameterError):
-        elementary_quotient_ideals(ZZ, int_elem(0))
+        elementary_quotient_ideals(F2X, [])
+    with pytest.raises(RingMismatchError):
+        elementary_quotient_ideals(ZZ, primes_below(ZI, 5))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from([2, 3, 5]), st.integers(0, 3), st.integers(1, 3),
-       st.lists(st.lists(st.integers(0, 4), max_size=4), min_size=1, max_size=4))
-def test_factor_is_a_sorted_product_of_distinct_irreducibles(p, unit, power, parts):
-    # a = unit * g_0^power * g_1 * ... for monic g_i of degree 0-4, so that
-    # repeated and shared factors come up
-    monic = [fp.normalize(cs + [1], p) for cs in parts]
-    a = (1 + unit % (p - 1),)
-    for g in [monic[0]] * power + monic[1:]:
-        a = fp.mul(a, g, p)
-    unit, factors = fp.factor(a, p)
-    product = (unit,)
-    for g, m in factors:
-        assert g[-1] == 1 and fp.is_irreducible(g, p) and m >= 1
-        for _ in range(m):
-            product = fp.mul(product, g, p)
-    assert product == a
-    keys = [(fp.degree(g), sum(c * p ** i for i, c in enumerate(g))) for g, _ in factors]
-    assert keys == sorted(set(keys))  # distinct, in (degree, code) order
+def test_elementary_quotient_ideals_are_pinned():
+    # labels, projection data and order for the ramified (1+i), one split
+    # prime above 5 and the inert 3 of Z[i], and three primes of F_2[x]
+    primes = (primes_below(ZI, 2) + factor_rational_prime(ZI, 5)[:1]
+              + primes_below(ZI, 3))
+    assert [(i.p, i.k, i.label, i.proj_kind, i.proj_data)
+            for i in elementary_quotient_ideals(ZI, primes)] == [
+        (2, 1, "(1+i)", "gauss-ramified", ()),
+        (2, 2, "(2)", "gauss-rational", ()),
+        (3, 2, "(3)", "gauss-rational", ()),
+        (5, 1, "(2+i)", "gauss-split", (3,)),
+        (5, 1, "(2-i)", "gauss-split", (2,)),
+        (5, 2, "(5)", "gauss-rational", ()),
+    ]
+    primes = primes_below(F2X, (1, 1, 1), (0, 1), (1, 1))  # x^2+x+1, x, x+1
+    assert [(i.k, i.label, i.proj_data) for i in elementary_quotient_ideals(F2X, primes)] == [
+        (1, "(x)", (0, 1)),
+        (1, "(x+1)", (1, 1)),
+        (2, "(x^2+x)", (0, 1, 1)),
+        (2, "(x^2+x+1)", (1, 1, 1)),
+        (3, "(x^3+1)", (1, 0, 0, 1)),
+        (3, "(x^3+x^2+x)", (0, 1, 1, 1)),
+        (4, "(x^4+x)", (0, 1, 0, 0, 1)),
+    ]
 
 
 def test_trial_division_budgets():
@@ -214,31 +225,26 @@ def test_trial_division_budgets():
     assert fp.prime_divisors(101 * 103 * 107 * 109 * 113 * 127) == [101, 103, 107, 109, 113, 127]
     with pytest.raises(ParameterError, match="too large to factor"):
         fp.prime_divisors(2 ** 61 - 1)
-    # polynomials: an irreducible costs one Rabin test whatever its degree
-    g42 = fp.smallest_irreducible(2, 42)
-    assert fp.factor(g42, 2) == (1, [(g42, 1)])
-    x = (0, 1)
-    assert fp.factor(fp.mul(x, g42, 2), 2) == (1, [(x, 1), (g42, 1)])
 
 
 def test_residue_vector_examples():
-    (i3,) = [i for i in elementary_quotient_ideals(ZZ, int_elem(12)) if i.p == 3]
+    (i3,) = [i for i in elementary_quotient_ideals(ZZ, primes_below(ZZ, 2, 3)) if i.p == 3]
     assert residue_vector(int_elem(7), i3) == (1,)
 
-    ideals = elementary_quotient_ideals(ZI, gauss_elem(5, 0))
+    ideals = elementary_quotient_ideals(ZI, primes_below(ZI, 5))
     (full,) = [i for i in ideals if i.k == 2]
     assert residue_vector(gauss_elem(1, 2), full) == (1, 2)
 
-    ideals = elementary_quotient_ideals(F2X, poly_elem(2, [0, 0, 1]))
-    (x2,) = [i for i in ideals if i.k == 2]
-    assert residue_vector(poly_elem(2, [0, 0, 0, 1]), x2) == (0, 0)  # x^3 in (x^2)
+    ideals = elementary_quotient_ideals(F3X, primes_below(F3X, (0, 1), (1, 1)))
+    (xx1,) = [i for i in ideals if i.k == 2]
+    assert residue_vector(poly_elem(3, [0, 0, 0, 1]), xx1) == (0, 1)  # x^3 = x mod x^2+x
 
 
 def test_residue_vector_additivity():
     rng = random.Random(11)
-    ideals = (elementary_quotient_ideals(ZI, gauss_elem(10, 0))
-              + elementary_quotient_ideals(ZZ, int_elem(60))
-              + elementary_quotient_ideals(F3X, poly_elem(3, [0, 1, 2, 1])))
+    ideals = (elementary_quotient_ideals(ZI, primes_below(ZI, 2, 5))
+              + elementary_quotient_ideals(ZZ, primes_below(ZZ, 2, 3, 5))
+              + elementary_quotient_ideals(F3X, primes_below(F3X, (0, 1), (1, 1))))
     for ideal in ideals:
         for _ in range(200):
             if ideal.domain.kind == "integers":

@@ -20,7 +20,6 @@ from coklab.experiments import (
     INDETERMINATE,
     _run_trials,
     _sub_batch,
-    audit_modulus,
     emit_report,
     parse_config,
     run_balance_gate,
@@ -95,15 +94,18 @@ def test_parse_polynomial_domain():
 
 
 def test_audit_modulus():
+    # the report names the product of the distinct rational primes (over
+    # F_p[x], generators) below the configured primes
     cfg = parse_config(base_config(primes=[{"p": 2}, {"p": 3}]))
-    assert audit_modulus(cfg).value == 6
+    assert run_balance_gate(cfg).modulus == "6"
     cfg = parse_config(base_config(domain="Z[i]", primes=[{"p": 5, "index": 0}],
                                    distribution={"builtin": "gaussian-basis"}))
-    assert audit_modulus(cfg).value == (5, 0)
+    assert run_balance_gate(cfg).modulus == "5"
     cfg = parse_config(base_config(
-        domain="Fp[x]", char=2, primes=[{"generator": "0,1"}],
-        distribution={"builtin": "poly-powers", "params": {"p": 2, "m": 3}}))
-    assert audit_modulus(cfg).value == (0, 1)
+        domain="Fp[x]", char=2, primes=[{"generator": "0,1"}, {"generator": "1,1,1"}],
+        distribution={"builtin": "poly-powers", "params": {"p": 2, "m": 3}},
+        strict_balance=False))
+    assert run_balance_gate(cfg).modulus == "x^3+x^2+x"
 
 
 def test_strict_balance_gate():

@@ -8,10 +8,10 @@ from coklab.domains import (
     ZI,
     ZZ,
     elementary_quotient_ideals,
+    factor_rational_prime,
     gauss_elem,
     int_elem,
     poly_domain,
-    poly_elem,
     residue_vector,
 )
 from coklab.errors import ParameterError
@@ -26,6 +26,12 @@ from coklab.sampler import (
 )
 
 F2X = poly_domain(2)
+F3X = poly_domain(3)
+
+
+def primes_below(domain, *ps):
+    """Every prime of domain above each rational prime (or irreducible) in ps."""
+    return [pr for p in ps for pr in factor_rational_prime(domain, p)]
 
 
 def bern_half():
@@ -67,7 +73,7 @@ def test_weight_validation():
 
 
 def test_balance_bernoulli_mod_6():
-    report = balance_report(bern_half(), ZZ, int_elem(6))
+    report = balance_report(bern_half(), ZZ, primes_below(ZZ, 2, 3))
     eps = {e.label: e.epsilon for e in report.entries}
     assert eps == {"(2)": Fraction(1, 2), "(3)": Fraction(1, 2)}
     assert report.overall == Fraction(1, 2)
@@ -76,7 +82,7 @@ def test_balance_bernoulli_mod_6():
 
 def test_balance_gaussian_tau_invariant_support_fails():
     d = builtin_distribution("uniform-support", {"support": ["0", "1"]}, domain=ZI)
-    report = balance_report(d, ZI, gauss_elem(5, 0))
+    report = balance_report(d, ZI, primes_below(ZI, 5))
     eps = {e.label: e.epsilon for e in report.entries}
     # the rational support sits inside an affine line of F_5^2
     assert eps["(5)"] == 0
@@ -88,7 +94,7 @@ def test_balance_gaussian_tau_invariant_support_fails():
 
 def test_balance_gaussian_basis_support():
     d = builtin_distribution("gaussian-basis")
-    report = balance_report(d, ZI, gauss_elem(5, 0))
+    report = balance_report(d, ZI, primes_below(ZI, 5))
     eps = {e.label: e.epsilon for e in report.entries}
     # the binding constraint is the rank-2 quotient mod 5: the best affine
     # line covers two of the three support images
@@ -100,7 +106,7 @@ def test_balance_gaussian_basis_support():
 
 def test_balance_poly_powers():
     d = builtin_distribution("poly-powers", {"p": 2, "m": 3})
-    report = balance_report(d, F2X, poly_elem(2, [0, 1]))
+    report = balance_report(d, F2X, primes_below(F2X, (0, 1)))
     (entry,) = report.entries
     # at (x): images 1, 0, 0, 0 -> best hyperplane {0} has mass 3/4
     assert entry.epsilon == Fraction(1, 4)
@@ -136,17 +142,18 @@ def _all_proper_affine_subspace_max(dist, ideal):
 def test_hyperplane_sufficiency_exhaustive():
     # p in {2, 3}, k <= 2: hyperplane-only max equals all-proper-affine max
     cases = [
-        (bern_half(), ZZ, int_elem(6)),
+        (bern_half(), ZZ, primes_below(ZZ, 2, 3)),
         (builtin_distribution("uniform-support", {"support": ["0", "1", "2", "5"]}, domain=ZZ),
-         ZZ, int_elem(9)),
+         ZZ, primes_below(ZZ, 3)),
         (builtin_distribution("uniform-support", {"support": ["0", "1", "i", "1+i"]}, domain=ZI),
-         ZI, gauss_elem(3, 0)),
-        (builtin_distribution("poly-powers", {"p": 3, "m": 2}), poly_domain(3),
-         poly_elem(3, [0, 0, 1])),
+         ZI, primes_below(ZI, 3)),
+        # x and x+1 over F_3, and their product of rank 2
+        (builtin_distribution("poly-powers", {"p": 3, "m": 2}), F3X,
+         primes_below(F3X, (0, 1), (1, 1))),
     ]
-    for dist, domain, modulus in cases:
-        report = balance_report(dist, domain, modulus)
-        for ideal, entry in zip(elementary_quotient_ideals(domain, modulus), report.entries):
+    for dist, domain, primes in cases:
+        report = balance_report(dist, domain, primes)
+        for ideal, entry in zip(elementary_quotient_ideals(domain, primes), report.entries):
             if ideal.p > 3 or ideal.k > 2:
                 continue
             assert entry.worst_mass == _all_proper_affine_subspace_max(dist, ideal)
@@ -154,23 +161,23 @@ def test_hyperplane_sufficiency_exhaustive():
 
 def test_balance_translation_invariance():
     base = builtin_distribution("uniform-support", {"support": ["0", "1", "i"]}, domain=ZI)
-    eps0 = [e.epsilon for e in balance_report(base, ZI, gauss_elem(5, 0)).entries]
+    eps0 = [e.epsilon for e in balance_report(base, ZI, primes_below(ZI, 5)).entries]
     shifted = EntryDistribution.of(
         ZI, [gauss_elem(s.value[0] + 3, s.value[1] - 2) for s in base.support], base.weights)
-    eps1 = [e.epsilon for e in balance_report(shifted, ZI, gauss_elem(5, 0)).entries]
+    eps1 = [e.epsilon for e in balance_report(shifted, ZI, primes_below(ZI, 5)).entries]
     assert eps0 == eps1
 
 
 def test_builtin_support_size_matches_dimension_bound():
     # positive epsilon at ideal I needs support size >= dim(T/I) + 1
     cases = [
-        (bern_half(), ZZ, int_elem(6)),
-        (builtin_distribution("gaussian-basis"), ZI, gauss_elem(5, 0)),
-        (builtin_distribution("poly-powers", {"p": 2, "m": 3}), F2X, poly_elem(2, [0, 1])),
+        (bern_half(), ZZ, primes_below(ZZ, 2, 3)),
+        (builtin_distribution("gaussian-basis"), ZI, primes_below(ZI, 5)),
+        (builtin_distribution("poly-powers", {"p": 2, "m": 3}), F2X, primes_below(F2X, (0, 1))),
     ]
-    for dist, domain, modulus in cases:
-        report = balance_report(dist, domain, modulus)
-        for ideal, entry in zip(elementary_quotient_ideals(domain, modulus), report.entries):
+    for dist, domain, primes in cases:
+        report = balance_report(dist, domain, primes)
+        for ideal, entry in zip(elementary_quotient_ideals(domain, primes), report.entries):
             if entry.epsilon > 0:
                 assert len(dist.support) >= ideal.k + 1
 
