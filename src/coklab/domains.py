@@ -73,14 +73,6 @@ class Element:
             return self.value == (0, 0)
         return self.value == ()
 
-    def is_unit(self) -> bool:
-        if self.domain.kind == INTEGERS:
-            return self.value in (1, -1)
-        if self.domain.kind == GAUSSIAN:
-            a, b = self.value
-            return a * a + b * b == 1
-        return len(self.value) == 1
-
     def __repr__(self):
         return f"Element({format_element(self)!r}, {self.domain!r})"
 
@@ -410,16 +402,16 @@ def elementary_quotient_ideals(domain: DomainId, primes) -> list[ElementaryQuoti
         out.sort(key=lambda i: (i.k, i.label))
         return out
     out = []
-    for p in sorted({pr.p for pr in primes}):
+    for p, pr in {pr.p: pr for pr in primes}.items():
         if domain.kind == INTEGERS:
             out.append(ElementaryQuotientIdeal(domain, p, 1, f"({p})", "int-prime", ()))
             continue
         if p == 2:
             out.append(ElementaryQuotientIdeal(domain, 2, 1, "(1+i)", "gauss-ramified", ()))
-        elif p % 4 == 1:
-            for pr in factor_rational_prime(domain, p):
-                out.append(ElementaryQuotientIdeal(domain, p, 1, f"({pr.descriptor})",
-                                                   "gauss-split", (split_prime_root(pr, 1),)))
+        elif p % 4 == 1:  # split: a configured prime above p and its conjugate
+            for half in (pr, pr.conjugate()):
+                out.append(ElementaryQuotientIdeal(domain, p, 1, f"({half.descriptor})",
+                                                   "gauss-split", (split_prime_root(half, 1),)))
         out.append(ElementaryQuotientIdeal(domain, p, 2, f"({p})", "gauss-rational", ()))
     out.sort(key=lambda i: (i.p, i.k, i.label))
     return out

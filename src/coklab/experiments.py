@@ -92,10 +92,10 @@ def parse_config(data: dict) -> ExperimentConfig:
         if trials < 1:
             raise ConfigError("trials must be at least 1")
         seed = int(data.get("seed", 0))
-        pol = data.get("precision", {})
-        policy = PrecisionPolicy(int(pol.get("k_init", DEFAULT_POLICY.k_init)),
-                                 int(pol.get("k_max", DEFAULT_POLICY.k_max)),
-                                 int(pol.get("growth", DEFAULT_POLICY.growth)))
+        pol = dict(data.get("precision", {}))
+        policy = PrecisionPolicy(int(pol.pop("k_max", DEFAULT_POLICY.k_max)))
+        if pol:
+            raise ConfigError(f"unknown precision settings {sorted(pol)}: k_max is the only one")
         caps = data.get("type_caps", {})
         cap_exponent = int(caps.get("exponent", 6))
         cap_parts = int(caps.get("parts", 6))
@@ -147,9 +147,10 @@ def _parse_domain(data) -> DomainId:
 
 
 def _parse_primes(domain, selectors, support: int):
-    """Resolved primes of the selectors. A polynomial generator's own ideal
-    is audited, so its directions are counted against the audit budget for
-    the given support size before its Rabin test runs."""
+    """Resolved primes of the selectors. A polynomial generator's own ideal,
+    and the ideal (p) of a Gaussian selector p, are audited, so their
+    directions are counted against the audit budget for the given support
+    size before the generator's Rabin test or p's factoring runs."""
     if not selectors:
         raise ConfigError("at least one prime selector is required")
     primes = []
@@ -172,7 +173,10 @@ def _parse_primes(domain, selectors, support: int):
         elif "p" in sel:
             if domain.kind == POLYNOMIALS:
                 raise ConfigError("polynomial domain primes need a generator polynomial")
-            factors = factor_rational_prime(domain, int(sel["p"]))
+            p = int(sel["p"])
+            if domain.kind == GAUSSIAN and p > 1:
+                audit_pairs([(p, 2)], support)  # (p) has p + 1 directions
+            factors = factor_rational_prime(domain, p)
             if "index" in sel:
                 idx = int(sel["index"])
                 if not 0 <= idx < len(factors):

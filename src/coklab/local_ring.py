@@ -32,14 +32,6 @@ UNRAMIFIED = "unramified"
 EQUAL_CHAR = "equal-char"
 RAMIFIED = "ramified-quadratic"
 
-_STYLE_ALIASES = {
-    "unramified": UNRAMIFIED,
-    "equal-char": EQUAL_CHAR,
-    "equal-characteristic": EQUAL_CHAR,
-    "ramified": RAMIFIED,
-    "ramified-quadratic": RAMIFIED,
-}
-
 WORD_BITS = 64
 
 
@@ -149,9 +141,8 @@ def make_local_ring(p: int, f: int, K: int, style: str = UNRAMIFIED) -> LocalRin
     unramified style its coefficients are read as integers), so equal
     parameters give interchangeable rings.
     """
-    if style not in _STYLE_ALIASES:
+    if style not in (UNRAMIFIED, EQUAL_CHAR, RAMIFIED):
         raise ParameterError(f"unknown ring style: {style!r}")
-    style = _STYLE_ALIASES[style]
     if fp.prime_divisors(p) != [p]:
         raise ParameterError(f"p must be prime, got {p}")
     if f < 1 or K < 1:

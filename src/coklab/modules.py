@@ -302,6 +302,7 @@ def brute_force_count(lam, mu, q: int, mode: str, budget: int = ORACLE_BUDGET) -
     for i in range(len(levels) - 1, -1, -1):
         suffix[i] = suffix[i + 1] * level_sizes[i]
 
+    @lru_cache(maxsize=None)  # the count below a level depends only on the span so far
     def rec(idx, rows):
         if len(rows) == m:
             # span already full: every completion stays surjective

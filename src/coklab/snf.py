@@ -81,14 +81,13 @@ _ODD_FAST_LIMIT = 3_037_000_499
 
 @dataclass(frozen=True)
 class PrecisionPolicy:
-    """Adaptive truncation: start at k_init, multiply by growth up to k_max."""
+    """Adaptive truncation up to k_max (and the word-size cap): see
+    :func:`escalation_ladder`."""
 
-    k_init: int = 8
     k_max: int = 64
-    growth: int = 2
 
     def __post_init__(self):
-        if self.k_init < 1 or self.k_max < self.k_init or self.growth < 2:
+        if self.k_max < 1:
             raise ParameterError(f"bad precision policy {self}")
 
 
@@ -564,25 +563,20 @@ def make_scalar_matrix(mode: str, rows) -> np.ndarray:
 _TABLE_CACHE_SIZE = 256
 
 
-def feasible_k_max(prime: PrimeIdealDesc, policy: PrecisionPolicy) -> int:
-    """Word-size cap on precision for this prime's completion."""
-    return min(policy.k_max, max_precision(prime.p, prime.f))
-
-
 @lru_cache(maxsize=64)
 def escalation_ladder(prime: PrimeIdealDesc, policy: PrecisionPolicy) -> tuple:
-    """The K values the adaptive loop will try, in order: k_init times powers
-    of the growth factor, up to the cap, without the modpk rungs past the
-    int64 product limit and the f2t rungs past 16 lanes below the cap. A
-    result not saturated at K is exact at every larger K, and a pass in
-    Montgomery words or 6-bit lanes costs about as much at the cap as below
-    it, so past the last fast word the ladder goes straight to the cap."""
-    cap = feasible_k_max(prime, policy)
-    K = min(policy.k_init, cap)
-    ladder = [K]
-    while K < cap:
-        K = min(K * policy.growth, cap)
-        ladder.append(K)
+    """The K values the adaptive loop will try, in order: 8 (or the cap, if
+    lower), doubling up to the cap (the lower of k_max and the prime's
+    word-size cap), without the modpk rungs past the int64 product limit and the f2t rungs
+    past 16 lanes below the cap. A result not saturated at K is exact at
+    every larger K, so the ladder sets only the cost of a trial, never its
+    type; and a pass in Montgomery words or 6-bit lanes costs about as much
+    at the cap as below it, so past the last fast word the ladder goes
+    straight to the cap."""
+    cap = min(policy.k_max, max_precision(prime.p, prime.f))
+    ladder = [min(8, cap)]
+    while ladder[-1] < cap:
+        ladder.append(min(2 * ladder[-1], cap))
     mode = matrix_mode(local_ring_for(prime, cap))
     return tuple(K for K in ladder if K == cap or not (
         (mode == MODE_MODPK and prime.p ** K > _ODD_FAST_LIMIT) or (mode == MODE_F2T and K > 16)))

@@ -186,6 +186,25 @@ def test_exit_code_2_at_once_past_the_audit_budget(tmp_path, capsys, generator, 
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("index", [{"index": 0}, {}], ids=["one-half", "both-halves"])
+def test_exit_code_2_at_once_on_a_huge_split_gaussian_prime(tmp_path, capsys, index):
+    # (p) of the split prime p = 1099511627689 brings p + 1 directions,
+    # counted before p is factored, which alone takes about a second.
+    cfg = write_config(tmp_path, domain="Z[i]", primes=[{"p": 1099511627689, **index}],
+                       distribution={"builtin": "gaussian-basis"})
+    start = time.perf_counter()
+    assert main(["dist", "--config", cfg]) == 2
+    assert time.perf_counter() - start < 0.1
+    assert "1099511627690 hyperplane directions" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["k_init", "growth"])
+def test_exit_code_2_on_a_precision_setting_other_than_k_max(tmp_path, capsys, key):
+    cfg = write_config(tmp_path, precision={key: 2})
+    assert main(["dist", "--config", cfg]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_exit_code_2_on_caps_over_the_box_sum_budget(tmp_path, capsys):
     # Caps of (80, 80) would keep the exact box sum busy for minutes; they
     # are refused before it runs.

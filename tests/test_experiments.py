@@ -28,7 +28,7 @@ from coklab.experiments import (
     run_moment_experiment,
 )
 from coklab.sampler import sample_index_matrix
-from coklab.snf import counts_partition, partition_at_prime
+from coklab.snf import PrecisionPolicy, counts_partition, partition_at_prime
 
 
 def base_config(**overrides):
@@ -50,7 +50,7 @@ def test_parse_config_happy_path():
     assert cfg.domain == ZZ
     assert cfg.primes[0].p == 2
     assert cfg.n_list == (12,)
-    assert cfg.policy.k_init == 8 and cfg.policy.k_max == 64
+    assert cfg.policy == PrecisionPolicy(64)
     assert cfg.cap_exponent == 6 and cfg.cap_parts == 6
     assert cfg.strict_balance
 
@@ -73,6 +73,17 @@ def test_parse_config_happy_path():
 def test_parse_config_rejects(patch):
     with pytest.raises(ConfigError):
         parse_config(base_config(**patch))
+
+
+@pytest.mark.parametrize("key", ["k_init", "growth"])
+def test_parse_config_reads_only_k_max(key):
+    # k_max is the only precision setting: the ladder's start and step are
+    # fixed, and a config that sets either is refused by name.
+    assert parse_config(base_config(precision={"k_max": 4})).policy == PrecisionPolicy(4)
+    with pytest.raises(ConfigError, match=key):
+        parse_config(base_config(precision={key: 2, "k_max": 4}))
+    with pytest.raises(ConfigError, match="bad precision policy"):
+        parse_config(base_config(precision={"k_max": 0}))
 
 
 def test_parse_gaussian_generator_selector():
@@ -263,7 +274,7 @@ def test_sub_batches_tally_in_trial_order():
     # leave the batch before p=3. The tally equals one built trial by trial,
     # keys in order of first appearance.
     cfg = parse_config(base_config(
-        primes=[{"p": 2}, {"p": 3}], trials=300, n=[5], precision={"k_init": 2, "k_max": 4},
+        primes=[{"p": 2}, {"p": 3}], trials=300, n=[5], precision={"k_max": 4},
         distribution={"builtin": "uniform-support", "params": {"support": ["0", "1", "-1", "6"]}}))
     dist = cfg.distribution
     want = Counter()

@@ -80,8 +80,9 @@ def test_make_local_ring_rejects_bad_parameters():
         make_local_ring(3, 1, 0, UNRAMIFIED)
     with pytest.raises(ParameterError):
         make_local_ring(3, 1, 2, RAMIFIED)  # ramified style is only for p=2, f=1
-    with pytest.raises(ParameterError, match="weird-style"):
-        make_local_ring(3, 1, 2, "weird-style")
+    for style in ("weird-style", "equal-characteristic", "ramified"):  # only the three names
+        with pytest.raises(ParameterError, match=style):
+            make_local_ring(2, 1, 2, style)
 
 
 def test_word_size_bound():

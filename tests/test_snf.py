@@ -149,16 +149,16 @@ def test_cokernel_type_examples():
 def test_indeterminate_on_zero_matrix():
     M = [[int_elem(0)]]
     with pytest.raises(IndeterminateCokernelError) as exc:
-        cokernel_local_type(M, P2, PrecisionPolicy(4, 16, 2))
+        cokernel_local_type(M, P2, PrecisionPolicy(16))
     assert exc.value.last_result.saturated
 
 
 def test_escalation_resolves_large_exponents():
     # valuation 10 saturates at K=8 and must escalate, not fail
     M = [[int_elem(2 ** 10)]]
-    assert cokernel_local_type(M, P2, PrecisionPolicy(8, 64, 2)) == (10,)
+    assert cokernel_local_type(M, P2, PrecisionPolicy(64)) == (10,)
     M = [[int_elem(3 ** 12)]]
-    assert cokernel_local_type(M, P3, PrecisionPolicy(8, 40, 2)) == (12,)
+    assert cokernel_local_type(M, P3, PrecisionPolicy(40)) == (12,)
 
 
 def test_oracle_agreement_seeded():
@@ -650,11 +650,11 @@ def test_f2t_fuzz_matches_local_snf(case):
 
 
 def _geometric_ladder(prime, policy):
-    """k_init times powers of the growth factor up to the word-size cap, no rung dropped."""
+    """min(8, cap), doubled up to the cap (k_max or the word-size cap), no rung dropped."""
     cap = min(policy.k_max, max_precision(prime.p, prime.f))
-    ladder = [min(policy.k_init, cap)]
+    ladder = [min(8, cap)]
     while ladder[-1] < cap:
-        ladder.append(min(ladder[-1] * policy.growth, cap))
+        ladder.append(min(2 * ladder[-1], cap))
     return tuple(ladder)
 
 
@@ -674,7 +674,7 @@ def _ladder_reference(rows, prime, policy):
 @st.composite
 def _driver_cases(draw, primes):
     prime = draw(st.sampled_from(primes))
-    policy = draw(st.sampled_from((PrecisionPolicy(1, 4), PrecisionPolicy(2, 8), DEFAULT_POLICY)))
+    policy = draw(st.sampled_from((PrecisionPolicy(4), PrecisionPolicy(16), DEFAULT_POLICY)))
     ladder = _geometric_ladder(prime, policy)
     if prime.domain == ZI:
         cofactor = st.builds(gauss_elem, st.integers(-9, 9), st.integers(-9, 9)).filter(
@@ -756,19 +756,31 @@ def _wide_rung(prime, K):
     return (mode == MODE_MODPK and prime.p ** K > _ODD_FAST_LIMIT) or (mode == "f2t" and K > 16)
 
 
+_LADDER_PRIMES = (P3, ZI5, ZI3, ZI7, P2, PX, PX2, PX3, ZI_RAM, F3X)
+
+
+@pytest.mark.parametrize("policy, ladders", [
+    (DEFAULT_POLICY, [(8, 16, 40), (8, 27), (8, 16, 20), (8, 11), (8, 16, 32, 64), (8, 16, 64),
+                      (8, 16, 32), (8, 16, 21), (8, 16, 32, 64), (8, 16, 32, 40)]),
+    (PrecisionPolicy(4), [(4,)] * 10),
+    (PrecisionPolicy(16), [(8, 16)] * 3 + [(8, 11)] + [(8, 16)] * 6),
+    (PrecisionPolicy(40), [(8, 16, 40), (8, 27), (8, 16, 20), (8, 11), (8, 16, 32, 40),
+                           (8, 16, 40), (8, 16, 32), (8, 16, 21), (8, 16, 32, 40), (8, 16, 32, 40)]),
+], ids=["default", "cap-4", "cap-16", "cap-40"])
+def test_escalation_ladders_are_pinned(policy, ladders):
+    # Each ladder starts at min(8, cap) and doubles up to the cap, k_max or
+    # the prime's word-size cap (40 at 3, 27 at (2+i), 20 at (3), 11 at (7),
+    # 32 at (x^2+x+1), 21 at (x^3+x+1), 40 at (x) of F_3[x]), less the wide
+    # rungs below the cap.
+    assert [escalation_ladder(prime, policy) for prime in _LADDER_PRIMES] == ladders
+
+
 def test_escalation_ladder_keeps_one_object_rung():
     # modpk and f2t ladders keep every fast-word rung of the geometric
     # ladder and, of its wide rungs (Montgomery words for modpk, object
     # words for f2t), only the cap; mod2k and generic ladders are whole.
-    assert escalation_ladder(ZI5, DEFAULT_POLICY) == (8, 27)
-    assert escalation_ladder(P3, DEFAULT_POLICY) == (8, 16, 40)
-    assert escalation_ladder(ZI3, DEFAULT_POLICY) == (8, 16, 20)
-    assert escalation_ladder(PX, DEFAULT_POLICY) == (8, 16, 64)
-    assert escalation_ladder(PX2, DEFAULT_POLICY) == (8, 16, 32)
-    assert escalation_ladder(PX, PrecisionPolicy(2, 64, 3)) == (2, 6, 64)
-    for policy in (DEFAULT_POLICY, PrecisionPolicy(1, 4), PrecisionPolicy(2, 64, 3),
-                   PrecisionPolicy(5, 40)):
-        for prime in (P3, ZI5, ZI3, ZI7, P2, PX, PX2, PX3, ZI_RAM, F3X):
+    for policy in (DEFAULT_POLICY, PrecisionPolicy(4), PrecisionPolicy(16), PrecisionPolicy(40)):
+        for prime in _LADDER_PRIMES:
             full, ladder = _geometric_ladder(prime, policy), escalation_ladder(prime, policy)
             wide = [K for K in ladder if _wide_rung(prime, K)]
             assert ladder[-1] == full[-1] and wide in ([], [full[-1]])
