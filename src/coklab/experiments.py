@@ -96,12 +96,12 @@ def parse_config(data: dict) -> ExperimentConfig:
         policy = PrecisionPolicy(int(pol.pop("k_max", DEFAULT_POLICY.k_max)))
         if pol:
             raise ConfigError(f"unknown precision settings {sorted(pol)}: k_max is the only one")
-        caps = data.get("type_caps", {})
+        caps = _section(data, "type_caps")
         cap_exponent = int(caps.get("exponent", 6))
         cap_parts = int(caps.get("parts", 6))
         check_caps(primes, u, cap_exponent, cap_parts)
         strict = bool(data.get("strict_balance", True))
-        out = data.get("output", {})
+        out = _section(data, "output")
         out_path = out.get("path")
         formats = parse_formats(out.get("formats", ("csv", "json")))
         targets = tuple(data.get("targets", ()))
@@ -114,6 +114,14 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError(str(e)) from e
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"malformed config: {e}") from e
+
+
+def _section(data: dict, key: str) -> dict:
+    """The mapping under ``key`` (empty when absent); anything else is refused."""
+    value = data.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a mapping, not {type(value).__name__}")
+    return value
 
 
 def parse_formats(formats) -> tuple:

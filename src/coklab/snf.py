@@ -29,7 +29,10 @@ Three layers:
   2^-64, which has the same valuations, so no conversion is needed, and
   division by p maps a word to the one of its value over p at the next
   level. Either way its unit test is one wrapping multiply by p^-1 mod
-  2^64 and one compare. f2t puts
+  2^64 and one compare. Its pivot inverses on int64 words are read from a
+  cached table of inverses mod p^ceil(K/2) and lifted by one Newton round;
+  on uint64 words, and where the table would pass 2^15 entries, they come
+  from one modular inverse per step (Montgomery's batch trick). f2t puts
   coefficient s of t into bit w*s of its word (a lane of w bits), so a
   carryless product is one wrapping integer multiply masked to the low bit
   of each lane: lane s of the integer product counts the pairs i + j = s,
@@ -176,8 +179,8 @@ def local_snf(M: LocalMatrix) -> SnfResult:
 # vectorized fast paths
 
 MODE_MOD2K = "mod2k"      # Z/2^K in the narrowest unsigned word of K bits (wraparound-exact)
-# Z/p^K, odd p: int64 up to _ODD_FAST_LIMIT, with lazy reduction; Montgomery uint64 words
-# above, up to p^K < 2^64; on both a multiply-compare unit test and one batch pivot inverse
+# Z/p^K, odd p: int64 up to _ODD_FAST_LIMIT, with lazy reduction and table pivot inverses;
+# Montgomery uint64 words above, up to p^K < 2^64; on both a multiply-compare unit test
 MODE_MODPK = "modpk"
 # F_2[t]/t^K, coefficient s in bit w*s: 4-bit lanes in the narrowest unsigned word of 4K bits
 # up to K = 16, 6-bit lanes in exact object ints above; a carryless product is a masked multiply
@@ -333,7 +336,7 @@ def _reduction_budget(m: int) -> int:
     return ((1 << 63) - 1 - m) // (m * m)
 
 
-def _scale_2k(row, a, p, prec):
+def _scale_2k(row, a, p, prec, K):
     """Rows times the inverses of the odd pivots a: Newton y <- y(2 - ay) from
     y = a, which is exact mod 8 and doubles its bits each round."""
     y = a.copy()
@@ -350,7 +353,8 @@ def _batch_inverse(a, p, prec):
     factorization", 1987) in Python ints: one pow(., -1, m) of the product of
     the units, then a walk back through the prefix products. Non-units get 0.
     A Montgomery word w stands for w R^-1 (R = 2^64), so the word of its
-    inverse is w^-1 R^2: on uint64 words the product's inverse carries R^2."""
+    inverse is w^-1 R^2: on uint64 words the product's inverse carries R^2.
+    It serves the words no inverse table covers (:func:`_inverse_table`)."""
     m = p ** prec
     xs = a.tolist()
     prefix = [1]
@@ -367,16 +371,50 @@ def _batch_inverse(a, p, prec):
     return np.array(out, a.dtype)
 
 
-def _scale_pk(row, a, p, prec):
-    """Rows times the pivot inverses (:func:`_batch_inverse`), reduced mod
-    p^prec: on Montgomery words by a Montgomery product, on int64 words,
-    whose entries may be unreduced sums, after reducing rows and pivots, so
-    that the inverse multiplies small Python ints."""
+# most entries of an inverse table: past it, int64 pivots take _batch_inverse
+_INVERSE_TABLE_LIMIT = 1 << 15
+
+
+@lru_cache(maxsize=None)
+def _inverse_table(p: int, h: int) -> np.ndarray:
+    """The inverses mod p^h of 0, ..., p^h - 1 as int64, 0 for the non-units:
+    Fermat's x^(p-2) mod p by square and multiply, then Newton rounds
+    y <- y(2 - xy), each doubling the power of p it is exact mod."""
+    x = np.arange(p ** h, dtype=np.int64)
+    base, y, e = x % p, np.ones_like(x), p - 2
+    while e:
+        if e & 1:
+            y = y * base % p
+        base = base * base % p
+        e >>= 1
+    k = 1
+    while k < h:
+        k = min(2 * k, h)
+        m = p ** k
+        y = y * (2 - x % m * y % m) % m
+    y.flags.writeable = False
+    return y
+
+
+def _scale_pk(row, a, p, prec, K):
+    """Rows times the pivot inverses, reduced mod m = p^prec. On int64 words,
+    whose entries may be unreduced sums, rows and pivots are reduced first.
+    Each inverse there is read mod p^h, h = ceil(K/2), from
+    :func:`_inverse_table`, and lifted mod p^2h, at least m, by one Newton
+    round y <- y(2 - ay) mod m, all of whose products stay below m^2. Past
+    the table limit, and on Montgomery words (where the row takes a
+    Montgomery product), the inverses come from :func:`_batch_inverse`."""
     m = p ** prec
     if row.dtype == np.uint64:
         return _mont_mul(row, _batch_inverse(a, p, prec)[:, None], m)
     row, a = row % m, a % m
-    return row * _batch_inverse(a, p, prec)[:, None] % m
+    h = (K + 1) // 2
+    if p ** h > _INVERSE_TABLE_LIMIT:
+        y = _batch_inverse(a, p, prec)
+    else:
+        y = _inverse_table(p, h)[a % p ** h] % m
+        y = y * (2 - a * y % m) % m
+    return row * y[:, None] % m
 
 
 def _f2t_lanes(B, prec):
@@ -388,7 +426,7 @@ def _f2t_lanes(B, prec):
     return w, (mask if B.dtype == object else B.dtype.type(mask))
 
 
-def _scale_f2t(row, a, p, prec):
+def _scale_f2t(row, a, p, prec, K):
     """Rows times the pivot inverses in F_2[t]/t^prec: carryless Newton
     y <- a y^2 from y = a (a^2 = 1 mod t^2 in characteristic 2), doubling
     the t-adic digits each round, where each carryless product is a
@@ -464,8 +502,9 @@ def _shift_p(B, p, prec, steps):
 
 
 # mode -> (unit test, pivot-row scaling by the pivot's inverse, rank-1 update,
-# division by the uniformizer down to precision prec); the last two also take
-# the number of updates made at this level before the call
+# division by the uniformizer down to precision prec); scaling also takes the
+# rung's K, and the last two the number of updates made at this level before
+# the call
 _KERNELS = {
     MODE_MOD2K: (_units_2, _scale_2k, _update_2k, _shift_2),
     MODE_MODPK: (_units_p, _scale_pk, _update_pk, _shift_p),
@@ -526,7 +565,7 @@ def _pivot_counts(mode: str, B, p: int, K: int) -> np.ndarray:
         if has.any():
             i, j = np.divmod(first, m)
             col = B[rows, :, j] * has[:, None]
-            update(B, col, scale(B[rows, i], flat[rows, first], p, K - level), p, K - level, steps)
+            update(B, col, scale(B[rows, i], flat[rows, first], p, K - level, K), p, K - level, steps)
             count += has
             steps += 1
             if steps > n:  # each step clears a row of every matrix that has a unit
@@ -607,14 +646,14 @@ def reduction_table(support: tuple, prime: PrimeIdealDesc, K: int):
 def gather(table, idx) -> np.ndarray:
     """The scalar matrices of a batch ``idx`` of shape ``(b, n, m)`` of support
     positions: ``table[idx]``, or for a table of f x f blocks the
-    ``(b, n f, m f)`` matrices over the base ring that they tile."""
-    B = np.empty(idx.shape + table.shape[1:], table.dtype)
-    for dst, M in zip(B, idx):  # per matrix: the gather's index temporary stays small
-        dst[...] = table[M]
+    ``(b, n f, m f)`` matrices over the base ring that they tile, indexed in
+    that order (block row k of entry (i, j) is row i f + k), so no copy
+    follows the index."""
     if table.ndim == 1:
-        return B
-    b, n, m, f, _ = B.shape
-    return B.swapaxes(2, 3).reshape(b, n * f, m * f)
+        return table[idx]
+    b, n, m = idx.shape
+    f = table.shape[1]
+    return table.swapaxes(0, 1)[np.arange(f)[:, None], idx[:, :, None, :]].reshape(b, n * f, m * f)
 
 
 def partition_at_prime(idx, support: tuple, prime: PrimeIdealDesc,

@@ -205,6 +205,13 @@ def test_exit_code_2_on_a_precision_setting_other_than_k_max(tmp_path, capsys, k
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["type_caps", "output"])
+def test_exit_code_2_on_a_section_that_is_not_a_mapping(tmp_path, capsys, key):
+    cfg = write_config(tmp_path, **{key: 5})
+    assert main(["dist", "--config", cfg]) == 2
+    assert f"{key} must be a mapping" in capsys.readouterr().err
+
+
 def test_exit_code_2_on_caps_over_the_box_sum_budget(tmp_path, capsys):
     # Caps of (80, 80) would keep the exact box sum busy for minutes; they
     # are refused before it runs.

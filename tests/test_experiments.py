@@ -69,6 +69,8 @@ def test_parse_config_happy_path():
     {"distribution": {}},
     {"output": {"formats": ["pdf"]}},
     {"type_caps": {"exponent": -1}},
+    {"type_caps": 5},
+    {"output": 5},
 ])
 def test_parse_config_rejects(patch):
     with pytest.raises(ConfigError):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations, permutations
 
 import numpy as np
@@ -344,6 +345,40 @@ def test_batched_kernel_matches_single_and_generic(prime, mode, K, support_at, w
         assert got[1] == _repeat(SnfResult((0, 0, 1, 1), K == 1), f)  # saturated once p reduces to 0
         assert got[2] == _repeat(SnfResult((K,) * n, True), f)
         assert got[3] == _repeat(SnfResult((0, 0, 0, K), True), f)
+
+
+@pytest.mark.parametrize("f", [1, 2, 3])
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64, object])
+@pytest.mark.parametrize("index", [np.uint8, np.intp])
+def test_gather_matches_per_matrix_reference(f, dtype, index):
+    # One fancy index gives each matrix's entries, and at f > 1 the f x f
+    # blocks tiled in place (block (i, j) at rows i f.., columns j f..).
+    rng = np.random.default_rng(f)
+    table = rng.integers(0, 1 << 40, (30,) + (f, f) * (f > 1)).astype(dtype)
+    idx = rng.integers(0, len(table), (5, 3, 4)).astype(index)
+    if f == 1:
+        want = np.stack([table[M] for M in idx])
+    else:
+        want = np.stack([np.block([[table[j] for j in row] for row in M]) for M in idx])
+    got = gather(table, idx)
+    assert got.dtype == table.dtype and got.shape == (5, 3 * f, 4 * f)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("f", [1, 2])
+def test_gather_peak_memory_stays_under_twice_its_output(f):
+    # No temporary the size of the batch: the cast of a uint8 index to intp
+    # is buffered, and the blocks are not copied after the index.
+    rng = np.random.default_rng(7)
+    table = rng.integers(0, 1 << 40, (25,) + (f, f) * (f > 1))
+    idx = rng.integers(0, len(table), (256, 12, 13)).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        out = gather(table, idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * out.nbytes
 
 
 @pytest.mark.parametrize("p, K", [(3, 20), (3, 40), (5, 16), (5, 27)])
@@ -786,6 +821,39 @@ def test_escalation_ladder_keeps_one_object_rung():
             assert ladder[-1] == full[-1] and wide in ([], [full[-1]])
             assert [K for K in ladder if K not in wide] == [K for K in full
                                                             if not _wide_rung(prime, K)]
+
+
+# (p, K) of every int64 modpk rung of the ladder primes, and of the int64
+# moduli of the Montgomery and lazy-reduction tests
+_INT64_RUNGS = sorted({(prime.p, K) for prime in _LADDER_PRIMES
+                       for K in escalation_ladder(prime, DEFAULT_POLICY)
+                       if matrix_mode(local_ring_for(prime, K)) == MODE_MODPK
+                       and prime.p ** K <= _ODD_FAST_LIMIT}
+                      | {(p, K) for p, K in [*_MODULI, *_LAZY_MODULI] if p ** K <= _ODD_FAST_LIMIT})
+
+
+@pytest.mark.parametrize("p, K", _INT64_RUNGS + [(65537, 1)])
+def test_int64_pivot_inverses_match_python_ints(monkeypatch, p, K):
+    # On int64 words the pivot inverses at every precision of a rung are
+    # those of pow(., -1, p^prec), read from the table of inverses mod
+    # p^ceil(K/2) and lifted by one Newton round, for unreduced pivots and
+    # rows; non-units give 0. Only past the table limit (7^6, 11^5 and 3^10
+    # entries, and 65537 at K = 1) does the Python-int batch inverse run.
+    calls = []
+    monkeypatch.setattr(snf, "_batch_inverse", lambda *args: calls.append(args) or _batch_inverse(*args))
+    rng = random.Random(p * 100 + K)
+    for prec in range(1, K + 1):
+        m = p ** prec
+        xs = [0, 1, p % m, m - p, m - 1, *(rng.randrange(m) for _ in range(200))]
+        high = [rng.randrange((1 << 62) // m) * m for _ in xs]  # unreduced sums
+        rs = [rng.randrange(1 << 62) for _ in xs]
+        a = np.array([x + h for x, h in zip(xs, high)], np.int64)
+        row = np.array([[1, r] for r in rs], np.int64)
+        inv = [pow(x, -1, m) if x % p else 0 for x in xs]
+        assert snf._scale_pk(row, a, p, prec, K).tolist() == [[y, r * y % m] for y, r in zip(inv, rs)]
+        assert snf._scale_pk(np.ones((0, 2), np.int64), a[:0], p, prec, K).tolist() == []
+    assert bool(calls) == ((p, K) in {(3, 19), (7, 11), (11, 9), (65537, 1)})
+    assert all(args[0].dtype == np.int64 for args in calls)
 
 
 @pytest.mark.parametrize("prime, elem, twenty", [
