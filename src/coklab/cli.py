@@ -164,7 +164,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _apply_overrides(load_config(args.config), args)
-    except (ConfigError, ParameterError, FileNotFoundError) as e:
+    except (ConfigError, ParameterError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     try:

@@ -75,6 +75,8 @@ class ExperimentConfig:
 
 def parse_config(data: dict) -> ExperimentConfig:
     """Validate a raw config mapping; raises ConfigError with a reason."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"config must be a JSON object, not {type(data).__name__}")
     try:
         domain = _parse_domain(data)
         dist = _parse_distribution(domain, data.get("distribution"))
@@ -137,8 +139,8 @@ def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config is not valid JSON: {e}") from e
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise ConfigError(f"config is not valid UTF-8 JSON: {e}") from e
     return parse_config(data)
 
 

@@ -9,37 +9,32 @@ Three layers:
   odd-characteristic F_p[[t]].
 * :func:`snf_valuations_array` covers the hot representations, Z/p^K
   entries and lane-spread F_2[[t]]/t^K entries in machine words, for a whole
-  batch of matrices at once; its loop, :func:`_pivot_counts`, returns
-  the number of pivots per matrix and level. Galois rings and F_2[x]/(g^K)
-  of residue degree f > 1 lower onto these base rings by restriction of
-  scalars: such a ring is free of rank f over its base ring, so each entry becomes the
-  f x f block of multiplication by it (:func:`element_block`) and each
-  part of the cokernel appears f times. Each step of its stratified loop pivots every
-  matrix on its first unit with a rank-1 update (no swaps); once no matrix
-  has a unit, the batch is divided by the uniformizer and goes one level
-  deeper. mod2k uses the narrowest unsigned word of K bits, modpk int64
-  while products fit and uint64 words in Montgomery form past that. On
-  int64 words modpk divides only where it must: entries stay nonnegative
-  and the whole batch is reduced mod p^prec once every few rank-1 updates
-  (as many as fit under 2^63) and before each division by p. On uint64
-  words every product is one Montgomery reduction (Montgomery, "Modular
-  multiplication without trial division", 1985), built from 32-bit halves.
-  The words are read in Montgomery form as they come, a residue w standing
-  for w 2^-64 mod p^prec: the kernel eliminates the batch times the unit
-  2^-64, which has the same valuations, so no conversion is needed, and
-  division by p maps a word to the one of its value over p at the next
-  level. Either way its unit test is one wrapping multiply by p^-1 mod
-  2^64 and one compare. Its pivot inverses on int64 words are read from a
-  cached table of inverses mod p^ceil(K/2) and lifted by one Newton round;
-  on uint64 words, and where the table would pass 2^15 entries, they come
-  from one modular inverse per step (Montgomery's batch trick). f2t puts
-  coefficient s of t into bit w*s of its word (a lane of w bits), so a
-  carryless product is one wrapping integer multiply masked to the low bit
-  of each lane: lane s of the integer product counts the pairs i + j = s,
-  and its low bit is their XOR (the "multiplication with holes" of
-  constant-time GHASH). Lanes are 4 bits in the narrowest unsigned word of
-  4K bits for K <= 16, and 6 bits in exact Python ints past that. Every
-  kernel is tested to agree with the reference everywhere.
+  batch of matrices at once; its loop, :func:`_pivot_counts`, returns the
+  number of pivots per matrix and level. Galois rings and F_2[x]/(g^K) of
+  residue degree f > 1 lower onto these base rings by restriction of
+  scalars: such a ring is free of rank f over its base ring, so each entry
+  becomes the f x f block of multiplication by it (:func:`element_block`)
+  and each part of the cokernel appears f times. Step r of a level of the
+  loop pivots every matrix whose row r has a unit on the first one, with a
+  rank-1 update of the rows below r and of those set aside (no swaps); a
+  nonzero row without a unit is set aside, and only the set-aside rows are
+  divided by the uniformizer and go one level deeper. mod2k uses the
+  narrowest unsigned word of K bits. modpk uses int64 while products fit,
+  where entries stay nonnegative and are reduced mod p^prec only once every
+  few updates and before each division by p, and past that uint64 words
+  read in Montgomery form as they come (Montgomery, "Modular multiplication
+  without trial division", 1985): a residue w stands for w 2^-64 mod
+  p^prec, so the kernel eliminates the batch times a unit, and division by
+  p maps a word to the one of its value over p at the next level. Its unit
+  test is one wrapping multiply by p^-1 mod 2^64 and one compare; its pivot
+  inverses come from a cached table lifted by one Newton round on int64
+  words, else from one modular inverse per step (Montgomery's batch trick).
+  f2t puts coefficient s of t into bit w*s of its word (a lane of w bits),
+  so a carryless product is one wrapping integer multiply masked to the low
+  bit of each lane (the "multiplication with holes" of constant-time
+  GHASH): 4-bit lanes in the narrowest unsigned word of 4K bits for
+  K <= 16, and 6-bit lanes in exact Python ints past that. Every kernel is
+  tested to agree with the reference everywhere.
 * :func:`partition_at_prime` runs every cokernel computation. It takes a
   batch of matrices as positions into an entry support, picks the kernel
   for each ring through :func:`reduction_table`, gathers the scalars or
@@ -337,10 +332,10 @@ def _reduction_budget(m: int) -> int:
 
 
 def _scale_2k(row, a, p, prec, K):
-    """Rows times the inverses of the odd pivots a: Newton y <- y(2 - ay) from
-    y = a, which is exact mod 8 and doubles its bits each round."""
-    y = a.copy()
-    bits = 3
+    """Rows times the inverses of the pivots a (0 for even a), read mod 2^8 from
+    :func:`_inverse_table` and lifted by Newton y <- y(2 - ay), doubling the bits."""
+    y = _inverse_table(2, 8)[a & 0xFF].astype(a.dtype)
+    bits = 8
     while bits < prec:
         y *= 2 - a * y
         bits *= 2
@@ -378,10 +373,10 @@ _INVERSE_TABLE_LIMIT = 1 << 15
 @lru_cache(maxsize=None)
 def _inverse_table(p: int, h: int) -> np.ndarray:
     """The inverses mod p^h of 0, ..., p^h - 1 as int64, 0 for the non-units:
-    Fermat's x^(p-2) mod p by square and multiply, then Newton rounds
+    Fermat's x^(p-2) mod p (1 for odd x at p = 2), then Newton rounds
     y <- y(2 - xy), each doubling the power of p it is exact mod."""
     x = np.arange(p ** h, dtype=np.int64)
-    base, y, e = x % p, np.ones_like(x), p - 2
+    base, y, e = x % p, (x % p > 0).astype(np.int64), p - 2
     while e:
         if e & 1:
             y = y * base % p
@@ -432,13 +427,13 @@ def _scale_f2t(row, a, p, prec, K):
     the t-adic digits each round, where each carryless product is a
     wrapping multiply masked to the lanes."""
     _, lanes = _f2t_lanes(row, prec)
-    y = a = a | 1  # rows without a pivot get factor 0 later; keep their Newton defined
-    digits = 2
+    unit, a = a & 1, a | 1  # Newton runs on a | 1 for every a; a zero pivot scales by 0
+    y, digits = a, 2
     while digits < prec:
         y = a * (y * y & lanes) & lanes
         digits *= 2
     assert np.all(a * y & lanes == 1), "carryless Newton inverse failed"
-    return row * y[:, None] & lanes
+    return row * (y * unit)[:, None] & lanes
 
 
 def _update_2k(B, col, row, p, prec, steps):
@@ -501,10 +496,10 @@ def _shift_p(B, p, prec, steps):
     return B
 
 
-# mode -> (unit test, pivot-row scaling by the pivot's inverse, rank-1 update,
-# division by the uniformizer down to precision prec); scaling also takes the
-# rung's K, and the last two the number of updates made at this level before
-# the call
+# mode -> (unit test, pivot-row scaling by the pivot's inverse (by 0 for a
+# zero pivot), rank-1 update, division by the uniformizer down to precision
+# prec); scaling also takes the rung's K, and the last two the number of
+# updates made at this level before the call
 _KERNELS = {
     MODE_MOD2K: (_units_2, _scale_2k, _update_2k, _shift_2),
     MODE_MODPK: (_units_p, _scale_pk, _update_pk, _shift_p),
@@ -537,51 +532,54 @@ def _pivot_counts(mode: str, B, p: int, K: int) -> np.ndarray:
     ``B`` has shape ``(b, n, m)``; it is consumed when it already has the
     mode's word dtype. For modpk its entries are residues in [0, p^K) (read
     in Montgomery form where the word is uint64), and for f2t lane-spread
-    words (:func:`element_to_scalar`) with no bit outside their K lanes. At level
-    ``level < K`` entries are taken modulo p^(K - level). Each step pivots
-    every matrix on its first unit in row-major order and subtracts the
-    rank-1 product of the pivot column and the pivot row scaled by the
-    pivot's inverse, which zeroes both; a matrix with no unit gets factor 0.
-    Once no matrix has a unit, the batch is divided by the uniformizer and
-    goes one level deeper, and all-zero matrices leave it. Returns the
-    ``(b, K)`` array of pivots per matrix and level: row t holds the number
-    of diagonal entries of valuation v at v, and rows without a pivot
-    (n minus the row's sum) have valuation K (saturated).
+    words (:func:`element_to_scalar`) with no bit outside their K lanes. At
+    level ``level < K`` entries are taken modulo p^(K - level). Step r reads
+    row r of every matrix; where it has a unit, the rank-1 product of the
+    pivot column and the row scaled by its first unit's inverse is taken
+    from row r, the rows below and the rows set aside, zeroing the pivot's
+    row and column. A row with no unit at its step is zero mod p, and stays
+    so under the level's later updates (their factors are multiples of p):
+    it is set aside if nonzero. A matrix keeps its set-aside rows in place,
+    as a block just above row r; a spent row r takes the block's first row.
+    Level 0 pivots as the first unit in row-major order would; later levels
+    may meet the set-aside rows in another order, which leaves the counts,
+    invariants of the matrix, as they are. After the last row, the blocks
+    (the last rows of the batch) are divided by the uniformizer and are the
+    next level's matrices. Returns the ``(b, K)`` array of pivots per matrix
+    and level: row t holds the number of diagonal entries of valuation v at
+    v; rows without a pivot (n minus the row's sum) have valuation K.
     """
     if mode not in _KERNELS:
         raise ParameterError(f"no array path for mode {mode!r}")
     units, scale, update, shift = _KERNELS[mode]
     B = np.ascontiguousarray(B, dtype=_word_dtype(mode, K, p))
-    b, n, m = B.shape
+    b, n, _ = B.shape
     pivots = np.zeros((b, K), dtype=np.int64)  # pivots per matrix and level
-    active = rows = np.arange(b)               # batch row -> matrix; batch rows
-    count = np.zeros(b, dtype=np.int64)        # pivots per batch row at this level
-    level = steps = 0                          # steps: rank-1 updates at this level
-    while len(B) and level < K:
-        flat = B.reshape(len(B), n * m)
-        found = units(flat, p)
-        first = found.argmax(axis=1)
-        has = found[rows, first] != 0
-        if has.any():
-            i, j = np.divmod(first, m)
-            col = B[rows, :, j] * has[:, None]
-            update(B, col, scale(B[rows, i], flat[rows, first], p, K - level, K), p, K - level, steps)
-            count += has
-            steps += 1
-            if steps > n:  # each step clears a row of every matrix that has a unit
-                raise RuntimeError(f"{mode} kernel left a pivot uncleared: {steps} steps "
-                                   f"at level {level} of {n}-row matrices")
-        else:
-            pivots[active, level] = count
-            level += 1
-            B = shift(B, p, K - level, steps)
-            steps = 0
-            keep = np.flatnonzero(B.reshape(len(B), n * m).any(axis=1))
-            for dst, src in enumerate(keep):  # compact in place: no copy of the batch
-                if dst != src:
-                    B[dst] = B[src]
-            B, active = B[:len(keep)], active[keep]
-            rows, count = np.arange(len(B)), np.zeros(len(B), dtype=np.int64)
+    mats, level = np.arange(b), 0
+    while n and level < K:
+        kept, steps = np.zeros(b, dtype=np.int64), 0  # set-aside rows per matrix, updates made
+        for r in range(n):
+            row = B[:, r]
+            found = units(row, p)
+            j = found.argmax(axis=1)
+            has = found[mats, j]
+            keep = row.any(axis=1) & ~has
+            top = r - int(kept.max(initial=0))  # first row of the widest set-aside block
+            if has.any():
+                live = B[:, top:]
+                pivot = row[mats, j] * has  # 0 where row r has no unit: scales to 0
+                update(live, live[mats, :, j], scale(row, pivot, p, K - level, K), p, K - level, steps)
+                pivots[:, level] += has
+                steps += 1
+            if top < r:  # refill a spent row r from the head of its matrix's block
+                moved = np.flatnonzero(~keep & (kept > 0))
+                head = r - kept[moved]
+                B[moved, r] = B[moved, head]
+                B[moved, head] = 0
+            kept += keep
+        level += 1
+        n = int(kept.max(initial=0))
+        B = shift(B[:, B.shape[1] - n:], p, K - level, steps)
     return pivots
 
 

@@ -104,6 +104,21 @@ def test_exit_code_2_on_bad_config(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("make, reason", [
+    (lambda path: path.write_text("[1, 2]", encoding="utf-8"), "must be a JSON object, not list"),
+    (lambda path: path.write_bytes(b'{"domain": "\xff"}'), "not valid UTF-8 JSON"),
+    (lambda path: path.mkdir(), "Is a directory"),
+], ids=["not-an-object", "not-utf-8", "directory"])
+def test_exit_code_2_on_an_unreadable_config(tmp_path, capsys, make, reason):
+    # A config that is no JSON object, not UTF-8 or not a file is a config
+    # error (exit 2 with a message), not a traceback.
+    path = tmp_path / "cfg.json"
+    make(path)
+    assert main(["dist", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and reason in err
+
+
 @pytest.mark.parametrize("overrides", [
     {"primes": [{"p": 2 ** 61 - 1}]},
     {"domain": "Z[i]", "primes": [{"generator": "2097164+i"}],

@@ -347,6 +347,79 @@ def test_batched_kernel_matches_single_and_generic(prime, mode, K, support_at, w
         assert got[3] == _repeat(SnfResult((0, 0, 0, K), True), f)
 
 
+def _set_aside_grid(rng, support, prime, n, u, aside):
+    """An n x (n + u) grid of support entries in which each row i in
+    ``aside`` reaches its step of the loop without a unit: by kind, the sum
+    of two earlier rows plus pi times a random row ("sum"), pi or pi^2 times
+    a random row ("pi", "pi2"), or zero ("zero")."""
+    pi, zero = prime.generator, support[0]
+
+    def random_row():
+        return [rng.choice(support) for _ in range(n + u)]
+
+    def times(c, row):
+        return [elem_mul(c, x) for x in row]
+
+    rows = []
+    for i in range(n):
+        kind = aside.get(i)
+        if kind == "sum":
+            a, b = rng.sample(rows, 2)
+            rows.append([elem_add(elem_add(x, y), z) for x, y, z in zip(a, b, times(pi, random_row()))])
+        elif kind in ("pi", "pi2"):
+            rows.append(times(pi if kind == "pi" else elem_mul(pi, pi), random_row()))
+        else:
+            rows.append([zero] * (n + u) if kind == "zero" else random_row())
+    return rows
+
+
+# where each matrix of a batch sets rows aside: mid-matrix before later
+# pivots, at the top, at the bottom, none, and in a run
+_ASIDE_LAYOUTS = [
+    {2: "sum", 4: "pi2", 5: "zero", 8: "pi"},
+    {0: "pi", 1: "pi2"},
+    {},
+    {3: "zero", 4: "sum", 6: "sum", 9: "pi2"},
+    {11: "pi"},
+    {5: "pi", 6: "pi2", 7: "sum", 8: "pi"},
+]
+
+
+@pytest.mark.parametrize("prime, K, support_at, u, word", [
+    (P2, 8, _ints, 0, "uint8"),
+    (P2, 64, _ints, 1, "uint64"),
+    (P3, 19, _ints, 0, "int64"),   # lazy reduction every 6 updates
+    (P3, 40, _ints, 1, "uint64"),  # Montgomery words
+    (PX, 16, _polys, 0, "uint64"),  # 4-bit lanes
+    (PX, 32, _polys, 0, "object"),  # 6-bit lanes
+    (ZI3, 8, _gauss, 1, "int64"),  # 2 x 2 blocks over Z/3^8
+    (PX2, 8, _polys, 2, "uint32"),  # 2 x 2 blocks over F_2[t]/t^8
+], ids=["mod2k-8", "mod2k-64", "modpk-int64", "modpk-montgomery", "f2t-4-bit", "f2t-object",
+        "modpk-blocks", "f2t-blocks"])
+def test_set_aside_rows_match_local_snf(prime, K, support_at, u, word):
+    # Rows without a unit at their step, anywhere in a matrix, are set aside
+    # and carried to the next level, and every later pivot of the level
+    # updates them; each matrix of the batch sets aside different rows. At
+    # 3^19 the int64 words are reduced every 6 updates, so n = 12 pivots
+    # reduce the batch while rows are set aside.
+    if K == 19:
+        assert _reduction_budget(prime.p ** K) == 6
+    rng = random.Random(K)
+    layouts = _ASIDE_LAYOUTS * 2 + [{}] * 2
+    batch = [_set_aside_grid(rng, support_at(prime, K), prime, 12, u, layout) for layout in layouts]
+    support = tuple(dict.fromkeys(x for rows in batch for row in rows for x in row))
+    mode, ring, table = reduction_table(support, prime, K)
+    assert table.dtype == np.dtype(word)
+    position = {x: i for i, x in enumerate(support)}
+    idx = np.array([[[position[x] for x in row] for row in rows] for rows in batch])
+    got = snf_valuations_array(mode, gather(table, idx), prime.p, K)
+    for rows, layout, res in zip(batch, layouts, got):
+        want = local_snf(LocalMatrix.of(ring, [[reduce_mod_prime_power(x, prime, K) for x in row]
+                                               for row in rows]))
+        assert res == _repeat(want, ring.f)
+        assert max(want.valuations) > 0 or not layout
+
+
 @pytest.mark.parametrize("f", [1, 2, 3])
 @pytest.mark.parametrize("dtype", [np.int64, np.uint64, object])
 @pytest.mark.parametrize("index", [np.uint8, np.intp])
@@ -379,6 +452,31 @@ def test_gather_peak_memory_stays_under_twice_its_output(f):
     finally:
         tracemalloc.stop()
     assert peak < 2 * out.nbytes
+
+
+@pytest.mark.parametrize("mode, shape, p, K, bound", [
+    ("mod2k", (64, 48, 48), 2, 8, 2.206),
+    ("f2t", (64, 48, 48), 2, 8, 0.808),
+    ("modpk", (256, 12, 12), 5, 8, 2.021),
+], ids=["mod2k", "f2t", "modpk"])
+def test_kernel_peak_memory_stays_under_its_pinned_multiple_of_the_batch(mode, shape, p, K, bound):
+    # The loop packs the rows it sets aside in place and reads one row per
+    # step, so no temporary outgrows the update's product. The bounds are
+    # the peaks, in batch bytes, of the earlier whole-batch loop on these
+    # batches.
+    rng = np.random.default_rng(11)
+    dtype = _word_dtype(mode, K, p)
+    if mode == "f2t":  # a random bit in the low bit of each of K 4-bit lanes
+        B = (rng.integers(0, 2, shape + (K,)) << np.arange(0, 4 * K, 4)).sum(axis=-1).astype(dtype)
+    else:
+        B = rng.integers(0, p ** K, shape).astype(dtype)
+    tracemalloc.start()
+    try:
+        snf._pivot_counts(mode, B, p, K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * B.nbytes
 
 
 @pytest.mark.parametrize("p, K", [(3, 20), (3, 40), (5, 16), (5, 27)])
@@ -511,15 +609,22 @@ def test_modpk_multiply_compare_unit_test(p):
         assert _units_p(np.array(words, dtype), p).tolist() == want
 
 
-@pytest.mark.parametrize("mode, p", [("mod2k", 2), ("modpk", 3), ("f2t", 2)])
-def test_stalled_kernel_raises_instead_of_looping(monkeypatch, mode, p):
-    # an update that clears nothing keeps the pivot a unit; the level ends
-    # after at most n steps, so step n + 1 is a fault
+# the uniformizer's word: 2, 3, and t in lane 1 of 4-bit f2t lanes
+@pytest.mark.parametrize("mode, p, pi", [("mod2k", 2, 2), ("modpk", 3, 3), ("f2t", 2, 16)])
+def test_kernel_makes_at_most_one_update_per_row_per_level(monkeypatch, mode, p, pi):
+    # An update that clears nothing leaves every pivot row a unit row, yet
+    # the loop visits each row once per level: it returns after at most one
+    # update per row and level, the updates of a level counted from 0.
+    # diag(1, pi, pi^2) sets rows aside to levels 1 and 2; the matrix of
+    # ones has a unit in every row at level 0.
     units, scale, _, shift = snf._KERNELS[mode]
-    monkeypatch.setitem(snf._KERNELS, mode, (units, scale, lambda *args: None, shift))
-    B = make_scalar_matrix(mode, np.eye(3, 4, dtype=int).tolist())
-    with pytest.raises(RuntimeError, match=f"{mode} kernel .* at level 0 of 3-row"):
-        snf_valuations_array(mode, B, p, 4)
+    calls = []
+    monkeypatch.setitem(snf._KERNELS, mode, (
+        units, scale, lambda B, col, row, p, prec, steps: calls.append((prec, steps)), shift))
+    B = make_scalar_matrix(mode, [[[1, 0, 0, 0], [0, pi, 0, 0], [0, 0, pi * pi, 0]],
+                                  [[1, 1, 1, 1]] * 3])
+    snf_valuations_array(mode, B, p, 4)
+    assert calls == [(4, 0), (4, 1), (4, 2), (3, 0), (2, 0)]
 
 
 def test_modpk_shift_reduces_pending_updates():
