@@ -19,6 +19,7 @@ from .experiments import (
     load_config,
     open_output,
     parse_formats,
+    parse_seed,
     run_distribution_experiment,
     run_galois_demo,
     run_moment_experiment,
@@ -72,7 +73,8 @@ def _apply_overrides(cfg, args):
     if args.threads < 1:
         raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed, raw={**cfg.raw, "seed": args.seed})
+        seed = parse_seed(args.seed)
+        cfg = replace(cfg, seed=seed, raw={**cfg.raw, "seed": seed})
     if args.out is not None:
         cfg = replace(cfg, out_path=args.out)
     if args.format is not None:

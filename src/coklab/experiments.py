@@ -34,6 +34,7 @@ from .domains import (
     DomainId,
     factor_rational_prime,
     format_element,
+    local_ring_for,
     parse_element,
     poly_domain,
 )
@@ -41,7 +42,8 @@ from .errors import ConfigError, DiagnosticsError, ParameterError
 from .modules import ModuleType, count_sur, module_size, parse_type_string
 from .sampler import BalanceReport, EntryDistribution, audit_ideals, audit_pairs, \
     balance_report, builtin_distribution, sample_index_batch
-from .snf import DEFAULT_POLICY, PrecisionPolicy, counts_partition, partition_at_prime
+from .snf import DEFAULT_POLICY, MODE_GENERIC, PrecisionPolicy, _word_dtype, counts_partition, \
+    escalation_ladder, matrix_mode, partition_at_prime, reduction_table
 from .theory import check_caps, partial_sum, predicted_moment, predicted_probability
 
 INDETERMINATE = "indeterminate"
@@ -81,26 +83,27 @@ def parse_config(data: dict) -> ExperimentConfig:
         domain = _parse_domain(data)
         dist = _parse_distribution(domain, data.get("distribution"))
         primes = _parse_primes(domain, data.get("primes"), len(dist.support))
-        u = int(data.get("u", 0))
+        u = _integer(data.get("u", 0), "u")
         if u < 0:
             raise ConfigError("u must be nonnegative")
         n_field = data.get("n", data.get("n_list"))
         if n_field is None:
             raise ConfigError("missing n (single value or ascending list)")
-        n_list = tuple([int(n_field)] if isinstance(n_field, int) else map(int, n_field))
+        n_list = tuple(_integer(n, "n") for n in (
+            n_field if isinstance(n_field, (list, tuple)) else [n_field]))
         if not n_list or any(a >= b for a, b in zip(n_list, n_list[1:])) or n_list[0] < 1:
             raise ConfigError("n must be a nonempty ascending list of positive sizes")
-        trials = int(data.get("trials", 1000))
+        trials = _integer(data.get("trials", 1000), "trials")
         if trials < 1:
             raise ConfigError("trials must be at least 1")
-        seed = int(data.get("seed", 0))
+        seed = parse_seed(data.get("seed", 0))
         pol = dict(data.get("precision", {}))
-        policy = PrecisionPolicy(int(pol.pop("k_max", DEFAULT_POLICY.k_max)))
+        policy = PrecisionPolicy(_integer(pol.pop("k_max", DEFAULT_POLICY.k_max), "k_max"))
         if pol:
             raise ConfigError(f"unknown precision settings {sorted(pol)}: k_max is the only one")
         caps = _section(data, "type_caps")
-        cap_exponent = int(caps.get("exponent", 6))
-        cap_parts = int(caps.get("parts", 6))
+        cap_exponent = _integer(caps.get("exponent", 6), "type_caps exponent")
+        cap_parts = _integer(caps.get("parts", 6), "type_caps parts")
         check_caps(primes, u, cap_exponent, cap_parts)
         strict = bool(data.get("strict_balance", True))
         out = _section(data, "output")
@@ -116,6 +119,24 @@ def parse_config(data: dict) -> ExperimentConfig:
         raise ConfigError(str(e)) from e
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"malformed config: {e}") from e
+
+
+def _integer(value, name: str) -> int:
+    """A config integer as given. A string, float or boolean is refused, not
+    converted: a string n would be read digit by digit, 2.5 trials would
+    run 2, and True would count as 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, not {type(value).__name__} {value!r}")
+    return value
+
+
+def parse_seed(value) -> int:
+    """A validated seed, an integer in [0, 2^64): the sampler keys its
+    streams by the seed's 64 bits, so any other seed would alias one."""
+    seed = _integer(value, "seed")
+    if not 0 <= seed < 1 << 64:
+        raise ConfigError(f"seed must be in [0, 2^64), got {seed}")
+    return seed
 
 
 def _section(data: dict, key: str) -> dict:
@@ -230,51 +251,84 @@ def run_balance_gate(cfg: ExperimentConfig) -> BalanceReport:
 # trial execution
 
 
-# kernel entries of the trials sampled and eliminated together: bounds a
-# batch's memory for any chunk size (256 matrices at n = 12, 64 from n = 24)
-_BATCH_ENTRIES = 36_864
+# bytes of kernel words in the matrices sampled and eliminated together:
+# bounds a batch's memory for any chunk size (227 matrices at n = 48 in
+# mod2k's uint8 words, 455 at n = 12 in modpk's int64 words)
+_BATCH_BYTES = 512 * 1024
 
 
-def _sub_batch(n: int, u: int, primes) -> int:
-    """Trials per sub-batch: as many n f x (n + u) f kernel matrices, at the
-    largest residue degree f of the primes, as fill _BATCH_ENTRIES, and at
-    least 64, so that each numpy step of a small n works on enough entries
-    to outweigh its call overhead."""
-    f = max(pr.f for pr in primes)
-    return max(64, _BATCH_ENTRIES // (n * f * (n + u) * f))
+def _sub_batch(cfg: ExperimentConfig, n: int) -> int:
+    """Most trials per sub-batch: as many n f x (n + u) f kernel matrices,
+    in the word of each prime's first ladder rung (an object pointer on the
+    generic path), as fill _BATCH_BYTES at the widest prime, and at least
+    64, so that each numpy step of a small n works on enough entries to
+    outweigh its call overhead."""
+    def matrix_bytes(prime):
+        K = escalation_ladder(prime, cfg.policy)[0]
+        mode = matrix_mode(local_ring_for(prime, K))
+        word = np.dtype(object) if mode == MODE_GENERIC else _word_dtype(mode, K, prime.p)
+        return n * prime.f * (n + cfg.u) * prime.f * word.itemsize
+    return max(64, _BATCH_BYTES // max(map(matrix_bytes, cfg.primes)))
+
+
+def _lowering_key(cfg: ExperimentConfig, prime):
+    """What :func:`partition_at_prime` reads of a prime besides the batch: p,
+    the ladder, and per rung the mode, residue degree f and the support's
+    table (dtype, shape and entries). Two primes with equal keys give equal
+    count rows on every batch. None on the generic path, whose elements
+    carry their ring."""
+    ladder = escalation_ladder(prime, cfg.policy)
+    rungs = []
+    for K in ladder:
+        mode, ring, table = reduction_table(cfg.distribution.support, prime, K)
+        if mode == MODE_GENERIC:
+            return None
+        rungs.append((mode, ring.f, table.dtype, table.shape, table.tolist()))
+    return prime.p, ladder, rungs
 
 
 def _tally_chunk(args) -> Counter:
     """Observed type keys of trials start, ..., stop - 1 of cfg at size n,
     for args = (cfg, n, start, stop) (pure).
 
-    Trials go through the cokernel driver in sub-batches of
-    :func:`_sub_batch` trials, sampled into one reused array of the
-    narrowest index dtype. A trial leaves the batch at its first
-    indeterminate prime. Each trial's pivot-count rows at the primes
-    (:func:`partition_at_prime`) are placed side by side and equal ones are
-    counted, so each distinct row becomes one key: INDETERMINATE when a
-    prime's counts sum below n, else the (prime index, partition) pairs of
-    the primes with a nontrivial partition (fewer than n counts at level
-    0). Keys are tallied in order of first appearance, which is trial order.
+    Trials go through the cokernel driver in the fewest sub-batches of at
+    most :func:`_sub_batch` trials, of near-equal sizes, sampled into one
+    reused array of the narrowest index dtype. A trial leaves the batch at
+    its first indeterminate prime. A prime whose :func:`_lowering_key`
+    equals an earlier prime's lowers every matrix to the same arrays, so it
+    takes that prime's rows of the trials still live, and
+    :func:`partition_at_prime` runs once for both. Each trial's pivot-count
+    rows at the primes are placed side by side and equal ones are counted,
+    so each distinct row becomes one key: INDETERMINATE when a prime's
+    counts sum below n, else the (prime index, partition) pairs of the
+    primes with a nontrivial partition (fewer than n counts at level 0).
+    Keys are tallied in order of first appearance, which is trial order.
     """
     cfg, n, start, stop = args
     dist, u = cfg.distribution, cfg.u
     tally = Counter()
-    size = _sub_batch(n, u, cfg.primes)
-    idx = np.empty((size, n, n + u), dtype=np.min_scalar_type(len(dist.support) - 1))
-    for first in range(start, stop, size):
-        batch = idx[:min(size, stop - first)]
+    keys = [_lowering_key(cfg, prime) for prime in cfg.primes]
+    same = [i if key is None else keys.index(key) for i, key in enumerate(keys)]
+    trials = stop - start
+    parts = max(1, math.ceil(trials / _sub_batch(cfg, n)))
+    cuts = [start + trials * i // parts for i in range(parts + 1)]
+    idx = np.empty((math.ceil(trials / parts), n, n + u),
+                   dtype=np.min_scalar_type(len(dist.support) - 1))
+    for first, last in zip(cuts, cuts[1:]):
+        batch = idx[:last - first]
         sample_index_batch(dist, n, u, cfg.seed, first, batch)
-        rows, live = [], np.arange(len(batch))  # trials determined at every prime so far
-        for prime in cfg.primes:
-            sub = batch if len(live) == len(batch) else batch[live]
-            counts = partition_at_prime(sub, dist.support, prime, cfg.policy)
+        fulls, live = [], np.arange(len(batch))  # trials determined at every prime so far
+        for i, prime in enumerate(cfg.primes):
+            if same[i] < i:
+                counts = fulls[same[i]][live]
+            else:
+                sub = batch if len(live) == len(batch) else batch[live]
+                counts = partition_at_prime(sub, dist.support, prime, cfg.policy)
             full = np.zeros((len(batch), counts.shape[1]), np.int64)
             full[live] = counts
-            rows.append(map(tuple, full.tolist()))
+            fulls.append(full)
             live = live[counts.sum(axis=1) == n]
-        for row, count in Counter(zip(*rows)).items():
+        for row, count in Counter(zip(*(map(tuple, f.tolist()) for f in fulls))).items():
             key = INDETERMINATE if any(sum(c) < n for c in row) else tuple(
                 (pi, counts_partition(c)) for pi, c in enumerate(row) if c[0] < n)
             tally[key] += count
@@ -288,7 +342,7 @@ def _run_trials(cfg: ExperimentConfig, n: int, threads: int) -> Counter:
     the trials are indeterminate."""
     if threads > 1 and not hasattr(os, "fork"):
         raise ConfigError("--threads above 1 needs os.fork, which this platform lacks")
-    workers = min(threads, math.ceil(cfg.trials / _sub_batch(n, cfg.u, cfg.primes)))
+    workers = min(threads, math.ceil(cfg.trials / _sub_batch(cfg, n)))
     cuts = [cfg.trials * i // workers for i in range(workers + 1)]
     total = sum(_forked(_tally_chunk, [(cfg, n, a, b) for a, b in zip(cuts, cuts[1:])]),
                 Counter())

@@ -227,6 +227,31 @@ def test_exit_code_2_on_a_section_that_is_not_a_mapping(tmp_path, capsys, key):
     assert f"{key} must be a mapping" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"n": "16"}, "n must be an integer, not str '16'"),
+    ({"trials": 2.5}, "trials must be an integer, not float 2.5"),
+    ({"trials": True}, "trials must be an integer, not bool True"),
+    ({"precision": {"k_max": True}}, "k_max must be an integer, not bool True"),
+    ({"seed": 2 ** 64}, "seed must be in [0, 2^64), got 18446744073709551616"),
+    ({"seed": -1}, "seed must be in [0, 2^64), got -1"),
+], ids=["n-string", "trials-float", "trials-bool", "k_max-bool", "seed-2^64", "seed-negative"])
+def test_exit_code_2_on_an_integer_field_given_otherwise(tmp_path, capsys, overrides, message):
+    # A string n would run n = 1 and 6, a float trials its integer part,
+    # and a seed outside 64 bits the tally of another seed.
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["dist", "--config", cfg]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_exit_code_2_on_a_seed_override_outside_64_bits(tmp_path, capsys, seed):
+    # --seed is held to the config's range; the largest seed in it runs.
+    cfg = write_config(tmp_path)
+    assert main(["dist", "--config", cfg, "--seed", str(seed)]) == 2
+    assert f"seed must be in [0, 2^64), got {seed}" in capsys.readouterr().err
+    assert main(["dist", "--config", cfg, "--seed", str(2 ** 64 - 1)]) == 0
+
+
 def test_exit_code_2_on_caps_over_the_box_sum_budget(tmp_path, capsys):
     # Caps of (80, 80) would keep the exact box sum busy for minutes; they
     # are refused before it runs.

@@ -28,7 +28,7 @@ from coklab.experiments import (
     run_moment_experiment,
 )
 from coklab.sampler import sample_index_matrix
-from coklab.snf import PrecisionPolicy, counts_partition, partition_at_prime
+from coklab.snf import PrecisionPolicy, counts_partition, escalation_ladder, partition_at_prime
 
 
 def base_config(**overrides):
@@ -71,6 +71,25 @@ def test_parse_config_happy_path():
     {"type_caps": {"exponent": -1}},
     {"type_caps": 5},
     {"output": 5},
+    {"n": "16"},
+    {"n": ["16"]},
+    {"n": 12.0},
+    {"n": True},
+    {"u": "1"},
+    {"u": 1.0},
+    {"trials": 2.5},
+    {"trials": True},
+    {"trials": "400"},
+    {"seed": "5"},
+    {"seed": 5.0},
+    {"seed": False},
+    {"seed": 2 ** 64},
+    {"seed": -1},
+    {"precision": {"k_max": True}},
+    {"precision": {"k_max": 8.0}},
+    {"type_caps": {"exponent": "6"}},
+    {"type_caps": {"parts": 6.5}},
+    {"type_caps": {"parts": False}},
 ])
 def test_parse_config_rejects(patch):
     with pytest.raises(ConfigError):
@@ -309,16 +328,24 @@ def _counted_forks(monkeypatch) -> list:
     return forks
 
 
+def _shares_of(sub_batches: int):
+    """A config of as many trials at n = 24 as fill that many sub-batches,
+    and the trials of one sub-batch."""
+    size = _sub_batch(parse_config(base_config()), 24)
+    return parse_config(base_config(trials=sub_batches * size)), size
+
+
 def test_each_extra_share_forks_once(monkeypatch):
-    # At n = 24 (sub-batches of 64) 100 trials make two shares, so eight
-    # requested workers fork one child; 50 trials make one share and fork
-    # none. Tallies, keys in the same order, match the single-worker run.
-    cfg = parse_config(base_config(trials=100))
+    # Trials of two sub-batches at n = 24 make two shares, so eight
+    # requested workers fork one child; one sub-batch's trials make one
+    # share and fork none. Tallies, keys in the same order, match the
+    # single-worker run.
+    cfg, _ = _shares_of(2)
     want = _run_trials(cfg, 24, 1)
     forks = _counted_forks(monkeypatch)
     assert list(_run_trials(cfg, 24, 8).items()) == list(want.items())
     assert len(forks) == 1
-    one_share = parse_config(base_config(trials=50))
+    one_share, _ = _shares_of(1)
     assert _run_trials(one_share, 24, 8) == _run_trials(one_share, 24, 1)
     assert len(forks) == 1
 
@@ -333,12 +360,13 @@ def _tally_failing_from(start, error=ParameterError):
     return tally
 
 
-@pytest.mark.parametrize("start", [50, 0], ids=["child", "caller"])
-def test_share_errors_reach_the_caller_and_every_child_is_reaped(monkeypatch, start):
-    # 100 trials at n = 24 split into shares from 0 (this process) and from
-    # 50 (one forked child). Either failure is raised as itself, and no child
-    # is left behind.
-    cfg = parse_config(base_config(trials=100))
+@pytest.mark.parametrize("child", [True, False], ids=["child", "caller"])
+def test_share_errors_reach_the_caller_and_every_child_is_reaped(monkeypatch, child):
+    # Trials of two sub-batches at n = 24 split into shares from 0 (this
+    # process) and from one sub-batch on (one forked child). Either failure
+    # is raised as itself, and no child is left behind.
+    cfg, size = _shares_of(2)
+    start = size if child else 0
     monkeypatch.setattr(experiments, "_tally_chunk", _tally_failing_from(start))
     with pytest.raises(ParameterError, match=f"^share from trial {start} failed$"):
         _run_trials(cfg, 24, 2)
@@ -350,9 +378,9 @@ def test_an_unpicklable_child_error_comes_back_named(monkeypatch):
     class LocalError(Exception):  # a class local to a function does not pickle
         pass
 
-    cfg = parse_config(base_config(trials=100))
-    monkeypatch.setattr(experiments, "_tally_chunk", _tally_failing_from(50, LocalError))
-    with pytest.raises(RuntimeError, match="LocalError: share from trial 50 failed"):
+    cfg, size = _shares_of(2)
+    monkeypatch.setattr(experiments, "_tally_chunk", _tally_failing_from(size, LocalError))
+    with pytest.raises(RuntimeError, match=f"LocalError: share from trial {size} failed"):
         _run_trials(cfg, 24, 2)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -368,11 +396,103 @@ def test_importing_experiments_leaves_out_the_pool_modules():
     assert out.stdout.strip() == "[]"
 
 
-def test_sub_batches_sized_by_kernel_entries():
-    # About 36,864 kernel entries per sub-batch, and at least 64 matrices:
-    # 256 at n = 12, 64 from n = 24 and for (3) of residue degree 2 at n = 16
-    # (32 x 32 blocks).
-    z2 = parse_config(base_config()).primes
-    zi3 = parse_config(base_config(domain="Z[i]", primes=[{"p": 3}])).primes
-    assert [_sub_batch(n, 0, z2) for n in (12, 16, 24, 48)] == [256, 144, 64, 64]
-    assert _sub_batch(12, 2, z2) == 219 and _sub_batch(16, 0, zi3) == 64
+def test_sub_batches_sized_by_kernel_bytes():
+    # 512 KiB of the kernel words of each prime's first ladder rung per
+    # sub-batch, at the widest prime, and at least 64 matrices: mod2k's
+    # uint8 words give 3640 at n = 12 and 227 at n = 48; modpk's int64
+    # words 455 at n = 12, also beside p = 2 and on the generic path at
+    # (1+i); (3) of residue degree 2 has 32 x 32 int64 blocks at n = 16,
+    # under the floor; f2t at (x) has uint32 words at K = 8, and uint16
+    # words when k_max = 4 caps its first rung there.
+    def size(n, **overrides):
+        return _sub_batch(parse_config(base_config(**overrides)), n)
+    assert [size(n) for n in (12, 16, 24, 48)] == [3640, 2048, 910, 227]
+    assert size(12, u=2) == 3120
+    assert size(12, primes=[{"p": 3}]) == size(12, primes=[{"p": 2}, {"p": 3}]) == 455
+    assert size(12, domain="Z[i]", primes=[{"generator": "1+i"}],
+                distribution={"builtin": "gaussian-basis"}) == 455
+    assert size(16, domain="Z[i]", primes=[{"p": 3}]) == 64
+    fx = dict(domain="Fp[x]", char=2, primes=[{"generator": "0,1"}],
+              distribution={"builtin": "poly-powers", "params": {"p": 2, "m": 3}})
+    assert size(48, **fx) == 64 and size(48, precision={"k_max": 4}, **fx) == 113
+
+
+def _recorded(monkeypatch, name, what) -> list:
+    """what(args) of each call made to experiments' function name."""
+    calls = []
+    real = getattr(experiments, name)
+
+    def record(*args):
+        calls.append(what(args))
+        return real(*args)
+    monkeypatch.setattr(experiments, name, record)
+    return calls
+
+
+def test_a_share_splits_into_near_equal_sub_batches(monkeypatch):
+    # 301 trials fit one sub-batch. With the byte budget at its floor of 64
+    # matrices they run as five sub-batches of 60 or 61, not 64 + 64 + 64 +
+    # 64 + 45, and give the same tally, items and order; at u = 1 and K
+    # capped at 4 some trials leave the batch at p = 2 before p = 3.
+    cfg = parse_config(base_config(
+        primes=[{"p": 2}, {"p": 3}], u=1, n=[5], trials=301, precision={"k_max": 4},
+        distribution={"builtin": "uniform-support", "params": {"support": ["0", "1", "-1", "6"]}}))
+    batches = _recorded(monkeypatch, "sample_index_batch", lambda args: len(args[5]))
+    want = _run_trials(cfg, 5, 1)
+    assert want[INDETERMINATE] > 0 and batches == [301]
+    monkeypatch.setattr(experiments, "_BATCH_BYTES", 1)
+    del batches[:]
+    assert list(_run_trials(cfg, 5, 1).items()) == list(want.items())
+    assert batches == [60, 60, 60, 60, 61]
+
+
+# (2+i) and (2-i) with the tau-fixed support {0, 1}: every matrix lowers to
+# the same arrays at both primes
+_TAU_FIXED = dict(domain="Z[i]", primes=[{"generator": "2+i"}, {"generator": "2-i"}], n=[10],
+                  trials=300, distribution={"support": ["0", "1"], "weights": [0.5, 0.5]},
+                  strict_balance=False)
+
+
+def test_primes_that_lower_alike_share_one_pass(monkeypatch):
+    # Each of five sub-batches runs the driver at (2+i) only, and (2-i)
+    # takes its rows; the tally equals the one with sharing turned off,
+    # items and order.
+    cfg = parse_config(base_config(**_TAU_FIXED))
+    monkeypatch.setattr(experiments, "_BATCH_BYTES", 1)
+    calls = _recorded(monkeypatch, "partition_at_prime", lambda args: args[2])
+    shared = _run_trials(cfg, 10, 1)
+    assert 0 < shared[INDETERMINATE] and calls == [cfg.primes[0]] * 5
+    monkeypatch.setattr(experiments, "_lowering_key", lambda cfg, prime: None)
+    del calls[:]
+    assert list(_run_trials(cfg, 10, 1).items()) == list(shared.items())
+    assert calls == list(cfg.primes) * 5
+
+
+def test_primes_that_lower_apart_each_run(monkeypatch):
+    # gaussian-basis, the Galois demo's balanced control, holds i, which
+    # (2+i) and (2-i) reduce apart: the driver runs at both.
+    cfg = parse_config(base_config(**dict(_TAU_FIXED, distribution={"builtin": "gaussian-basis"})))
+    calls = _recorded(monkeypatch, "partition_at_prime", lambda args: args[2])
+    _run_trials(cfg, 10, 1)
+    assert calls == list(cfg.primes)
+
+
+def test_a_key_one_table_entry_apart_is_not_shared(monkeypatch):
+    # The tau-fixed keys are equal; with one entry of (2-i)'s cap-rung table
+    # changed they are not, and the driver runs at both primes.
+    cfg = parse_config(base_config(**_TAU_FIXED))
+    first, second = cfg.primes
+    assert experiments._lowering_key(cfg, first) == experiments._lowering_key(cfg, second)
+    real = experiments.reduction_table
+
+    def table(support, prime, K):
+        mode, ring, t = real(support, prime, K)
+        if prime == second and K == escalation_ladder(prime, cfg.policy)[-1]:
+            t = t.copy()
+            t[-1] += 1
+        return mode, ring, t
+    monkeypatch.setattr(experiments, "reduction_table", table)
+    assert experiments._lowering_key(cfg, first) != experiments._lowering_key(cfg, second)
+    calls = _recorded(monkeypatch, "partition_at_prime", lambda args: args[2])
+    _run_trials(cfg, 10, 1)
+    assert calls == list(cfg.primes)

@@ -961,6 +961,48 @@ def test_int64_pivot_inverses_match_python_ints(monkeypatch, p, K):
     assert all(args[0].dtype == np.int64 for args in calls)
 
 
+def _clmul(a, b, prec):
+    """The carryless product of bit-packed polynomials over F_2 mod t^prec."""
+    out = a * 0
+    for s in range(prec):
+        out ^= (a >> s & 1) * (b << s)
+    return out & (1 << prec) - 1
+
+
+def _check_f2t_inverses(codes, prec, K, dtype):
+    """_scale_f2t at precision prec of a rung at K, on the pivots with the
+    given bit-packed codes (int64 or object) and the rows [1, pivot], in
+    words of dtype: unit pivots (odd codes) give their inverse mod t^prec,
+    spread into the first prec lanes, and 1; the others give 0 and 0."""
+    w = 6 if dtype == object else 4
+    spread = lambda x: sum((x >> s & 1) << w * s for s in range(prec))
+    a = spread(codes).astype(dtype)
+    y, ay = snf._scale_f2t(np.stack([np.ones_like(a), a], axis=1), a, 2, prec, K).T.astype(codes.dtype)
+    y_codes = sum((y >> w * s & 1) << s for s in range(prec))
+    unit = codes & 1
+    assert np.array_equal(spread(y_codes), y) and np.array_equal(ay, unit)
+    assert np.array_equal(_clmul(codes, y_codes, prec), unit) and not np.any(y[unit == 0])
+
+
+@pytest.mark.parametrize("K", range(1, 17))
+def test_f2t_pivot_inverses_of_every_unit(K):
+    # In 4-bit lanes, every residue of F_2[t]/t^prec at every precision of
+    # the rung scales its row by its carryless Newton inverse (checked by an
+    # independent carryless product), and a non-unit scales it by 0.
+    for prec in range(1, K + 1):
+        _check_f2t_inverses(np.arange(1 << prec), prec, K, _word_dtype("f2t", K, 2))
+
+
+def test_f2t_pivot_inverses_in_object_words():
+    # At the f2t cap K = 64 words are Python ints with 6-bit lanes: a seeded
+    # sample at every precision, with 1, 1 + t^(prec - 1), all ones and 0.
+    rng = random.Random(64)
+    for prec in range(1, 65):
+        codes = [1, 1 | 1 << prec - 1, (1 << prec) - 1, 0,
+                 *(rng.randrange(1 << prec) for _ in range(40))]
+        _check_f2t_inverses(np.array(codes, object), prec, 64, object)
+
+
 @pytest.mark.parametrize("prime, elem, twenty", [
     (ZI5, gauss_elem, gauss_elem(5 ** 20, 0)),
     (P3, lambda a, b: int_elem(a + 2 * b), int_elem(3 ** 20)),
