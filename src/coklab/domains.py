@@ -232,6 +232,9 @@ class PrimeIdealDesc:
     def __repr__(self):
         return f"({self.descriptor})"
 
+    def __hash__(self):  # one tuple, not the generated hashes of domain and element
+        return hash((self.p, self.f, self.generator.value))
+
 
 def factor_rational_prime(domain: DomainId, p) -> list[PrimeIdealDesc]:
     """Factor pT into primes; for F_p[x] the argument is an irreducible polynomial."""

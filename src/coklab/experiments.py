@@ -97,7 +97,7 @@ def parse_config(data: dict) -> ExperimentConfig:
         if trials < 1:
             raise ConfigError("trials must be at least 1")
         seed = parse_seed(data.get("seed", 0))
-        pol = dict(data.get("precision", {}))
+        pol = dict(_section(data, "precision"))
         policy = PrecisionPolicy(_integer(pol.pop("k_max", DEFAULT_POLICY.k_max), "k_max"))
         if pol:
             raise ConfigError(f"unknown precision settings {sorted(pol)}: k_max is the only one")
@@ -105,14 +105,18 @@ def parse_config(data: dict) -> ExperimentConfig:
         cap_exponent = _integer(caps.get("exponent", 6), "type_caps exponent")
         cap_parts = _integer(caps.get("parts", 6), "type_caps parts")
         check_caps(primes, u, cap_exponent, cap_parts)
-        strict = bool(data.get("strict_balance", True))
+        strict = data.get("strict_balance", True)
+        if not isinstance(strict, bool):
+            raise ConfigError(f"strict_balance must be true or false, not {strict!r}")
         out = _section(data, "output")
         out_path = out.get("path")
         formats = parse_formats(out.get("formats", ("csv", "json")))
-        targets = tuple(data.get("targets", ()))
+        targets = data.get("targets", ())
+        if not isinstance(targets, (list, tuple)) or not all(isinstance(t, str) for t in targets):
+            raise ConfigError(f"targets must be a list of type strings, not {targets!r}")
         cfg = ExperimentConfig(domain, primes, u, n_list, trials, dist, seed, policy,
                                cap_exponent, cap_parts, strict, out_path, formats,
-                               targets, raw=data)
+                               tuple(targets), raw=data)
         audit_ideals(dist, primes)  # in budget
         return cfg
     except (ParameterError, ConfigError) as e:
@@ -173,7 +177,7 @@ def _parse_domain(data) -> DomainId:
     if kind == POLYNOMIALS:
         if "char" not in data:
             raise ConfigError("polynomial domain needs a char field")
-        return poly_domain(int(data["char"]))
+        return poly_domain(_integer(data["char"], "char"))
     return DomainId(kind)
 
 
@@ -204,12 +208,12 @@ def _parse_primes(domain, selectors, support: int):
         elif "p" in sel:
             if domain.kind == POLYNOMIALS:
                 raise ConfigError("polynomial domain primes need a generator polynomial")
-            p = int(sel["p"])
+            p = _integer(sel["p"], "p")
             if domain.kind == GAUSSIAN and p > 1:
                 audit_pairs([(p, 2)], support)  # (p) has p + 1 directions
             factors = factor_rational_prime(domain, p)
             if "index" in sel:
-                idx = int(sel["index"])
+                idx = _integer(sel["index"], "index")
                 if not 0 <= idx < len(factors):
                     raise ConfigError(f"prime index {idx} out of range for p={sel['p']}")
                 primes.append(factors[idx])
@@ -288,21 +292,18 @@ def _lowering_key(cfg: ExperimentConfig, prime):
 
 
 def _tally_chunk(args) -> Counter:
-    """Observed type keys of trials start, ..., stop - 1 of cfg at size n,
-    for args = (cfg, n, start, stop) (pure).
+    """Count rows of trials start, ..., stop - 1 of cfg at size n, for args =
+    (cfg, n, start, stop) (pure): a Counter of each trial's tuple of
+    per-prime rows of :func:`partition_at_prime`, in order of first
+    appearance, which is trial order.
 
     Trials go through the cokernel driver in the fewest sub-batches of at
     most :func:`_sub_batch` trials, of near-equal sizes, sampled into one
     reused array of the narrowest index dtype. A trial leaves the batch at
-    its first indeterminate prime. A prime whose :func:`_lowering_key`
-    equals an earlier prime's lowers every matrix to the same arrays, so it
-    takes that prime's rows of the trials still live, and
-    :func:`partition_at_prime` runs once for both. Each trial's pivot-count
-    rows at the primes are placed side by side and equal ones are counted,
-    so each distinct row becomes one key: INDETERMINATE when a prime's
-    counts sum below n, else the (prime index, partition) pairs of the
-    primes with a nontrivial partition (fewer than n counts at level 0).
-    Keys are tallied in order of first appearance, which is trial order.
+    its first indeterminate prime, and its later primes keep rows of zeros.
+    A prime whose :func:`_lowering_key` equals an earlier prime's lowers
+    every matrix to the same arrays, so it takes that prime's rows of the
+    trials still live, and :func:`partition_at_prime` runs once for both.
     """
     cfg, n, start, stop = args
     dist, u = cfg.distribution, cfg.u
@@ -328,30 +329,37 @@ def _tally_chunk(args) -> Counter:
             full[live] = counts
             fulls.append(full)
             live = live[counts.sum(axis=1) == n]
-        for row, count in Counter(zip(*(map(tuple, f.tolist()) for f in fulls))).items():
-            key = INDETERMINATE if any(sum(c) < n for c in row) else tuple(
-                (pi, counts_partition(c)) for pi, c in enumerate(row) if c[0] < n)
-            tally[key] += count
+        tally.update(zip(*(map(tuple, f.tolist()) for f in fulls)))
     return tally
 
 
 def _run_trials(cfg: ExperimentConfig, n: int, threads: int) -> Counter:
-    """Merged tally of cfg.trials trials at size n, in contiguous near-equal
-    shares, one per worker and at most one per sub-batch (:func:`_forked`),
-    merged in share order; raises DiagnosticsError when more than half of
-    the trials are indeterminate."""
+    """Tally of cfg.trials trials at size n: the count rows of contiguous
+    near-equal shares, one per worker and at most one per sub-batch
+    (:func:`_forked`), merged in share order and folded by :func:`_row_type`
+    in order of first appearance; raises DiagnosticsError when more than
+    half of the trials are indeterminate."""
     if threads > 1 and not hasattr(os, "fork"):
         raise ConfigError("--threads above 1 needs os.fork, which this platform lacks")
     workers = min(threads, math.ceil(cfg.trials / _sub_batch(cfg, n)))
     cuts = [cfg.trials * i // workers for i in range(workers + 1)]
-    total = sum(_forked(_tally_chunk, [(cfg, n, a, b) for a, b in zip(cuts, cuts[1:])]),
-                Counter())
+    shares = _forked(_tally_chunk, [(cfg, n, a, b) for a, b in zip(cuts, cuts[1:])])
+    total = Counter()
+    for row, count in sum(shares, Counter()).items():
+        total[_row_type(cfg.primes, n, row)] += count
     indet = total.get(INDETERMINATE, 0)
     if indet > cfg.trials * 0.5:
         raise DiagnosticsError(
             f"{indet}/{cfg.trials} trials indeterminate at n={n}; "
             "the matrix law is degenerate at this precision policy")
     return total
+
+
+def _row_type(primes, n: int, row):
+    """The ModuleType of a trial's count rows at the primes; INDETERMINATE if one sums below n."""
+    if any(sum(counts) < n for counts in row):
+        return INDETERMINATE
+    return ModuleType.of(zip(primes, map(counts_partition, row)))
 
 
 def _forked(fn, args) -> list:
@@ -399,10 +407,6 @@ def _outcome(fn, a) -> bytes:
             return pickle.dumps((False, pickle.loads(pickle.dumps(e))))
         except Exception:
             return pickle.dumps((False, RuntimeError(f"worker raised {type(e).__name__}: {e}")))
-
-
-def _key_to_type(key, primes) -> ModuleType:
-    return ModuleType.of([(primes[pi], parts) for pi, parts in key])
 
 
 # ---------------------------------------------------------------------------
@@ -545,19 +549,18 @@ def _summarize_n(cfg, n, tally, box_mass, pred_cache) -> NSummary:
     in_cap: dict = {}
     other_count = 0
     indet = tally.get(INDETERMINATE, 0)
-    for key, cnt in tally.items():
-        if key == INDETERMINATE:
+    for N, cnt in tally.items():
+        if N == INDETERMINATE:
             continue
-        if _within_caps(key, cfg.cap_exponent, cfg.cap_parts):
-            in_cap[key] = cnt
+        if _within_caps(N, cfg.cap_exponent, cfg.cap_parts):
+            in_cap[N] = cnt
         else:
             other_count += cnt
     cells = []              # (label, count, predicted mass, truncation bound), in row order
-    typed = [(_key_to_type(key, cfg.primes), key, cnt) for key, cnt in in_cap.items()]
-    for N, key, cnt in sorted(typed, key=lambda t: (module_size(t[0]), str(t[0]))):
-        if key not in pred_cache:
-            pred_cache[key] = predicted_probability(N, cfg.primes, cfg.u)
-        cells.append((str(N), cnt, pred_cache[key].value, pred_cache[key].truncation_bound))
+    for N, cnt in sorted(in_cap.items(), key=lambda t: (module_size(t[0]), str(t[0]))):
+        if N not in pred_cache:
+            pred_cache[N] = predicted_probability(N, cfg.primes, cfg.u)
+        cells.append((str(N), cnt, pred_cache[N].value, pred_cache[N].truncation_bound))
     # unseen in-cap types contribute their whole predicted mass
     unseen = max(box_mass.value - sum(cell[2] for cell in cells), Decimal(0))
     cells.append((OTHER, other_count, max(Decimal(1) - box_mass.value, Decimal(0)),
@@ -584,8 +587,8 @@ def _summarize_n(cfg, n, tally, box_mass, pred_cache) -> NSummary:
     return NSummary(n, trials, tuple(rows), indet, tv, chi2, max(chi2_df - 1, 0))
 
 
-def _within_caps(key, cap_e, cap_m) -> bool:
-    return all(parts[0] <= cap_e and len(parts) <= cap_m for _, parts in key)
+def _within_caps(N: ModuleType, cap_e, cap_m) -> bool:
+    return all(parts[0] <= cap_e and len(parts) <= cap_m for _, parts in N.components)
 
 
 def _binom_se(freq: float, trials: int) -> float:
@@ -644,20 +647,20 @@ def _moment_view(cfg, targets, balance, tallies) -> MomentSummary:
     rows = []
     for n, tally in tallies:
         determined = cfg.trials - tally.get(INDETERMINATE, 0)
-        for N in targets:
+        for target in targets:
             mean = 0.0
             second = 0.0
-            for key, cnt in tally.items():
-                if key == INDETERMINATE:
+            for N, cnt in tally.items():
+                if N == INDETERMINATE:
                     continue
-                v = count_sur(_key_to_type(key, cfg.primes), N)
+                v = count_sur(N, target)
                 mean += v * cnt
                 second += v * v * cnt
             mean /= determined
             var = max(second / determined - mean * mean, 0.0)
             se = math.sqrt(var / determined)
-            rows.append(MomentRow(n, str(N), mean, se,
-                                  f"{float(predicted_moment(N, cfg.u)):.8f}", determined))
+            rows.append(MomentRow(n, str(target), mean, se,
+                                  f"{float(predicted_moment(target, cfg.u)):.8f}", determined))
     return MomentSummary(
         **_header(cfg, "moments", balance),
         primes=tuple(pr.descriptor for pr in cfg.primes),
@@ -713,14 +716,13 @@ def _galois_view(cfg, balance, tallies) -> GaloisSummary:
     ((n, tally),) = tallies
     equal = 0
     asym = Counter()
-    for key, cnt in tally.items():
-        if key == INDETERMINATE:
+    for N, cnt in tally.items():
+        if N == INDETERMINATE:
             continue
-        parts = {pi: ps for pi, ps in key}
-        if parts.get(0, ()) == parts.get(1, ()):
+        if N.partition_for(cfg.primes[0]) == N.partition_for(cfg.primes[1]):
             equal += cnt
         else:
-            asym[str(_key_to_type(key, cfg.primes))] += cnt
+            asym[str(N)] += cnt
     # _run_trials raises unless at least half of the trials are determined
     determined = cfg.trials - tally.get(INDETERMINATE, 0)
     return GaloisSummary(

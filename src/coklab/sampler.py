@@ -133,8 +133,9 @@ def builtin_distribution(name: str, params: dict | None = None,
         m = params.pop("m", None)
         ws = params.pop("weights", None)
         _reject_extra(name, params)
-        if p is None or m is None or m < 0:
-            raise ParameterError("poly-powers needs a prime p and a top power m >= 0")
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (p, m)) or m < 0:
+            raise ParameterError(f"poly-powers needs an integer prime p and an integer top "
+                                 f"power m >= 0, not p={p!r}, m={m!r}")
         support = [poly_elem(p, [0] * k + [1]) for k in range(m + 1)]
         if ws is None:
             ws = (Fraction(1, len(support)),) * len(support)

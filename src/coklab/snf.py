@@ -712,17 +712,10 @@ def cokernel_local_type(M, prime: PrimeIdealDesc, policy: PrecisionPolicy = DEFA
 
 
 def cokernel_type(M, primes, policy: PrecisionPolicy = DEFAULT_POLICY):
-    """ModuleType of cok(M) tensored at a finite set of distinct primes."""
+    """ModuleType of cok(M) tensored at a finite set of distinct primes; a
+    repeated prime is a ParameterError."""
     from .modules import ModuleType
-    primes = list(primes)
-    if len(set(primes)) != len(primes):
-        raise ParameterError("primes must be distinct")
-    assoc = []
-    for prime in primes:
-        parts = cokernel_local_type(M, prime, policy)
-        if parts:
-            assoc.append((prime, parts))
-    return ModuleType.of(assoc)
+    return ModuleType.of((prime, cokernel_local_type(M, prime, policy)) for prime in primes)
 
 
 # ---------------------------------------------------------------------------

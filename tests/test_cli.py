@@ -243,6 +243,34 @@ def test_exit_code_2_on_an_integer_field_given_otherwise(tmp_path, capsys, overr
     assert message in capsys.readouterr().err
 
 
+_POLY = {"domain": "Fp[x]", "primes": [{"generator": "0,1"}]}
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"primes": [{"p": 2.9}]}, "p must be an integer, not float 2.9"),
+    ({"domain": "Z[i]", "primes": [{"p": 5, "index": 0.7}]},
+     "index must be an integer, not float 0.7"),
+    ({**_POLY, "char": 2.7, "distribution": {"builtin": "poly-powers", "params": {"p": 2, "m": 3}}},
+     "char must be an integer, not float 2.7"),
+    ({**_POLY, "char": 2, "distribution": {"builtin": "poly-powers", "params": {"p": 2.0, "m": 3}}},
+     "poly-powers needs an integer prime p"),
+    ({**_POLY, "char": 2, "distribution": {"builtin": "poly-powers", "params": {"p": 2, "m": True}}},
+     "not p=2, m=True"),
+    ({"strict_balance": "false"}, "strict_balance must be true or false, not 'false'"),
+    ({"targets": "2:(1)"}, "targets must be a list of type strings, not '2:(1)'"),
+    ({"precision": [["k_max", 4]]}, "precision must be a mapping, not list"),
+], ids=["p-float", "index-float", "char-float", "poly-p-float", "poly-m-bool",
+        "strict_balance-string", "targets-string", "precision-list"])
+def test_exit_code_2_on_a_field_of_the_wrong_kind(tmp_path, capsys, overrides, message):
+    # Each was converted before: p = 2.9 selected 2, index 0.7 selected 0,
+    # char 2.7 gave F_2[x], poly-powers p = 2.0 built F_2.0[x] and m = True
+    # ran m = 1, "false" read as true, a target string was split into
+    # characters, and a list of pairs was read as a precision mapping.
+    cfg = write_config(tmp_path, **overrides)
+    assert main(["moments", "--config", cfg]) == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
 def test_exit_code_2_on_a_seed_override_outside_64_bits(tmp_path, capsys, seed):
     # --seed is held to the config's range; the largest seed in it runs.

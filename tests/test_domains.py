@@ -87,6 +87,21 @@ def test_conjugate_prime():
         inert.conjugate()
 
 
+def test_equal_primes_hash_alike_and_distinct_primes_stay_apart():
+    # ModuleType keys hash their primes: a prime built twice is one key
+    pr, prbar = factor_rational_prime(ZI, 13)
+    assert hash(prbar.conjugate()) == hash(pr) and prbar.conjugate() is not pr
+    primes = [*factor_rational_prime(ZZ, 2), pr, prbar, *factor_rational_prime(ZI, 2),
+              *factor_rational_prime(ZI, 3), *factor_rational_prime(poly_domain(2), poly_elem(2, [0, 1])),
+              *factor_rational_prime(poly_domain(3), poly_elem(3, [0, 1]))]
+    again = [*factor_rational_prime(ZZ, 2), prbar.conjugate(), pr.conjugate(),
+             *factor_rational_prime(ZI, 2), *factor_rational_prime(ZI, 3),
+             *factor_rational_prime(poly_domain(2), poly_elem(2, [0, 1])),
+             *factor_rational_prime(poly_domain(3), poly_elem(3, [0, 1]))]
+    assert again == primes and [hash(p) for p in again] == [hash(p) for p in primes]
+    assert len(set(primes + again)) == len(primes)
+
+
 def test_hensel_root_split_primes():
     for p in primes_up_to(199):
         if p % 4 != 1:

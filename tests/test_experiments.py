@@ -14,6 +14,7 @@ from coklab.errors import (
     BalanceError,
     ConfigError,
     DiagnosticsError,
+    IndeterminateCokernelError,
     ParameterError,
 )
 from coklab.experiments import (
@@ -28,7 +29,7 @@ from coklab.experiments import (
     run_moment_experiment,
 )
 from coklab.sampler import sample_index_matrix
-from coklab.snf import PrecisionPolicy, counts_partition, escalation_ladder, partition_at_prime
+from coklab.snf import PrecisionPolicy, cokernel_type, escalation_ladder
 
 
 def base_config(**overrides):
@@ -90,6 +91,27 @@ def test_parse_config_happy_path():
     {"type_caps": {"exponent": "6"}},
     {"type_caps": {"parts": 6.5}},
     {"type_caps": {"parts": False}},
+    {"primes": [{"p": 2.9}]},
+    {"primes": [{"p": True}]},
+    {"primes": [{"p": "2"}]},
+    {"primes": [{"p": 5, "index": 0.7}], "domain": "Z[i]"},
+    {"primes": [{"p": 5, "index": False}], "domain": "Z[i]"},
+    {"domain": "Fp[x]", "char": 2.7, "primes": [{"generator": "0,1"}],
+     "distribution": {"builtin": "poly-powers", "params": {"p": 2, "m": 3}}},
+    {"domain": "Fp[x]", "char": "2", "primes": [{"generator": "0,1"}],
+     "distribution": {"builtin": "poly-powers", "params": {"p": 2, "m": 3}}},
+    {"domain": "Fp[x]", "char": 2, "primes": [{"generator": "0,1"}],
+     "distribution": {"builtin": "poly-powers", "params": {"p": 2.0, "m": 3}}},
+    {"domain": "Fp[x]", "char": 2, "primes": [{"generator": "0,1"}],
+     "distribution": {"builtin": "poly-powers", "params": {"p": 2, "m": True}}},
+    {"domain": "Fp[x]", "char": 2, "primes": [{"generator": "0,1"}],
+     "distribution": {"builtin": "poly-powers", "params": {"p": 2, "m": 3.0}}},
+    {"strict_balance": "false"},
+    {"strict_balance": "no"},
+    {"strict_balance": 0},
+    {"targets": "2:(1)"},
+    {"targets": [5]},
+    {"precision": [["k_max", 4]]},
 ])
 def test_parse_config_rejects(patch):
     with pytest.raises(ConfigError):
@@ -292,26 +314,23 @@ def test_balance_echo_in_summary():
 def test_sub_batches_tally_in_trial_order():
     # 300 trials at n = 5 fit one sub-batch, so two workers run one share.
     # With K capped at 4, some trials are indeterminate at p=2 only; they
-    # leave the batch before p=3. The tally equals one built trial by trial,
-    # keys in order of first appearance.
+    # leave the batch before p=3. The tally equals one built trial by trial
+    # with cokernel_type, keys in order of first appearance.
     cfg = parse_config(base_config(
         primes=[{"p": 2}, {"p": 3}], trials=300, n=[5], precision={"k_max": 4},
         distribution={"builtin": "uniform-support", "params": {"support": ["0", "1", "-1", "6"]}}))
     dist = cfg.distribution
     want = Counter()
     for t in range(cfg.trials):
-        idx = sample_index_matrix(dist, 5, cfg.u, cfg.seed, t)[None]
-        key = []
-        for pi, prime in enumerate(cfg.primes):
-            (row,) = partition_at_prime(idx, dist.support, prime, cfg.policy).tolist()
-            if sum(row) < 5:  # still saturated at the cap
-                key = None
-                break
-            parts = counts_partition(row)
-            if parts:
-                key.append((pi, parts))
-        want[INDETERMINATE if key is None else tuple(key)] += 1
+        idx = sample_index_matrix(dist, 5, cfg.u, cfg.seed, t)
+        try:
+            key = cokernel_type([[dist.support[j] for j in row] for row in idx.tolist()],
+                                cfg.primes, cfg.policy)
+        except IndeterminateCokernelError:  # still saturated at the cap
+            key = INDETERMINATE
+        want[key] += 1
     assert 0 < want[INDETERMINATE] < cfg.trials / 2
+    assert any(len(key.components) == 2 for key in want if key != INDETERMINATE)
     for threads in (1, 2):
         assert list(_run_trials(cfg, 5, threads).items()) == list(want.items())
 

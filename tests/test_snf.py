@@ -147,6 +147,17 @@ def test_cokernel_type_examples():
     assert cokernel_type(M3, [ram]) == ModuleType.of({ram: (1,)})
 
 
+def test_cokernel_type_leaves_out_trivial_parts_and_refuses_repeated_primes():
+    M = [[int_elem(10)]]
+    t = cokernel_type(M, [P3, P2, P5])
+    assert t.components == ((P2, (1,)), (P5, (1,)))
+    assert cokernel_type(M, [P3]) == ModuleType.trivial()
+    assert cokernel_type(M, []) == ModuleType.trivial()
+    for primes in ([P2, P2], [P3, P5, P3]):  # a repeated prime is refused, trivial or not
+        with pytest.raises(ParameterError, match="duplicate prime"):
+            cokernel_type(M, primes)
+
+
 def test_indeterminate_on_zero_matrix():
     M = [[int_elem(0)]]
     with pytest.raises(IndeterminateCokernelError) as exc:

@@ -7,7 +7,8 @@ import pytest
 
 from coklab.domains import ZI, ZZ, factor_rational_prime, poly_domain, poly_elem
 from coklab.errors import ParameterError
-from coklab.modules import ModuleType, count_aut, enumerate_types
+from coklab.modules import ModuleType, count_aut, count_sur, enumerate_types, module_size, \
+    parse_type_string
 from coklab.theory import (
     _aut_inverse_box_sum,
     _truncated_factor,
@@ -141,6 +142,37 @@ def test_partial_sum_matches_enumeration_small_caps():
     literal = sum(predicted_probability(N, [G5A, G5B], 0).value
                   for N in enumerate_types([G5A, G5B], 2, 2))
     assert abs(dp.value - literal) < Decimal("1e-12")
+
+
+_FX = poly_domain(2)
+_X2X1 = factor_rational_prime(_FX, poly_elem(2, [1, 1, 1]))
+_G2I = [pr for pr in factor_rational_prime(ZI, 5) if pr.descriptor == "2+i"]
+
+
+@pytest.mark.parametrize("P, target, u, top", [
+    ([P2], "2:(2)", 1, 6),
+    ([P2, P3], "2:(1)|3:(1)", 1, 4),
+    (_X2X1, "x^2+x+1:(1)", 1, 5),
+    (_G2I, "2+i:(1,1)", 0, 6),
+], ids=["Z-2:(2)", "Z-2:(1)|3:(1)", "F2x-x^2+x+1", "Zi-2+i:(1,1)"])
+def test_surjection_moments_of_the_law_rise_to_their_limit(P, target, u, top):
+    # sum over N of P(N) #Sur(N, G) is |G|^-u in the limit law. Its terms are
+    # nonnegative, so over the types within caps (E, E) it never decreases
+    # as E grows; each prediction is at most its truncation bound above the
+    # law, so it stays at most |G|^-u plus those bounds weighted by #Sur.
+    G = parse_type_string(target, P)
+    limit = Fraction(1, module_size(G) ** u)
+    assert limit == predicted_moment(G, u)
+    prev = Fraction(0)
+    for E in range(top + 1):
+        total = slack = Fraction(0)
+        for N in enumerate_types(P, E, E):
+            pred, sur = predicted_probability(N, P, u), count_sur(N, G)
+            total += Fraction(pred.value) * sur
+            slack += Fraction(pred.truncation_bound) * sur
+        assert prev <= total <= limit + slack
+        prev = total
+    assert total > limit * Fraction(99, 100)
 
 
 def test_partial_sum_monotone_in_caps():
