@@ -14,7 +14,7 @@ import sys
 
 from .errors import BalanceError, ConfigError, DiagnosticsError, ParameterError
 from .experiments import (
-    _balance_echo,
+    balance_echo,
     emit_report,
     load_config,
     open_output,
@@ -130,7 +130,7 @@ def _cmd_audit(cfg):
     if cfg.out_path:
         data = {
             "modulus": report.modulus,
-            "entries": list(_balance_echo(report)),
+            "entries": list(balance_echo(report)),
             "overall": str(report.overall),
         }
         with open_output(cfg.out_path + ".json") as fh:

@@ -10,11 +10,11 @@ polynomials as coefficient lists ``"c0,c1,..."``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from . import _fppoly as fp
-from .errors import ParameterError, PrecisionRangeError, RingMismatchError
+from .errors import ParameterError, RingMismatchError
 from .local_ring import (
     EQUAL_CHAR,
     RAMIFIED,
@@ -23,7 +23,6 @@ from .local_ring import (
     LocalRingSpec,
     from_g_adic,
     make_local_ring,
-    max_precision,
     ramified_from_gauss,
 )
 
@@ -311,12 +310,8 @@ def local_ring_for(prime: PrimeIdealDesc, K: int) -> LocalRingSpec:
         return make_local_ring(prime.p, 1, K, UNRAMIFIED)
     g = prime.generator.value
     f = fp.degree(g)
-    if f == 1 or g == fp.smallest_irreducible(d.char, f):
-        return make_local_ring(d.char, f, K, EQUAL_CHAR)
-    # non-canonical residue polynomial: pin the ring to the prime's own modulus
-    if K > max_precision(d.char, f):
-        raise PrecisionRangeError(f"q^K exceeds the word bound for ({poly_pretty(g)})^{K}")
-    return LocalRingSpec(d.char, f, K, EQUAL_CHAR, g[:-1])
+    ring = make_local_ring(d.char, f, K, EQUAL_CHAR)
+    return ring if f == 1 else replace(ring, modulus=g[:-1])  # the prime's own residue polynomial
 
 
 def reduce_mod_prime_power(x: Element, prime: PrimeIdealDesc, K: int) -> LocalElement:

@@ -34,7 +34,6 @@ from .domains import (
     DomainId,
     factor_rational_prime,
     format_element,
-    local_ring_for,
     parse_element,
     poly_domain,
 )
@@ -42,12 +41,16 @@ from .errors import ConfigError, DiagnosticsError, ParameterError
 from .modules import ModuleType, count_sur, module_size, parse_type_string
 from .sampler import BalanceReport, EntryDistribution, audit_ideals, audit_pairs, \
     balance_report, builtin_distribution, sample_index_batch
-from .snf import DEFAULT_POLICY, MODE_GENERIC, PrecisionPolicy, _word_dtype, counts_partition, \
-    escalation_ladder, matrix_mode, partition_at_prime, reduction_table
+from .snf import DEFAULT_POLICY, PrecisionPolicy, counts_partition, escalation_ladder, \
+    partition_at_prime, reduction_table
 from .theory import check_caps, partial_sum, predicted_moment, predicted_probability
 
 INDETERMINATE = "indeterminate"
 OTHER = "other"
+
+# most entries of a kernel matrix (n f x (n + u) f, widest prime): at 512 x 512 on Z, bernoulli01,
+# a trial took 14.6 (p = 2) and 235 (p = 3) ms of CPU, peak RSS 84 and 308 MB (2-core sandbox)
+_KERNEL_ENTRIES = 1 << 18
 
 _DOMAIN_ALIASES = {
     "z": INTEGERS, "integers": INTEGERS,
@@ -93,6 +96,10 @@ def parse_config(data: dict) -> ExperimentConfig:
             n_field if isinstance(n_field, (list, tuple)) else [n_field]))
         if not n_list or any(a >= b for a, b in zip(n_list, n_list[1:])) or n_list[0] < 1:
             raise ConfigError("n must be a nonempty ascending list of positive sizes")
+        f, n = max(pr.f for pr in primes), n_list[-1]
+        if n * f * (n + u) * f > _KERNEL_ENTRIES:  # refused before anything is allocated
+            raise ConfigError(f"{n} x {n + u} matrices at residue degree {f} have "
+                              f"{n * f * (n + u) * f} kernel entries, over {_KERNEL_ENTRIES}")
         trials = _integer(data.get("trials", 1000), "trials")
         if trials < 1:
             raise ConfigError("trials must be at least 1")
@@ -263,30 +270,26 @@ _BATCH_BYTES = 512 * 1024
 
 def _sub_batch(cfg: ExperimentConfig, n: int) -> int:
     """Most trials per sub-batch: as many n f x (n + u) f kernel matrices,
-    in the word of each prime's first ladder rung (an object pointer on the
-    generic path), as fill _BATCH_BYTES at the widest prime, and at least
-    64, so that each numpy step of a small n works on enough entries to
-    outweigh its call overhead."""
+    in the entries of each prime's first-rung :func:`reduction_table` (an
+    object pointer on the generic path), as fill _BATCH_BYTES at the widest
+    prime, and at least 64, so that each numpy step of a small n works on
+    enough entries to outweigh its call overhead."""
     def matrix_bytes(prime):
         K = escalation_ladder(prime, cfg.policy)[0]
-        mode = matrix_mode(local_ring_for(prime, K))
-        word = np.dtype(object) if mode == MODE_GENERIC else _word_dtype(mode, K, prime.p)
-        return n * prime.f * (n + cfg.u) * prime.f * word.itemsize
+        table = reduction_table(cfg.distribution.support, prime, K)[2]
+        return n * prime.f * (n + cfg.u) * prime.f * table.itemsize
     return max(64, _BATCH_BYTES // max(map(matrix_bytes, cfg.primes)))
 
 
 def _lowering_key(cfg: ExperimentConfig, prime):
     """What :func:`partition_at_prime` reads of a prime besides the batch: p,
     the ladder, and per rung the mode, residue degree f and the support's
-    table (dtype, shape and entries). Two primes with equal keys give equal
-    count rows on every batch. None on the generic path, whose elements
-    carry their ring."""
+    table (dtype, shape and entries, which on the generic path carry their
+    ring). Two primes with equal keys give equal count rows on every batch."""
     ladder = escalation_ladder(prime, cfg.policy)
     rungs = []
     for K in ladder:
         mode, ring, table = reduction_table(cfg.distribution.support, prime, K)
-        if mode == MODE_GENERIC:
-            return None
         rungs.append((mode, ring.f, table.dtype, table.shape, table.tolist()))
     return prime.p, ladder, rungs
 
@@ -309,7 +312,7 @@ def _tally_chunk(args) -> Counter:
     dist, u = cfg.distribution, cfg.u
     tally = Counter()
     keys = [_lowering_key(cfg, prime) for prime in cfg.primes]
-    same = [i if key is None else keys.index(key) for i, key in enumerate(keys)]
+    same = [keys.index(key) for key in keys]
     trials = stop - start
     parts = max(1, math.ceil(trials / _sub_batch(cfg, n)))
     cuts = [start + trials * i // parts for i in range(parts + 1)]
@@ -416,7 +419,7 @@ def _outcome(fn, a) -> bytes:
 def _tallies(cfg: ExperimentConfig, threads: int):
     """The one run step behind every view: the balance echo, then the tally of
     cfg.trials trials at each size, as ((n, Counter), ...) in cfg.n_list order."""
-    balance = _balance_echo(run_balance_gate(cfg))
+    balance = balance_echo(run_balance_gate(cfg))
     return balance, tuple((n, _run_trials(cfg, n, threads)) for n in cfg.n_list)
 
 
@@ -469,7 +472,8 @@ def _header(cfg: ExperimentConfig, kind: str, balance: tuple) -> dict:
     }
 
 
-def _balance_echo(report: BalanceReport) -> tuple:
+def balance_echo(report: BalanceReport) -> tuple:
+    """The per-ideal dicts of a balance report, as reports and ``audit`` echo them."""
     return tuple({"ideal": e.label, "p": e.p, "dim": e.dim, "worst_hyperplane": e.worst_hyperplane,
                   "worst_mass": str(e.worst_mass), "epsilon": str(e.epsilon)}
                  for e in report.entries)

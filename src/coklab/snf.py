@@ -18,17 +18,17 @@ Three layers:
   loop pivots every matrix whose row r has a unit on the first one, with a
   rank-1 update of the rows below r and of those set aside (no swaps); a
   nonzero row without a unit is set aside, and only the set-aside rows are
-  divided by the uniformizer and go one level deeper. mod2k uses the
-  narrowest unsigned word of K bits. modpk uses int64 while products fit,
-  where entries stay nonnegative and are reduced mod p^prec only once every
-  few updates and before each division by p, and past that uint64 words
-  read in Montgomery form as they come (Montgomery, "Modular multiplication
+  divided by the uniformizer and go one level deeper. Only
+  :func:`_word_dtype` decides a rung's word. modpk uses int64 while products
+  fit and p has an inverse table, entries nonnegative and reduced mod
+  p^prec once every few updates and before each division by p, and else
+  uint64 words read in Montgomery form (Montgomery, "Modular multiplication
   without trial division", 1985): a residue w stands for w 2^-64 mod
   p^prec, so the kernel eliminates the batch times a unit, and division by
   p maps a word to the one of its value over p at the next level. Its unit
   test is one wrapping multiply by p^-1 mod 2^64 and one compare; its pivot
-  inverses come from a cached table lifted by one Newton round on int64
-  words, else from one modular inverse per step (Montgomery's batch trick).
+  inverses come from a cached table and Newton rounds on int64 words, and
+  from one modular inverse per step (Montgomery's batch trick) on uint64.
   f2t puts coefficient s of t into bit w*s of its word (a lane of w bits),
   so a carryless product is one wrapping integer multiply masked to the low
   bit of each lane (the "multiplication with holes" of constant-time
@@ -39,8 +39,7 @@ Three layers:
   batch of matrices as positions into an entry support, picks the kernel
   for each ring through :func:`reduction_table`, gathers the scalars or
   blocks through :func:`gather`, and escalates K geometrically for the
-  saturated matrices only, up to the policy cap (modpk goes from its last
-  int64 rung and f2t from its last 4-bit-lane rung straight to the cap).
+  saturated matrices only, up to the policy cap (:func:`escalation_ladder`).
   It returns one int64 row per matrix: the pivot counts per level from the
   rung that settled the matrix, or from the cap (on the generic path, the
   counts of the ``local_snf`` valuations). A row that sums to n gives the
@@ -75,6 +74,8 @@ from .local_ring import (
 
 # largest p^K whose products fit int64: modpk's word switches to Montgomery uint64 above it
 _ODD_FAST_LIMIT = 3_037_000_499
+# most entries of an inverse table, and so the largest p of an int64 word (:func:`_word_dtype`)
+_INVERSE_TABLE_LIMIT = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -105,14 +106,7 @@ class LocalMatrix:
 
     @staticmethod
     def of(ring: LocalRingSpec, rows) -> "LocalMatrix":
-        entries = tuple(tuple(row) for row in rows)
-        if not entries or not entries[0]:
-            raise ParameterError("matrix needs at least one row and column")
-        m = len(entries[0])
-        if any(len(r) != m for r in entries):
-            raise ParameterError("ragged matrix")
-        if len(entries) > m:
-            raise ParameterError("expected rows <= columns (n x (n+u) shape)")
+        entries = _grid(rows)
         for row in entries:
             for x in row:
                 if x.ring != ring:
@@ -122,6 +116,19 @@ class LocalMatrix:
     @property
     def shape(self):
         return len(self.entries), len(self.entries[0])
+
+
+def _grid(rows) -> tuple:
+    """rows as a tuple of row tuples, refused unless an n x m grid, 1 <= n <= m."""
+    entries = tuple(tuple(row) for row in rows)
+    if not entries or not entries[0]:
+        raise ParameterError("matrix needs at least one row and column")
+    m = len(entries[0])
+    if any(len(r) != m for r in entries):
+        raise ParameterError("ragged matrix")
+    if len(entries) > m:
+        raise ParameterError("expected rows <= columns (n x (n+u) shape)")
+    return entries
 
 
 def local_snf(M: LocalMatrix) -> SnfResult:
@@ -174,12 +181,8 @@ def local_snf(M: LocalMatrix) -> SnfResult:
 # vectorized fast paths
 
 MODE_MOD2K = "mod2k"      # Z/2^K in the narrowest unsigned word of K bits (wraparound-exact)
-# Z/p^K, odd p: int64 up to _ODD_FAST_LIMIT, with lazy reduction and table pivot inverses;
-# Montgomery uint64 words above, up to p^K < 2^64; on both a multiply-compare unit test
-MODE_MODPK = "modpk"
-# F_2[t]/t^K, coefficient s in bit w*s: 4-bit lanes in the narrowest unsigned word of 4K bits
-# up to K = 16, 6-bit lanes in exact object ints above; a carryless product is a masked multiply
-MODE_F2T = "f2t"
+MODE_MODPK = "modpk"      # Z/p^K, odd p, in int64 or Montgomery uint64 words (_word_dtype)
+MODE_F2T = "f2t"          # F_2[t]/t^K in lanes of w bits: a carryless product is a masked multiply
 MODE_GENERIC = "generic"
 
 
@@ -231,16 +234,17 @@ def _lane_bits(K: int) -> int:
 
 def _word_dtype(mode: str, K: int, p: int) -> np.dtype:
     """The array kernel's word at precision K: for modpk int64 up to
-    _ODD_FAST_LIMIT, where entries are nonnegative and reduced lazily
-    (:func:`_reduction_budget`), and uint64 words read in Montgomery form
-    (:func:`_mont_mul`) past it, up to p^K < 2^64, reduced after every
-    update; for mod2k the narrowest unsigned word of K bits; for f2t the
-    narrowest unsigned word of K lanes (:func:`_lane_bits`) up to 64 bits,
-    and exact Python ints past that."""
+    _ODD_FAST_LIMIT for p <= _INVERSE_TABLE_LIMIT, entries nonnegative and
+    reduced lazily (:func:`_reduction_budget`), else uint64 words read in
+    Montgomery form (:func:`_mont_mul`), up to p^K < 2^64, reduced after
+    every update; for mod2k the narrowest unsigned word of K bits; for f2t
+    the narrowest unsigned word of K lanes (:func:`_lane_bits`) up to 64
+    bits, and exact Python ints past that."""
     if mode == MODE_MODPK:
         if p ** K >> 64:
             raise ParameterError(f"{p}^{K} does not fit a 64-bit word")
-        return np.dtype(np.int64 if p ** K <= _ODD_FAST_LIMIT else np.uint64)
+        return np.dtype(np.uint64 if p ** K > _ODD_FAST_LIMIT or p > _INVERSE_TABLE_LIMIT
+                        else np.int64)
     bits = K * _lane_bits(K) if mode == MODE_F2T else K
     return np.dtype(f"uint{max(8, 1 << (bits - 1).bit_length())}" if bits <= 64 else object)
 
@@ -347,27 +351,20 @@ def _batch_inverse(a, p, prec):
     (Montgomery, "Speeding the Pollard and elliptic curve methods of
     factorization", 1987) in Python ints: one pow(., -1, m) of the product of
     the units, then a walk back through the prefix products. Non-units get 0.
-    A Montgomery word w stands for w R^-1 (R = 2^64), so the word of its
-    inverse is w^-1 R^2: on uint64 words the product's inverse carries R^2.
-    It serves the words no inverse table covers (:func:`_inverse_table`)."""
+    It serves the Montgomery words: a word w stands for w R^-1 (R = 2^64),
+    so the word of its inverse is w^-1 R^2, carried by the product's inverse."""
     m = p ** prec
     xs = a.tolist()
     prefix = [1]
     for x in xs:
         prefix.append(prefix[-1] * x % m if x % p else prefix[-1])
-    inv = pow(prefix[-1], -1, m)
-    if a.dtype == np.uint64:
-        inv = inv * _montgomery(m)[2] % m
+    inv = pow(prefix[-1], -1, m) * _montgomery(m)[2] % m
     out = [0] * len(xs)
     for i in reversed(range(len(xs))):
         if xs[i] % p:
             out[i] = inv * prefix[i] % m
             inv = inv * xs[i] % m
     return np.array(out, a.dtype)
-
-
-# most entries of an inverse table: past it, int64 pivots take _batch_inverse
-_INVERSE_TABLE_LIMIT = 1 << 15
 
 
 @lru_cache(maxsize=None)
@@ -393,22 +390,22 @@ def _inverse_table(p: int, h: int) -> np.ndarray:
 
 def _scale_pk(row, a, p, prec, K):
     """Rows times the pivot inverses, reduced mod m = p^prec. On int64 words,
-    whose entries may be unreduced sums, rows and pivots are reduced first.
-    Each inverse there is read mod p^h, h = ceil(K/2), from
-    :func:`_inverse_table`, and lifted mod p^2h, at least m, by one Newton
-    round y <- y(2 - ay) mod m, all of whose products stay below m^2. Past
-    the table limit, and on Montgomery words (where the row takes a
-    Montgomery product), the inverses come from :func:`_batch_inverse`."""
+    whose entries may be unreduced sums, rows and pivots are reduced first;
+    each inverse is read mod p^h, at the largest h <= ceil(K/2) with a table
+    (:func:`_inverse_table`; h >= 1 for every p of an int64 word), and lifted
+    by Newton rounds y <- y(2 - ay) mod m, whose products stay below m^2.
+    Montgomery words take :func:`_batch_inverse` and a Montgomery product."""
     m = p ** prec
     if row.dtype == np.uint64:
         return _mont_mul(row, _batch_inverse(a, p, prec)[:, None], m)
     row, a = row % m, a % m
     h = (K + 1) // 2
-    if p ** h > _INVERSE_TABLE_LIMIT:
-        y = _batch_inverse(a, p, prec)
-    else:
-        y = _inverse_table(p, h)[a % p ** h] % m
+    while p ** h > _INVERSE_TABLE_LIMIT:
+        h -= 1
+    y = _inverse_table(p, h)[a % p ** h] % m
+    while h < prec:
         y = y * (2 - a * y % m) % m
+        h *= 2
     return row * y[:, None] % m
 
 
@@ -601,21 +598,23 @@ _TABLE_CACHE_SIZE = 256
 
 @lru_cache(maxsize=64)
 def escalation_ladder(prime: PrimeIdealDesc, policy: PrecisionPolicy) -> tuple:
-    """The K values the adaptive loop will try, in order: 8 (or the cap, if
-    lower), doubling up to the cap (the lower of k_max and the prime's
-    word-size cap), without the modpk rungs past the int64 product limit and the f2t rungs
-    past 16 lanes below the cap. A result not saturated at K is exact at
-    every larger K, so the ladder sets only the cost of a trial, never its
-    type; and a pass in Montgomery words or 6-bit lanes costs about as much
-    at the cap as below it, so past the last fast word the ladder goes
-    straight to the cap."""
+    """The K values the adaptive loop will try, in order: the largest K <=
+    min(8, cap) whose word is narrow (else min(8, cap)), doubling up to the
+    cap (the lower of k_max and the prime's word-size cap), without the wide
+    rungs below the cap: those whose :func:`_word_dtype` is Montgomery for
+    modpk or object (past 16 lanes) for f2t. A result not saturated at K is
+    exact at every larger K, so the ladder sets only the cost of a trial,
+    never its type; and a pass in wide words costs about as much at the cap
+    as below it, so past the last narrow word it goes straight to the cap."""
     cap = min(policy.k_max, max_precision(prime.p, prime.f))
-    ladder = [min(8, cap)]
+    mode = matrix_mode(local_ring_for(prime, cap))
+
+    def wide(K):  # mod2k and generic words are never object words
+        return _word_dtype(mode, K, prime.p) == (np.uint64 if mode == MODE_MODPK else object)
+    ladder = [max((K for K in range(1, min(8, cap) + 1) if not wide(K)), default=min(8, cap))]
     while ladder[-1] < cap:
         ladder.append(min(2 * ladder[-1], cap))
-    mode = matrix_mode(local_ring_for(prime, cap))
-    return tuple(K for K in ladder if K == cap or not (
-        (mode == MODE_MODPK and prime.p ** K > _ODD_FAST_LIMIT) or (mode == MODE_F2T and K > 16)))
+    return tuple(K for K in ladder if K == cap or not wide(K))
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -623,19 +622,19 @@ def reduction_table(support: tuple, prime: PrimeIdealDesc, K: int):
     """The support reduced into the local ring at precision K.
 
     Returns ``(mode, ring, table)``: the kernel the ring lowers onto, the
-    ring, and a table indexed by support position. For the array kernels the
-    table is a read-only array of the mode's word dtype, of shape ``(s,)``
-    when the residue degree f is 1 and of ``(s, f, f)`` blocks
-    (:func:`element_block`) when it is larger; for the generic path it is a
-    tuple of ``LocalElement``.
+    ring, and a read-only array indexed by support position, for
+    :func:`gather`: the mode's words, of shape ``(s,)`` when the residue
+    degree f is 1 and of ``(s, f, f)`` blocks (:func:`element_block`) when
+    it is larger, or on the generic path ``LocalElement`` objects.
     """
     ring = local_ring_for(prime, K)
     mode = matrix_mode(ring)
-    reduced = tuple(reduce_mod_prime_power(s, prime, K) for s in support)
+    reduced = [reduce_mod_prime_power(s, prime, K) for s in support]
     if mode == MODE_GENERIC:
-        return mode, ring, reduced
-    lower = element_to_scalar if ring.f == 1 else element_block
-    table = np.array([lower(mode, x) for x in reduced], _word_dtype(mode, K, ring.p))
+        table = np.fromiter(reduced, object, len(reduced))
+    else:
+        lower = element_to_scalar if ring.f == 1 else element_block
+        table = np.array([lower(mode, x) for x in reduced], _word_dtype(mode, K, ring.p))
     table.flags.writeable = False  # shared between calls; indexing copies
     return mode, ring, table
 
@@ -678,13 +677,12 @@ def partition_at_prime(idx, support: tuple, prime: PrimeIdealDesc,
         if not len(todo):
             break
         mode, ring, table = reduction_table(support, prime, K)
-        sub = idx if len(todo) == b else idx[todo]
+        B = gather(table, idx if len(todo) == b else idx[todo])
         if mode == MODE_GENERIC:
-            rows = np.array([np.bincount(local_snf(LocalMatrix.of(
-                ring, [[table[j] for j in row] for row in M])).valuations, minlength=K + 1)[:K]
-                for M in sub.tolist()])
+            rows = np.array([np.bincount(local_snf(LocalMatrix.of(ring, M)).valuations,
+                                         minlength=K + 1)[:K] for M in B.tolist()])
         else:
-            rows = _pivot_counts(mode, gather(table, sub), prime.p, K) // ring.f
+            rows = _pivot_counts(mode, B, prime.p, K) // ring.f
         counts[todo, :K] = rows
         todo = todo[rows.sum(axis=1) < n]
     return counts
@@ -699,7 +697,8 @@ def counts_partition(counts) -> tuple:
 def cokernel_local_type(M, prime: PrimeIdealDesc, policy: PrecisionPolicy = DEFAULT_POLICY) -> tuple:
     """:func:`partition_at_prime` for a grid M of domain Elements; raises
     ``IndeterminateCokernelError``, carrying the ``SnfResult`` at the cap,
-    when the type stays undetermined."""
+    when the type stays undetermined; M is checked as LocalMatrix.of checks it."""
+    M = _grid(M)
     support = tuple(dict.fromkeys(x for row in M for x in row))
     position = {x: i for i, x in enumerate(support)}
     idx = np.array([[position[x] for x in row] for row in M])

@@ -1,10 +1,13 @@
 import json
 import os
 import time
+import tracemalloc
 
 import pytest
 
+from coklab import experiments
 from coklab.cli import main
+from coklab.experiments import parse_config
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -269,6 +272,39 @@ def test_exit_code_2_on_a_field_of_the_wrong_kind(tmp_path, capsys, overrides, m
     cfg = write_config(tmp_path, **overrides)
     assert main(["moments", "--config", cfg]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"n": [100000]}, "100000 x 100000 matrices at residue degree 1 have 10000000000 kernel entries"),
+    ({"n": [4], "u": 10 ** 9, "type_caps": {"exponent": 0, "parts": 0}},
+     "4 x 1000000004 matrices at residue degree 1 have 4000000016 kernel entries"),
+    ({"n": [257], "domain": "Z[i]", "primes": [{"p": 3}]},
+     "257 x 257 matrices at residue degree 2 have 264196 kernel entries"),
+], ids=["n-1e5", "u-1e9", "inert-n-257"])
+def test_exit_code_2_on_a_matrix_past_the_shape_budget(tmp_path, capsys, monkeypatch, overrides,
+                                                        message):
+    # Each run died in the sub-batch allocation with an uncaught memory
+    # error under a 3 GB address-space limit. The config is refused before
+    # any trial runs or any array is allocated: a run that started would
+    # fail here, and the refusal allocates under 1 MB.
+    monkeypatch.setattr(experiments, "_run_trials", lambda *args: pytest.fail("a trial ran"))
+    cfg = write_config(tmp_path, **overrides)
+    tracemalloc.start()
+    try:
+        assert main(["dist", "--config", cfg]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert message in capsys.readouterr().err and peak < 1 << 20
+
+
+def test_the_largest_matrix_in_the_shape_budget_is_accepted():
+    # 512 x 512 at f = 1 and 256 x 256 blocks of 2 x 2 at the inert (3) fill
+    # the budget of 2^18 entries, and parse.
+    parse_config({"domain": "Z", "primes": [{"p": 2}], "n": [512],
+                  "distribution": {"builtin": "bernoulli01", "params": {"q": 0.5}}})
+    parse_config({"domain": "Z[i]", "primes": [{"p": 3}], "n": [256],
+                  "distribution": {"builtin": "gaussian-basis"}})
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])

@@ -474,14 +474,14 @@ _TAU_FIXED = dict(domain="Z[i]", primes=[{"generator": "2+i"}, {"generator": "2-
 
 def test_primes_that_lower_alike_share_one_pass(monkeypatch):
     # Each of five sub-batches runs the driver at (2+i) only, and (2-i)
-    # takes its rows; the tally equals the one with sharing turned off,
-    # items and order.
+    # takes its rows; the tally equals the one with sharing turned off (a
+    # distinct lowering key per prime), items and order.
     cfg = parse_config(base_config(**_TAU_FIXED))
     monkeypatch.setattr(experiments, "_BATCH_BYTES", 1)
     calls = _recorded(monkeypatch, "partition_at_prime", lambda args: args[2])
     shared = _run_trials(cfg, 10, 1)
     assert 0 < shared[INDETERMINATE] and calls == [cfg.primes[0]] * 5
-    monkeypatch.setattr(experiments, "_lowering_key", lambda cfg, prime: None)
+    monkeypatch.setattr(experiments, "_lowering_key", lambda cfg, prime: prime)
     del calls[:]
     assert list(_run_trials(cfg, 10, 1).items()) == list(shared.items())
     assert calls == list(cfg.primes) * 5

@@ -193,6 +193,7 @@ PX = factor_rational_prime(poly_domain(2), poly_elem(2, [0, 1]))[0]
 # residue degree f > 1: inert Z[i] primes lower onto modpk, F_2[x] primes onto f2t
 ZI3 = factor_rational_prime(ZI, 3)[0]
 ZI7 = factor_rational_prime(ZI, 7)[0]
+ZI17 = factor_rational_prime(ZI, 17)[0]  # (4+i)
 PX2 = factor_rational_prime(poly_domain(2), poly_elem(2, [1, 1, 1]))[0]
 PX3 = factor_rational_prime(poly_domain(2), poly_elem(2, [1, 1, 0, 1]))[0]
 # the generic path: the ramified (1+i) and odd-characteristic F_3[x] at (x)
@@ -660,8 +661,10 @@ def _from_montgomery(x, m):
 # moduli of int64 words, 5^8, the last int64 power 3^19 and 11^9, on which the
 # Montgomery arithmetic holds as well; and moduli of Montgomery words: the (2+i)
 # cap 5^27, the Z cap 3^40 > 2^63, the square of the largest prime below 2^32,
-# and the largest prime below 2^64
-_MODULI = [(5, 27), (3, 40), (4294967291, 2), (2 ** 64 - 59, 1), (5, 8), (3, 19), (11, 9)]
+# the largest prime below 2^64, and 65537, below the int64 product limit but
+# past the inverse table limit
+_MODULI = [(5, 27), (3, 40), (4294967291, 2), (2 ** 64 - 59, 1), (65537, 1), (5, 8), (3, 19),
+           (11, 9)]
 
 
 @pytest.mark.parametrize("p, K", _MODULI)
@@ -669,8 +672,7 @@ def test_montgomery_words_match_python_ints(p, K):
     # The words x R mod m (R = 2^64, m = p^K) against Python ints: conversion
     # in and out, the product, the multiply-compare unit test, the pivot
     # inverse, and the division of a multiple of p by p, which is the word of
-    # x / p mod p^(K - 1). Below the int64 product limit the pivot inverse
-    # also runs on int64 words.
+    # x / p mod p^(K - 1).
     m, R = p ** K, 1 << 64
     rng = random.Random(K)
     xs = [0, 1, p - 1, p % m, m - 1, m - p, *(rng.randrange(m) for _ in range(300))]
@@ -684,14 +686,10 @@ def test_montgomery_words_match_python_ints(p, K):
     assert _units_p(x, p).tolist() == [a % p != 0 for a in xs]
     # each unit times its inverse is 1, and each non-unit gets 0
     want = [int(a % p != 0) for a in xs]
-    inverses = [_from_montgomery(_batch_inverse(x, p, K), m)]
-    if m <= _ODD_FAST_LIMIT:
-        inverses.append(_batch_inverse(np.array(xs, np.int64), p, K))
-    for inv in inverses:
-        assert [a * b % m if a % p else b for a, b in zip(xs, inv.tolist())] == want
-    for dtype in (np.uint64, np.int64) if m <= _ODD_FAST_LIMIT else (np.uint64,):
-        assert _batch_inverse(np.array([0, p % m, m - p], dtype), p, K).tolist() == [0, 0, 0]
-        assert _batch_inverse(np.array([], dtype), p, K).tolist() == []
+    inv = _from_montgomery(_batch_inverse(x, p, K), m)
+    assert [a * b % m if a % p else b for a, b in zip(xs, inv.tolist())] == want
+    assert _batch_inverse(np.array([0, p % m, m - p], np.uint64), p, K).tolist() == [0, 0, 0]
+    assert _batch_inverse(np.array([], np.uint64), p, K).tolist() == []
     if K > 1:
         multiples = _to_montgomery(np.array([a * p % m for a in xs], np.uint64), m)
         shifted = _shift_p(multiples[None, None], p, K - 1, 1).ravel()
@@ -738,13 +736,16 @@ def test_modpk_kernel_at_the_largest_prime_below_2_64():
     assert any(_rank_mod(rows, p) < 4 for rows in batch)
 
 
-@pytest.mark.parametrize("p, f", [(3, 1), (5, 1), (7, 1), (11, 1), (1000003, 1), (3, 2)])
+@pytest.mark.parametrize("p, f", [(3, 1), (5, 1), (7, 1), (11, 1), (17, 1), (31, 1), (32749, 1),
+                                  (32771, 1), (1000003, 1), (3, 2)])
 def test_modpk_words_are_machine_words_up_to_the_cap(p, f):
     # No modpk rung of an accepted prime runs in object words: int64 up to
-    # the product limit, Montgomery uint64 words from there to the cap;
-    # p^K past 2^64 is refused.
+    # the product limit while p has an inverse table (p <= 2^15, so 32749
+    # does and 32771 and 1000003 never do), Montgomery uint64 words from
+    # there to the cap; p^K past 2^64 is refused.
     for K in range(1, max_precision(p, f) + 1):
-        assert _word_dtype("modpk", K, p) == (np.int64 if p ** K <= _ODD_FAST_LIMIT else np.uint64)
+        fast = p ** K <= _ODD_FAST_LIMIT and p <= 1 << 15
+        assert _word_dtype("modpk", K, p) == (np.int64 if fast else np.uint64)
     with pytest.raises(ParameterError, match="64-bit word"):
         _word_dtype("modpk", max_precision(p, 1) + 1, p)
 
@@ -800,10 +801,10 @@ def test_f2t_fuzz_matches_local_snf(case):
     assert snf_valuations_array("f2t", packed, 2, K) == local_snf(LocalMatrix.of(ring, grid))
 
 
-def _geometric_ladder(prime, policy):
-    """min(8, cap), doubled up to the cap (k_max or the word-size cap), no rung dropped."""
+def _geometric_ladder(prime, policy, start=8):
+    """min(start, cap), doubled up to the cap (k_max or the word-size cap), no rung dropped."""
     cap = min(policy.k_max, max_precision(prime.p, prime.f))
-    ladder = [min(8, cap)]
+    ladder = [min(start, cap)]
     while ladder[-1] < cap:
         ladder.append(min(2 * ladder[-1], cap))
     return tuple(ladder)
@@ -878,13 +879,13 @@ def _check_driver_batch(case):
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
-@given(_driver_cases((PX, ZI3, ZI7, PX2, PX3)))
+@given(_driver_cases((PX, ZI3, ZI7, PX2, PX3, ZI17)))
 def test_lowered_driver_fuzz_matches_local_snf_ladder(case):
-    # The cokernel driver on f2t at (x) and on the primes of residue degree
-    # f > 1 that lower onto modpk and f2t gives, for a batch of matrices, the
-    # partitions of the local_snf ladder, and for an indeterminate matrix the
-    # counts of its SnfResult at the cap (every f-th valuation over the base
-    # ring).
+    # The cokernel driver on f2t at (x), on the primes of residue degree
+    # f > 1 that lower onto modpk and f2t, and at (4+i), whose ladder starts
+    # at 7, gives, for a batch of matrices, the partitions of the local_snf
+    # ladder, and for an indeterminate matrix the counts of its SnfResult at
+    # the cap (every f-th valuation over the base ring).
     _check_driver_batch(case)
 
 
@@ -901,60 +902,84 @@ ZI5 = factor_rational_prime(ZI, 5)[0]  # (2+i)
 
 def _wide_rung(prime, K):
     """Whether the kernel of the prime's ring runs precision K in its wide
-    words: modpk in Montgomery words past the int64 product limit, f2t in
-    object words past 16 lanes of 4 bits."""
+    words: modpk in Montgomery words past the int64 product limit or past
+    p = 2^15, where no inverse table serves int64 words, f2t in object words
+    past 16 lanes of 4 bits."""
     mode = matrix_mode(local_ring_for(prime, K))
-    return (mode == MODE_MODPK and prime.p ** K > _ODD_FAST_LIMIT) or (mode == "f2t" and K > 16)
+    if mode == MODE_MODPK:
+        return prime.p ** K > _ODD_FAST_LIMIT or prime.p > 1 << 15
+    return mode == "f2t" and K > 16
 
 
-_LADDER_PRIMES = (P3, ZI5, ZI3, ZI7, P2, PX, PX2, PX3, ZI_RAM, F3X)
+def _narrow_start(prime, policy):
+    """The largest K <= min(8, cap) that is not a wide rung, else min(8, cap)."""
+    top = min(8, policy.k_max, max_precision(prime.p, prime.f))
+    return next((K for K in range(top, 0, -1) if not _wide_rung(prime, K)), top)
+
+
+_LADDER_PRIMES = (P3, ZI5, ZI3, ZI7, P2, PX, PX2, PX3, ZI_RAM, F3X, ZI17)
 
 
 @pytest.mark.parametrize("policy, ladders", [
     (DEFAULT_POLICY, [(8, 16, 40), (8, 27), (8, 16, 20), (8, 11), (8, 16, 32, 64), (8, 16, 64),
-                      (8, 16, 32), (8, 16, 21), (8, 16, 32, 64), (8, 16, 32, 40)]),
-    (PrecisionPolicy(4), [(4,)] * 10),
-    (PrecisionPolicy(16), [(8, 16)] * 3 + [(8, 11)] + [(8, 16)] * 6),
+                      (8, 16, 32), (8, 16, 21), (8, 16, 32, 64), (8, 16, 32, 40), (7, 15)]),
+    (PrecisionPolicy(4), [(4,)] * 11),
+    (PrecisionPolicy(16), [(8, 16)] * 3 + [(8, 11)] + [(8, 16)] * 6 + [(7, 15)]),
     (PrecisionPolicy(40), [(8, 16, 40), (8, 27), (8, 16, 20), (8, 11), (8, 16, 32, 40),
-                           (8, 16, 40), (8, 16, 32), (8, 16, 21), (8, 16, 32, 40), (8, 16, 32, 40)]),
+                           (8, 16, 40), (8, 16, 32), (8, 16, 21), (8, 16, 32, 40), (8, 16, 32, 40),
+                           (7, 15)]),
 ], ids=["default", "cap-4", "cap-16", "cap-40"])
 def test_escalation_ladders_are_pinned(policy, ladders):
-    # Each ladder starts at min(8, cap) and doubles up to the cap, k_max or
-    # the prime's word-size cap (40 at 3, 27 at (2+i), 20 at (3), 11 at (7),
-    # 32 at (x^2+x+1), 21 at (x^3+x+1), 40 at (x) of F_3[x]), less the wide
-    # rungs below the cap.
+    # Each ladder starts at min(8, cap), or at (4+i) at 7, the largest K
+    # whose word 17^K is not wide, and doubles up to the cap, k_max or the
+    # prime's word-size cap (40 at 3, 27 at (2+i), 20 at (3), 11 at (7), 32
+    # at (x^2+x+1), 21 at (x^3+x+1), 40 at (x) of F_3[x], 15 at (4+i)), less
+    # the wide rungs below the cap.
     assert [escalation_ladder(prime, policy) for prime in _LADDER_PRIMES] == ladders
 
 
+@pytest.mark.parametrize("p, ladder", [(13, (8, 17)), (17, (7, 15)), (19, (7, 15)),
+                                       (23, (6, 14)), (31, (6, 12)), (65537, (3,))])
+def test_modpk_ladders_start_on_an_int64_rung(p, ladder):
+    # Past 13^8 the ladder starts at the largest K whose p^K fits an int64
+    # word, not at the Montgomery cap; past p = 2^15 every rung is wide.
+    assert escalation_ladder(factor_rational_prime(ZZ, p)[0], DEFAULT_POLICY) == ladder
+
+
 def test_escalation_ladder_keeps_one_object_rung():
-    # modpk and f2t ladders keep every fast-word rung of the geometric
-    # ladder and, of its wide rungs (Montgomery words for modpk, object
-    # words for f2t), only the cap; mod2k and generic ladders are whole.
+    # modpk and f2t ladders keep every narrow-word rung of the geometric
+    # ladder from their narrow start and, of its wide rungs (Montgomery
+    # words for modpk, object words for f2t), only the cap; mod2k and
+    # generic ladders are whole.
     for policy in (DEFAULT_POLICY, PrecisionPolicy(4), PrecisionPolicy(16), PrecisionPolicy(40)):
         for prime in _LADDER_PRIMES:
-            full, ladder = _geometric_ladder(prime, policy), escalation_ladder(prime, policy)
+            full = _geometric_ladder(prime, policy, _narrow_start(prime, policy))
+            ladder = escalation_ladder(prime, policy)
             wide = [K for K in ladder if _wide_rung(prime, K)]
             assert ladder[-1] == full[-1] and wide in ([], [full[-1]])
             assert [K for K in ladder if K not in wide] == [K for K in full
                                                             if not _wide_rung(prime, K)]
 
 
-# (p, K) of every int64 modpk rung of the ladder primes, and of the int64
-# moduli of the Montgomery and lazy-reduction tests
-_INT64_RUNGS = sorted({(prime.p, K) for prime in _LADDER_PRIMES
+# (p, K) of every int64 modpk rung of the ladder primes and of Z at p = 17,
+# 19, 23 and 31, and of the int64 moduli of the Montgomery and
+# lazy-reduction tests
+_INT64_RUNGS = sorted({(prime.p, K) for prime in (*_LADDER_PRIMES, *(
+                           factor_rational_prime(ZZ, p)[0] for p in (17, 19, 23, 31)))
                        for K in escalation_ladder(prime, DEFAULT_POLICY)
                        if matrix_mode(local_ring_for(prime, K)) == MODE_MODPK
-                       and prime.p ** K <= _ODD_FAST_LIMIT}
-                      | {(p, K) for p, K in [*_MODULI, *_LAZY_MODULI] if p ** K <= _ODD_FAST_LIMIT})
+                       and not _wide_rung(prime, K)}
+                      | {(p, K) for p, K in [*_MODULI, *_LAZY_MODULI]
+                         if _word_dtype("modpk", K, p) == np.int64})
 
 
-@pytest.mark.parametrize("p, K", _INT64_RUNGS + [(65537, 1)])
+@pytest.mark.parametrize("p, K", _INT64_RUNGS)
 def test_int64_pivot_inverses_match_python_ints(monkeypatch, p, K):
     # On int64 words the pivot inverses at every precision of a rung are
-    # those of pow(., -1, p^prec), read from the table of inverses mod
-    # p^ceil(K/2) and lifted by one Newton round, for unreduced pivots and
-    # rows; non-units give 0. Only past the table limit (7^6, 11^5 and 3^10
-    # entries, and 65537 at K = 1) does the Python-int batch inverse run.
+    # those of pow(., -1, p^prec), read from the table of inverses mod p^h,
+    # h the largest at most ceil(K/2) with p^h <= 2^15, and lifted by Newton
+    # rounds, for unreduced pivots and rows; non-units give 0. The
+    # Python-int batch inverse never runs on int64 words.
     calls = []
     monkeypatch.setattr(snf, "_batch_inverse", lambda *args: calls.append(args) or _batch_inverse(*args))
     rng = random.Random(p * 100 + K)
@@ -968,8 +993,7 @@ def test_int64_pivot_inverses_match_python_ints(monkeypatch, p, K):
         inv = [pow(x, -1, m) if x % p else 0 for x in xs]
         assert snf._scale_pk(row, a, p, prec, K).tolist() == [[y, r * y % m] for y, r in zip(inv, rs)]
         assert snf._scale_pk(np.ones((0, 2), np.int64), a[:0], p, prec, K).tolist() == []
-    assert bool(calls) == ((p, K) in {(3, 19), (7, 11), (11, 9), (65537, 1)})
-    assert all(args[0].dtype == np.int64 for args in calls)
+    assert not calls
 
 
 def _clmul(a, b, prec):
@@ -1282,3 +1306,15 @@ def test_local_matrix_shape_validation():
         LocalMatrix.of(r, [[r.one()], [r.one()]])  # 2 rows x 1 col
     with pytest.raises(ParameterError):
         LocalMatrix.of(r, [[r.one(), r.one()], [r.one()]])
+
+
+@pytest.mark.parametrize("rows", [[], [[]], [[1, 2], [3]], [[1, 0], [0, 1], [1, 1]]],
+                         ids=["no-rows", "no-columns", "ragged", "3x2"])
+def test_cokernel_local_type_checks_shape_as_local_matrix_does(rows):
+    # An empty, ragged or taller-than-wide grid is a ParameterError from
+    # cokernel_local_type, as from LocalMatrix.of, before any reduction.
+    with pytest.raises(ParameterError):
+        cokernel_local_type([[int_elem(x) for x in row] for row in rows], P3)
+    with pytest.raises(ParameterError):
+        LocalMatrix.of(local_ring_for(P3, 4), [[local_ring_for(P3, 4).from_int(x) for x in row]
+                                              for row in rows])

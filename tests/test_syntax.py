@@ -17,3 +17,26 @@ def test_module_parses_as_python_3_10(path):
 def test_the_3_10_grammar_rejects_except_star():
     with pytest.raises(SyntaxError):
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+
+
+def _private_imports(path) -> list:
+    """The ``from .<module> import _<name>`` imports of a module: names
+    another module keeps private. Importing a private module (``from .
+    import _fppoly``) is not one."""
+    return [f"{path.name}:{node.lineno} from .{node.module} import {alias.name}"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ImportFrom) and node.level and node.module
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_no_module_imports_another_modules_private_names():
+    # A rule kept private in one module, such as snf's word rule, is not
+    # restated elsewhere through an import of its helpers.
+    assert [line for path in _SOURCES for line in _private_imports(path)] == []
+
+
+def test_the_private_import_guard_sees_a_private_name(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text("from . import _fppoly\nfrom ._fppoly import degree\n"
+                    "def f():\n    from .snf import _word_dtype\n", encoding="utf-8")
+    assert _private_imports(path) == ["probe.py:4 from .snf import _word_dtype"]
