@@ -41,8 +41,7 @@ from .errors import ConfigError, DiagnosticsError, ParameterError
 from .modules import ModuleType, count_sur, module_size, parse_type_string
 from .sampler import BalanceReport, EntryDistribution, audit_ideals, audit_pairs, \
     balance_report, builtin_distribution, sample_index_batch
-from .snf import DEFAULT_POLICY, PrecisionPolicy, counts_partition, escalation_ladder, \
-    partition_at_prime, reduction_table
+from .snf import DEFAULT_POLICY, PrecisionPolicy, batch_trials, cokernel_rows, row_type
 from .theory import check_caps, partial_sum, predicted_moment, predicted_probability
 
 INDETERMINATE = "indeterminate"
@@ -262,107 +261,49 @@ def run_balance_gate(cfg: ExperimentConfig) -> BalanceReport:
 # trial execution
 
 
-# bytes of kernel words in the matrices sampled and eliminated together:
-# bounds a batch's memory for any chunk size (227 matrices at n = 48 in
-# mod2k's uint8 words, 455 at n = 12 in modpk's int64 words)
-_BATCH_BYTES = 512 * 1024
-
-
-def _sub_batch(cfg: ExperimentConfig, n: int) -> int:
-    """Most trials per sub-batch: as many n f x (n + u) f kernel matrices,
-    in the entries of each prime's first-rung :func:`reduction_table` (an
-    object pointer on the generic path), as fill _BATCH_BYTES at the widest
-    prime, and at least 64, so that each numpy step of a small n works on
-    enough entries to outweigh its call overhead."""
-    def matrix_bytes(prime):
-        K = escalation_ladder(prime, cfg.policy)[0]
-        table = reduction_table(cfg.distribution.support, prime, K)[2]
-        return n * prime.f * (n + cfg.u) * prime.f * table.itemsize
-    return max(64, _BATCH_BYTES // max(map(matrix_bytes, cfg.primes)))
-
-
-def _lowering_key(cfg: ExperimentConfig, prime):
-    """What :func:`partition_at_prime` reads of a prime besides the batch: p,
-    the ladder, and per rung the mode, residue degree f and the support's
-    table (dtype, shape and entries, which on the generic path carry their
-    ring). Two primes with equal keys give equal count rows on every batch."""
-    ladder = escalation_ladder(prime, cfg.policy)
-    rungs = []
-    for K in ladder:
-        mode, ring, table = reduction_table(cfg.distribution.support, prime, K)
-        rungs.append((mode, ring.f, table.dtype, table.shape, table.tolist()))
-    return prime.p, ladder, rungs
-
-
 def _tally_chunk(args) -> Counter:
     """Count rows of trials start, ..., stop - 1 of cfg at size n, for args =
     (cfg, n, start, stop) (pure): a Counter of each trial's tuple of
-    per-prime rows of :func:`partition_at_prime`, in order of first
-    appearance, which is trial order.
-
-    Trials go through the cokernel driver in the fewest sub-batches of at
-    most :func:`_sub_batch` trials, of near-equal sizes, sampled into one
-    reused array of the narrowest index dtype. A trial leaves the batch at
-    its first indeterminate prime, and its later primes keep rows of zeros.
-    A prime whose :func:`_lowering_key` equals an earlier prime's lowers
-    every matrix to the same arrays, so it takes that prime's rows of the
-    trials still live, and :func:`partition_at_prime` runs once for both.
-    """
+    per-prime rows, in order of first appearance, which is trial order. The
+    trials are sampled, in the fewest near-equal sub-batches of at most
+    :func:`batch_trials`, into one reused array of the narrowest index
+    dtype, and each sub-batch takes one :func:`cokernel_rows` call."""
     cfg, n, start, stop = args
     dist, u = cfg.distribution, cfg.u
-    tally = Counter()
-    keys = [_lowering_key(cfg, prime) for prime in cfg.primes]
-    same = [keys.index(key) for key in keys]
-    trials = stop - start
-    parts = max(1, math.ceil(trials / _sub_batch(cfg, n)))
+    tally, trials = Counter(), stop - start
+    parts = max(1, math.ceil(trials / batch_trials(dist.support, cfg.primes, cfg.policy, n, u)))
     cuts = [start + trials * i // parts for i in range(parts + 1)]
     idx = np.empty((math.ceil(trials / parts), n, n + u),
                    dtype=np.min_scalar_type(len(dist.support) - 1))
     for first, last in zip(cuts, cuts[1:]):
         batch = idx[:last - first]
         sample_index_batch(dist, n, u, cfg.seed, first, batch)
-        fulls, live = [], np.arange(len(batch))  # trials determined at every prime so far
-        for i, prime in enumerate(cfg.primes):
-            if same[i] < i:
-                counts = fulls[same[i]][live]
-            else:
-                sub = batch if len(live) == len(batch) else batch[live]
-                counts = partition_at_prime(sub, dist.support, prime, cfg.policy)
-            full = np.zeros((len(batch), counts.shape[1]), np.int64)
-            full[live] = counts
-            fulls.append(full)
-            live = live[counts.sum(axis=1) == n]
-        tally.update(zip(*(map(tuple, f.tolist()) for f in fulls)))
+        rows = cokernel_rows(batch, dist.support, cfg.primes, cfg.policy)
+        tally.update(zip(*(map(tuple, r.tolist()) for r in rows)))
     return tally
 
 
 def _run_trials(cfg: ExperimentConfig, n: int, threads: int) -> Counter:
     """Tally of cfg.trials trials at size n: the count rows of contiguous
     near-equal shares, one per worker and at most one per sub-batch
-    (:func:`_forked`), merged in share order and folded by :func:`_row_type`
-    in order of first appearance; raises DiagnosticsError when more than
-    half of the trials are indeterminate."""
+    (:func:`_forked`), merged in share order and folded by :func:`row_type`
+    (or into INDETERMINATE) in order of first appearance; raises
+    DiagnosticsError when more than half of the trials are indeterminate."""
     if threads > 1 and not hasattr(os, "fork"):
         raise ConfigError("--threads above 1 needs os.fork, which this platform lacks")
-    workers = min(threads, math.ceil(cfg.trials / _sub_batch(cfg, n)))
+    size = batch_trials(cfg.distribution.support, cfg.primes, cfg.policy, n, cfg.u)
+    workers = min(threads, math.ceil(cfg.trials / size))
     cuts = [cfg.trials * i // workers for i in range(workers + 1)]
     shares = _forked(_tally_chunk, [(cfg, n, a, b) for a, b in zip(cuts, cuts[1:])])
     total = Counter()
-    for row, count in sum(shares, Counter()).items():
-        total[_row_type(cfg.primes, n, row)] += count
+    for rows, count in sum(shares, Counter()).items():
+        total[row_type(cfg.primes, n, rows) or INDETERMINATE] += count
     indet = total.get(INDETERMINATE, 0)
     if indet > cfg.trials * 0.5:
         raise DiagnosticsError(
             f"{indet}/{cfg.trials} trials indeterminate at n={n}; "
             "the matrix law is degenerate at this precision policy")
     return total
-
-
-def _row_type(primes, n: int, row):
-    """The ModuleType of a trial's count rows at the primes; INDETERMINATE if one sums below n."""
-    if any(sum(counts) < n for counts in row):
-        return INDETERMINATE
-    return ModuleType.of(zip(primes, map(counts_partition, row)))
 
 
 def _forked(fn, args) -> list:

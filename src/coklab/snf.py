@@ -35,18 +35,15 @@ Three layers:
   GHASH): 4-bit lanes in the narrowest unsigned word of 4K bits for
   K <= 16, and 6-bit lanes in exact Python ints past that. Every kernel is
   tested to agree with the reference everywhere.
-* :func:`partition_at_prime` runs every cokernel computation. It takes a
-  batch of matrices as positions into an entry support, picks the kernel
-  for each ring through :func:`reduction_table`, gathers the scalars or
-  blocks through :func:`gather`, and escalates K geometrically for the
-  saturated matrices only, up to the policy cap (:func:`escalation_ladder`).
-  It returns one int64 row per matrix: the pivot counts per level from the
-  rung that settled the matrix, or from the cap (on the generic path, the
-  counts of the ``local_snf`` valuations). A row that sums to n gives the
-  partition (:func:`counts_partition`); one that sums below n is still
-  saturated at the cap, and callers report its trial in an explicit
-  indeterminate bucket. :func:`cokernel_local_type` feeds it one element
-  grid and raises ``IndeterminateCokernelError`` for such a row.
+* :func:`cokernel_rows` runs every cokernel computation, for a batch of
+  matrices given as positions into an entry support and for a tuple of
+  primes. It picks each ring's kernel through :func:`reduction_table`,
+  gathers the scalars or blocks through :func:`gather`, and escalates K
+  geometrically for the saturated matrices only, up to the policy cap
+  (:func:`escalation_ladder`). It returns one row of pivot counts per level
+  per matrix and prime; a row below n is still saturated at the cap, and
+  its matrix is indeterminate. :func:`batch_trials` sizes the batches, and
+  :func:`row_type` folds a matrix's rows into its ``ModuleType``.
 """
 
 from __future__ import annotations
@@ -71,6 +68,7 @@ from .local_ring import (
     unit_inverse,
     valuation,
 )
+from .modules import ModuleType
 
 # largest p^K whose products fit int64: modpk's word switches to Montgomery uint64 above it
 _ODD_FAST_LIMIT = 3_037_000_499
@@ -652,27 +650,42 @@ def gather(table, idx) -> np.ndarray:
     return table.swapaxes(0, 1)[np.arange(f)[:, None], idx[:, :, None, :]].reshape(b, n * f, m * f)
 
 
-def partition_at_prime(idx, support: tuple, prime: PrimeIdealDesc,
-                       policy: PrecisionPolicy) -> np.ndarray:
-    """Pivot counts per level of cok(M) tensored up at one prime.
+@lru_cache(maxsize=64)
+def _lowering(support: tuple, prime: PrimeIdealDesc, policy: PrecisionPolicy) -> tuple:
+    """What :func:`cokernel_rows` reads of a prime besides the batch: per rung
+    of its ladder the ring, which fixes p, the kernel, f, K and the word,
+    and the support's table as a list. Two primes with equal lowerings give
+    equal rows on every batch."""
+    return tuple((ring, table.tolist()) for _, ring, table in (
+        reduction_table(support, prime, K) for K in escalation_ladder(prime, policy)))
 
-    ``idx`` is a batch of shape ``(b, n, m)`` of support positions:
-    ``M_t[i][j] = support[idx[t, i, j]]``, with rows <= columns. Each rung of
-    the escalation ladder runs the matrices still saturated through the
-    kernel its ring lowers onto, so only those climb to the next K (for any
-    u), and writes their rows of the ``(b, cap)`` int64 result: row t holds
-    at v the number of diagonal entries of valuation v, at the rung that
-    settled the matrix or at the cap. At residue degree f > 1 the kernel
-    sees each matrix over the base ring, where every part of the cokernel
-    appears f times, so its counts are divided by f. A row is settled
-    exactly when it sums to n; its partition is :func:`counts_partition`.
-    A row summing below n is still saturated at the cap, and its matrix is
-    indeterminate.
-    """
+
+# bytes of kernel words in the matrices sampled and eliminated together:
+# bounds a batch's memory for any chunk size (227 matrices at n = 48 in
+# mod2k's uint8 words, 455 at n = 12 in modpk's int64 words)
+_BATCH_BYTES = 512 * 1024
+
+
+def batch_trials(support: tuple, primes, policy: PrecisionPolicy, n: int, u: int) -> int:
+    """Most matrices per batch of :func:`cokernel_rows`: as many n f x (n + u) f
+    kernel matrices, in the entries of each prime's first-rung
+    :func:`reduction_table` (an object pointer on the generic path), as fill
+    _BATCH_BYTES at the widest prime, and at least 64, so that each numpy
+    step of a small n works on enough entries to outweigh its call overhead."""
+    widest = max(n * pr.f * (n + u) * pr.f * reduction_table(
+        support, pr, escalation_ladder(pr, policy)[0])[2].itemsize for pr in primes)
+    return max(64, _BATCH_BYTES // widest)
+
+
+def _ladder_counts(idx, support, prime, policy, todo) -> np.ndarray:
+    """The ``(b, cap)`` counts at one prime of the matrices todo of the batch
+    idx, zeros for the rest. Each rung of the escalation ladder runs the
+    matrices still saturated through the kernel its ring lowers onto and
+    writes their rows. At residue degree f the kernel sees each part of the
+    cokernel f times, over the base ring, so its counts are divided by f."""
     b, n = idx.shape[:2]
     ladder = escalation_ladder(prime, policy)
     counts = np.zeros((b, ladder[-1]), np.int64)
-    todo = np.arange(b)  # matrices saturated at every rung so far
     for K in ladder:
         if not len(todo):
             break
@@ -688,33 +701,65 @@ def partition_at_prime(idx, support: tuple, prime: PrimeIdealDesc,
     return counts
 
 
+def cokernel_rows(idx, support: tuple, primes, policy: PrecisionPolicy) -> list:
+    """Pivot counts per level of cok(M_t) tensored up at each prime, one
+    ``(b, cap)`` int64 array per prime, for a batch ``idx`` of shape
+    ``(b, n, m)`` of support positions: ``M_t[i][j] = support[idx[t, i, j]]``.
+    Row t holds at v the number of diagonal entries of valuation v, at the
+    rung that settled M_t or at the cap (:func:`_ladder_counts`). A row
+    summing below n is still saturated at the cap: M_t is indeterminate, and
+    its rows at later primes stay zeros. A prime whose :func:`_lowering`
+    equals an earlier prime's takes that prime's rows; a lone prime, with
+    none to share, builds only the tables of the rungs it reaches."""
+    b, n = idx.shape[:2]
+    out, lowerings = [], []
+    live = np.ones(b, bool)  # matrices settled at every prime so far
+    for prime in primes:
+        lowering = _lowering(support, prime, policy) if len(primes) > 1 else None
+        if lowering in lowerings:
+            counts = out[lowerings.index(lowering)] * live[:, None]
+        else:
+            counts = _ladder_counts(idx, support, prime, policy, np.flatnonzero(live))
+        out.append(counts)
+        lowerings.append(lowering)
+        live &= counts.sum(axis=1) == n
+    return out
+
+
 def counts_partition(counts) -> tuple:
-    """The partition of a settled row of :func:`partition_at_prime`: part v
+    """The partition of a settled row of :func:`cokernel_rows`: part v
     repeated counts[v] times, largest first."""
     return tuple(v for v in range(len(counts) - 1, 0, -1) for _ in range(counts[v]))
 
 
-def cokernel_local_type(M, prime: PrimeIdealDesc, policy: PrecisionPolicy = DEFAULT_POLICY) -> tuple:
-    """:func:`partition_at_prime` for a grid M of domain Elements; raises
-    ``IndeterminateCokernelError``, carrying the ``SnfResult`` at the cap,
-    when the type stays undetermined; M is checked as LocalMatrix.of checks it."""
-    M = _grid(M)
-    support = tuple(dict.fromkeys(x for row in M for x in row))
-    position = {x: i for i, x in enumerate(support)}
-    idx = np.array([[position[x] for x in row] for row in M])
-    (row,) = partition_at_prime(idx[None], support, prime, policy).tolist()
-    n, cap = len(M), len(row)
-    if sum(row) < n:
-        raise IndeterminateCokernelError(f"cokernel type at {prime} undetermined at K={cap}",
-                                         _snf_result(row, n, cap))
-    return counts_partition(row)
+def row_type(primes, n: int, rows):
+    """The ModuleType of one matrix's rows of :func:`cokernel_rows` at the
+    primes, or None when a row sums below n (the matrix is indeterminate)."""
+    if any(sum(counts) < n for counts in rows):
+        return None
+    return ModuleType.of(zip(primes, map(counts_partition, rows)))
 
 
 def cokernel_type(M, primes, policy: PrecisionPolicy = DEFAULT_POLICY):
-    """ModuleType of cok(M) tensored at a finite set of distinct primes; a
-    repeated prime is a ParameterError."""
-    from .modules import ModuleType
-    return ModuleType.of((prime, cokernel_local_type(M, prime, policy)) for prime in primes)
+    """ModuleType of cok(M) tensored at distinct primes, for a grid M of
+    domain Elements checked as LocalMatrix.of checks it. Raises, first,
+    ``IndeterminateCokernelError`` with the ``SnfResult`` at the cap at the
+    first prime where the type stays undetermined, then ParameterError for
+    a repeated prime."""
+    M, primes = _grid(M), tuple(primes)
+    position = {x: i for i, x in enumerate(dict.fromkeys(x for row in M for x in row))}
+    idx = np.array([[position[x] for x in row] for row in M])
+    rows = [counts[0].tolist() for counts in cokernel_rows(idx[None], tuple(position), primes, policy)]
+    for prime, row in zip(primes, rows):
+        if sum(row) < len(M):
+            raise IndeterminateCokernelError(f"cokernel type at {prime} undetermined at K={len(row)}",
+                                             _snf_result(row, len(M), len(row)))
+    return row_type(primes, len(M), rows)
+
+
+def cokernel_local_type(M, prime: PrimeIdealDesc, policy: PrecisionPolicy = DEFAULT_POLICY) -> tuple:
+    """The partition of cok(M) tensored up at one prime (:func:`cokernel_type`)."""
+    return cokernel_type(M, (prime,), policy).partition_for(prime)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from coklab import experiments
 from coklab.cli import main
 from coklab.experiments import parse_config
+from coklab.sampler import builtin_distribution
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -305,6 +306,40 @@ def test_the_largest_matrix_in_the_shape_budget_is_accepted():
                   "distribution": {"builtin": "bernoulli01", "params": {"q": 0.5}}})
     parse_config({"domain": "Z[i]", "primes": [{"p": 3}], "n": [256],
                   "distribution": {"builtin": "gaussian-basis"}})
+
+
+@pytest.mark.parametrize("distribution, weight", [
+    ('{"builtin": "bernoulli01", "params": {"q": Infinity}}', "inf"),
+    ('{"support": ["0", "1"], "weights": [Infinity, 0.5]}', "inf"),
+    ('{"support": ["0", "1"], "weights": [1e400, 0.5]}', "inf"),
+    ('{"builtin": "bernoulli01", "params": {"q": "1/0"}}', "'1/0'"),
+    ('{"support": ["0", "1"], "weights": ["1/2", "1/0"]}', "'1/0'"),
+    ('{"support": ["0", "1"], "weights": [NaN, 0.5]}', "nan"),
+], ids=["q-infinity", "weight-infinity", "weight-1e400", "q-1-over-0", "weight-1-over-0",
+        "weight-nan"])
+def test_exit_code_2_on_a_weight_that_is_not_a_finite_rational(tmp_path, capsys, distribution,
+                                                                weight):
+    # JSON as Python reads it takes Infinity and NaN, and 1e400 is read as
+    # inf. The infinite weights and "1/0" raised out of the command with
+    # exit 1, and NaN was refused only as a float that is not an integer.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"domain": "Z", "primes": [{"p": 2}], "n": [4], "trials": 10,
+                               "distribution": "DIST"}).replace('"DIST"', distribution))
+    assert main(["dist", "--config", str(cfg)]) == 2
+    assert f"weight {weight} is not a finite rational number" in capsys.readouterr().err
+
+
+def test_exit_code_2_at_once_on_a_poly_powers_top_power_past_its_budget(tmp_path, capsys):
+    # m + 1 powers of x, of up to m + 1 coefficients each, were built for
+    # any m: m = 2000 ran for 32 s and m = 30000 ran out of memory. m is
+    # refused before any power is built; the budget itself is accepted.
+    cfg = write_config(tmp_path, domain="Fp[x]", char=2, primes=[{"generator": "1,1,1"}],
+                       distribution={"builtin": "poly-powers", "params": {"p": 2, "m": 10 ** 9}})
+    start = time.perf_counter()
+    assert main(["audit", "--config", cfg]) == 2
+    assert time.perf_counter() - start < 0.1
+    assert "poly-powers top power m=1000000000 is over its budget of 500" in capsys.readouterr().err
+    assert len(builtin_distribution("poly-powers", {"p": 2, "m": 500}).support) == 501
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])

@@ -5,6 +5,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from coklab import experiments
@@ -20,7 +21,6 @@ from coklab.errors import (
 from coklab.experiments import (
     INDETERMINATE,
     _run_trials,
-    _sub_batch,
     emit_report,
     parse_config,
     run_balance_gate,
@@ -29,7 +29,8 @@ from coklab.experiments import (
     run_moment_experiment,
 )
 from coklab.sampler import sample_index_matrix
-from coklab.snf import PrecisionPolicy, cokernel_type, escalation_ladder
+from coklab import snf
+from coklab.snf import PrecisionPolicy, batch_trials, cokernel_type
 
 
 def base_config(**overrides):
@@ -350,7 +351,7 @@ def _counted_forks(monkeypatch) -> list:
 def _shares_of(sub_batches: int):
     """A config of as many trials at n = 24 as fill that many sub-batches,
     and the trials of one sub-batch."""
-    size = _sub_batch(parse_config(base_config()), 24)
+    size = _batch_trials(parse_config(base_config()), 24)
     return parse_config(base_config(trials=sub_batches * size)), size
 
 
@@ -415,6 +416,10 @@ def test_importing_experiments_leaves_out_the_pool_modules():
     assert out.stdout.strip() == "[]"
 
 
+def _batch_trials(cfg, n):
+    return batch_trials(cfg.distribution.support, cfg.primes, cfg.policy, n, cfg.u)
+
+
 def test_sub_batches_sized_by_kernel_bytes():
     # 512 KiB of the kernel words of each prime's first ladder rung per
     # sub-batch, at the widest prime, and at least 64 matrices: mod2k's
@@ -424,7 +429,7 @@ def test_sub_batches_sized_by_kernel_bytes():
     # under the floor; f2t at (x) has uint32 words at K = 8, and uint16
     # words when k_max = 4 caps its first rung there.
     def size(n, **overrides):
-        return _sub_batch(parse_config(base_config(**overrides)), n)
+        return _batch_trials(parse_config(base_config(**overrides)), n)
     assert [size(n) for n in (12, 16, 24, 48)] == [3640, 2048, 910, 227]
     assert size(12, u=2) == 3120
     assert size(12, primes=[{"p": 3}]) == size(12, primes=[{"p": 2}, {"p": 3}]) == 455
@@ -436,15 +441,15 @@ def test_sub_batches_sized_by_kernel_bytes():
     assert size(48, **fx) == 64 and size(48, precision={"k_max": 4}, **fx) == 113
 
 
-def _recorded(monkeypatch, name, what) -> list:
-    """what(args) of each call made to experiments' function name."""
+def _recorded(monkeypatch, module, name, what) -> list:
+    """what(args) of each call made to the module's function name."""
     calls = []
-    real = getattr(experiments, name)
+    real = getattr(module, name)
 
     def record(*args):
         calls.append(what(args))
         return real(*args)
-    monkeypatch.setattr(experiments, name, record)
+    monkeypatch.setattr(module, name, record)
     return calls
 
 
@@ -452,14 +457,14 @@ def test_a_share_splits_into_near_equal_sub_batches(monkeypatch):
     # 301 trials fit one sub-batch. With the byte budget at its floor of 64
     # matrices they run as five sub-batches of 60 or 61, not 64 + 64 + 64 +
     # 64 + 45, and give the same tally, items and order; at u = 1 and K
-    # capped at 4 some trials leave the batch at p = 2 before p = 3.
+    # capped at 4 some trials are indeterminate at p = 2, and skipped at p = 3.
     cfg = parse_config(base_config(
         primes=[{"p": 2}, {"p": 3}], u=1, n=[5], trials=301, precision={"k_max": 4},
         distribution={"builtin": "uniform-support", "params": {"support": ["0", "1", "-1", "6"]}}))
-    batches = _recorded(monkeypatch, "sample_index_batch", lambda args: len(args[5]))
+    batches = _recorded(monkeypatch, experiments, "sample_index_batch", lambda args: len(args[5]))
     want = _run_trials(cfg, 5, 1)
     assert want[INDETERMINATE] > 0 and batches == [301]
-    monkeypatch.setattr(experiments, "_BATCH_BYTES", 1)
+    monkeypatch.setattr(snf, "_BATCH_BYTES", 1)
     del batches[:]
     assert list(_run_trials(cfg, 5, 1).items()) == list(want.items())
     assert batches == [60, 60, 60, 60, 61]
@@ -472,16 +477,21 @@ _TAU_FIXED = dict(domain="Z[i]", primes=[{"generator": "2+i"}, {"generator": "2-
                   strict_balance=False)
 
 
+def _ladder_passes(monkeypatch) -> list:
+    """The prime of each ladder of kernel passes that cokernel_rows runs."""
+    return _recorded(monkeypatch, snf, "_ladder_counts", lambda args: args[2])
+
+
 def test_primes_that_lower_alike_share_one_pass(monkeypatch):
-    # Each of five sub-batches runs the driver at (2+i) only, and (2-i)
+    # Each of five sub-batches runs the ladder at (2+i) only, and (2-i)
     # takes its rows; the tally equals the one with sharing turned off (a
-    # distinct lowering key per prime), items and order.
+    # distinct lowering per prime), items and order.
     cfg = parse_config(base_config(**_TAU_FIXED))
-    monkeypatch.setattr(experiments, "_BATCH_BYTES", 1)
-    calls = _recorded(monkeypatch, "partition_at_prime", lambda args: args[2])
+    monkeypatch.setattr(snf, "_BATCH_BYTES", 1)
+    calls = _ladder_passes(monkeypatch)
     shared = _run_trials(cfg, 10, 1)
     assert 0 < shared[INDETERMINATE] and calls == [cfg.primes[0]] * 5
-    monkeypatch.setattr(experiments, "_lowering_key", lambda cfg, prime: prime)
+    monkeypatch.setattr(snf, "_lowering", lambda support, prime, policy: prime)
     del calls[:]
     assert list(_run_trials(cfg, 10, 1).items()) == list(shared.items())
     assert calls == list(cfg.primes) * 5
@@ -489,29 +499,50 @@ def test_primes_that_lower_alike_share_one_pass(monkeypatch):
 
 def test_primes_that_lower_apart_each_run(monkeypatch):
     # gaussian-basis, the Galois demo's balanced control, holds i, which
-    # (2+i) and (2-i) reduce apart: the driver runs at both.
+    # (2+i) and (2-i) reduce apart: the ladder runs at both.
     cfg = parse_config(base_config(**dict(_TAU_FIXED, distribution={"builtin": "gaussian-basis"})))
-    calls = _recorded(monkeypatch, "partition_at_prime", lambda args: args[2])
+    calls = _ladder_passes(monkeypatch)
     _run_trials(cfg, 10, 1)
     assert calls == list(cfg.primes)
+
+
+def test_a_lone_prime_builds_only_the_rungs_it_reaches(monkeypatch):
+    # Identity matrices settle at the first rung. A lone prime has no
+    # lowering to compare, so its support is reduced at that rung only;
+    # beside a second prime, the lowerings reduce it at every rung.
+    cfg = parse_config(base_config(**_TAU_FIXED))
+    support, first = cfg.distribution.support, cfg.primes[0]
+    ladder = snf.escalation_ladder(first, cfg.policy)
+    idx = np.tile(np.eye(3, dtype=np.uint8), (4, 1, 1))  # support[1] is 1
+    snf._lowering.cache_clear()
+    rungs = _recorded(monkeypatch, snf, "reduction_table", lambda args: args[2])
+    (rows,) = snf.cokernel_rows(idx, support, (first,), cfg.policy)
+    assert rows[:, 0].tolist() == [3] * 4 and rungs == [ladder[0]] and len(ladder) > 1
+    snf.cokernel_rows(idx, support, cfg.primes, cfg.policy)
+    assert set(rungs) == set(ladder)
 
 
 def test_a_key_one_table_entry_apart_is_not_shared(monkeypatch):
-    # The tau-fixed keys are equal; with one entry of (2-i)'s cap-rung table
-    # changed they are not, and the driver runs at both primes.
+    # The tau-fixed lowerings are equal; with one entry of (2-i)'s cap-rung
+    # table changed they are not, and the ladder runs at both primes.
     cfg = parse_config(base_config(**_TAU_FIXED))
-    first, second = cfg.primes
-    assert experiments._lowering_key(cfg, first) == experiments._lowering_key(cfg, second)
-    real = experiments.reduction_table
+    support, (first, second) = cfg.distribution.support, cfg.primes
+    assert snf._lowering(support, first, cfg.policy) == snf._lowering(support, second, cfg.policy)
+    real = snf.reduction_table
 
     def table(support, prime, K):
         mode, ring, t = real(support, prime, K)
-        if prime == second and K == escalation_ladder(prime, cfg.policy)[-1]:
+        if prime == second and K == snf.escalation_ladder(prime, cfg.policy)[-1]:
             t = t.copy()
             t[-1] += 1
         return mode, ring, t
-    monkeypatch.setattr(experiments, "reduction_table", table)
-    assert experiments._lowering_key(cfg, first) != experiments._lowering_key(cfg, second)
-    calls = _recorded(monkeypatch, "partition_at_prime", lambda args: args[2])
-    _run_trials(cfg, 10, 1)
-    assert calls == list(cfg.primes)
+    snf._lowering.cache_clear()
+    monkeypatch.setattr(snf, "reduction_table", table)
+    try:
+        assert snf._lowering(support, first, cfg.policy) != snf._lowering(support, second, cfg.policy)
+        calls = _ladder_passes(monkeypatch)
+        _run_trials(cfg, 10, 1)
+        assert calls == list(cfg.primes)
+    finally:
+        monkeypatch.undo()
+        snf._lowering.cache_clear()

@@ -48,6 +48,7 @@ from coklab.snf import (
     _units_p,
     _word_dtype,
     cokernel_local_type,
+    cokernel_rows,
     cokernel_type,
     counts_partition,
     element_block,
@@ -59,7 +60,6 @@ from coklab.snf import (
     make_scalar_matrix,
     matrix_mode,
     p_part_of_divisors,
-    partition_at_prime,
     reduction_table,
     snf_valuations_array,
 )
@@ -194,6 +194,7 @@ PX = factor_rational_prime(poly_domain(2), poly_elem(2, [0, 1]))[0]
 ZI3 = factor_rational_prime(ZI, 3)[0]
 ZI7 = factor_rational_prime(ZI, 7)[0]
 ZI17 = factor_rational_prime(ZI, 17)[0]  # (4+i)
+ZI5 = factor_rational_prime(ZI, 5)[0]  # (2+i)
 PX2 = factor_rational_prime(poly_domain(2), poly_elem(2, [1, 1, 1]))[0]
 PX3 = factor_rational_prime(poly_domain(2), poly_elem(2, [1, 1, 0, 1]))[0]
 # the generic path: the ramified (1+i) and odd-characteristic F_3[x] at (x)
@@ -811,9 +812,9 @@ def _geometric_ladder(prime, policy, start=8):
 
 
 def _ladder_reference(rows, prime, policy):
-    """partition_at_prime for one grid, rung by rung with local_snf on the
-    unpruned geometric ladder: the partition, or the SnfResult at the cap
-    when the grid is saturated at every rung."""
+    """The rows of cokernel_rows at one prime for one grid, rung by rung with
+    local_snf on the unpruned geometric ladder: the partition, or the
+    SnfResult at the cap when the grid is saturated at every rung."""
     for K in _geometric_ladder(prime, policy):
         ring = local_ring_for(prime, K)
         res = local_snf(LocalMatrix.of(ring, [[reduce_mod_prime_power(x, prime, K) for x in row]
@@ -823,41 +824,62 @@ def _ladder_reference(rows, prime, policy):
     return res
 
 
+# the primes of the two driver fuzzes, and the conjugate pair (2+i), (2-i)
+_FUZZ_PRIMES = (PX, ZI3, ZI7, PX2, PX3, ZI17, ZI_RAM, F3X, ZI5, ZI5.conjugate())
+
+
 @st.composite
 def _driver_cases(draw, primes):
-    prime = draw(st.sampled_from(primes))
+    """A batch of 1 to 3 grids and 1 to 3 distinct primes of one domain: the
+    first drawn from primes, the others from _FUZZ_PRIMES, in any order.
+    Each entry is c times each prime's uniformizer to a power of up to 3,
+    or in about one draw in 8 to a rung K of its ladder, where it reduces to
+    zero; about one row in 8 of the first grid vanishes at the cap of one
+    prime. Over Z[i], in about half the cases c is a rational integer and
+    so is each uniformizer, p for pi, and (2+i) and (2-i), which then lower
+    alike, are among the primes."""
+    first = draw(st.sampled_from(primes))
+    rational = first.domain == ZI and draw(st.booleans())
+    chosen = list(dict.fromkeys([first, *((ZI5, ZI5.conjugate()) if rational else ())]))
+    others = [pr for pr in _FUZZ_PRIMES if pr.domain == first.domain and pr not in chosen]
+    extra = draw(st.lists(st.sampled_from(others), max_size=3 - len(chosen), unique=True)
+                 if others else st.just([]))
+    primes = draw(st.permutations(chosen + extra))
     policy = draw(st.sampled_from((PrecisionPolicy(4), PrecisionPolicy(16), DEFAULT_POLICY)))
-    ladder = _geometric_ladder(prime, policy)
-    if prime.domain == ZI:
-        cofactor = st.builds(gauss_elem, st.integers(-9, 9), st.integers(-9, 9)).filter(
+    ladders = [_geometric_ladder(prime, policy) for prime in primes]
+    if first.domain == ZI:
+        cofactor = st.builds(gauss_elem, st.integers(-9, 9),
+                             st.just(0) if rational else st.integers(-9, 9)).filter(
             lambda c: c.value != (0, 0))
     else:
-        cofactor = st.builds(lambda cs: poly_elem(prime.p, [1] + cs),
-                             st.lists(st.integers(0, prime.p - 1), max_size=4))
+        cofactor = st.builds(lambda cs: poly_elem(first.p, [1] + cs),
+                             st.lists(st.integers(0, first.p - 1), max_size=4))
 
-    def times_pi(c, v):
-        for _ in range(v):
-            c = elem_mul(c, prime.generator)
+    def times_pi(c, powers):
+        for prime, v in zip(primes, powers):
+            for _ in range(v):
+                c = elem_mul(c, gauss_elem(prime.p, 0) if rational else prime.generator)
         return c
 
-    # c * pi^v for a nonzero c, with v up to 3, or in about one draw in 8 equal to a
-    # rung K, where the entry reduces to zero
-    rung = _ONE_IN_8.flatmap(lambda top: st.sampled_from(ladder) if top else st.integers(0, 3))
-    entry = st.builds(times_pi, cofactor, rung)
+    rungs = [_ONE_IN_8.flatmap(lambda top, ladder=ladder: st.sampled_from(ladder) if top
+                               else st.integers(0, 3)) for ladder in ladders]
+    entry = st.builds(times_pi, cofactor, st.tuples(*rungs))
     n, u = draw(st.integers(1, 4)), draw(st.integers(0, 2))
     grid = st.lists(st.lists(entry, min_size=n + u, max_size=n + u), min_size=n, max_size=n)
     grids = draw(st.lists(grid, min_size=1, max_size=3))
     zero = draw(st.lists(_ONE_IN_8, min_size=n, max_size=n))
-    zero_elem = times_pi(draw(cofactor), ladder[-1])
+    deep = draw(st.sampled_from(primes))  # the prime at whose cap the zero rows vanish
+    zero_elem = times_pi(draw(cofactor), [ladder[-1] * (prime == deep)
+                                          for prime, ladder in zip(primes, ladders)])
     grids[0] = [[zero_elem] * (n + u) if z else row for z, row in zip(zero, grids[0])]
-    return prime, policy, grids
+    return primes, policy, grids
 
 
 def _check_counts(counts, rows, want):
-    """A row of partition_at_prime against the local_snf ladder's outcome for
-    its grid: a settled row sums to n and gives the partition; a saturated
-    one (an indeterminate matrix) holds the counts per level of the
-    SnfResult at the cap over the prime's own ring."""
+    """A row of cokernel_rows against the local_snf ladder's outcome for its
+    grid: a settled row sums to n and gives the partition; a saturated one
+    (an indeterminate matrix) holds the counts per level of the SnfResult
+    at the cap over the prime's own ring."""
     if isinstance(want, SnfResult):
         assert counts == [want.valuations.count(v) for v in range(len(counts))]
         assert sum(counts) < len(rows)
@@ -866,38 +888,49 @@ def _check_counts(counts, rows, want):
 
 
 def _check_driver_batch(case):
-    """partition_at_prime on a batch of grids gives one row per grid, as wide
-    as the cap, that matches the local_snf ladder (:func:`_check_counts`)."""
-    prime, policy, grids = case
+    """cokernel_rows on a batch of grids gives one array per prime, with one
+    row per grid as wide as the prime's cap. A grid's row matches the
+    local_snf ladder (:func:`_check_counts`) while the grid is settled at
+    every earlier prime, and is zeros after a prime where it is not."""
+    primes, policy, grids = case
     support = tuple(dict.fromkeys(x for rows in grids for row in rows for x in row))
     position = {x: i for i, x in enumerate(support)}
     idx = np.array([[[position[x] for x in row] for row in rows] for rows in grids])
-    got = partition_at_prime(idx, support, prime, policy)
-    assert got.dtype == np.int64 and got.shape == (len(grids), _geometric_ladder(prime, policy)[-1])
-    for rows, counts in zip(grids, got.tolist()):
-        _check_counts(counts, rows, _ladder_reference(rows, prime, policy))
+    got = cokernel_rows(idx, support, primes, policy)
+    assert len(got) == len(primes)
+    settled = [True] * len(grids)
+    for prime, counts in zip(primes, got):
+        assert counts.dtype == np.int64
+        assert counts.shape == (len(grids), _geometric_ladder(prime, policy)[-1])
+        for t, (rows, row) in enumerate(zip(grids, counts.tolist())):
+            if not settled[t]:
+                assert not any(row)
+                continue
+            want = _ladder_reference(rows, prime, policy)
+            _check_counts(row, rows, want)
+            settled[t] = not isinstance(want, SnfResult)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
-@given(_driver_cases((PX, ZI3, ZI7, PX2, PX3, ZI17)))
+@given(_driver_cases((PX, ZI3, ZI7, PX2, PX3, ZI17, ZI5, ZI5.conjugate())))
 def test_lowered_driver_fuzz_matches_local_snf_ladder(case):
     # The cokernel driver on f2t at (x), on the primes of residue degree
-    # f > 1 that lower onto modpk and f2t, and at (4+i), whose ladder starts
-    # at 7, gives, for a batch of matrices, the partitions of the local_snf
-    # ladder, and for an indeterminate matrix the counts of its SnfResult at
-    # the cap (every f-th valuation over the base ring).
+    # f > 1 that lower onto modpk and f2t, at (4+i), whose ladder starts at
+    # 7, and at (2+i) and (2-i), which share one pass when the entries are
+    # rational, gives, for a batch of matrices at several primes, the
+    # partitions of the local_snf ladder, for an indeterminate matrix the
+    # counts of its SnfResult at the cap (every f-th valuation over the base
+    # ring), and zeros at the primes after it.
     _check_driver_batch(case)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
 @given(_driver_cases((ZI_RAM, F3X)))
 def test_generic_driver_fuzz_matches_local_snf_ladder(case):
-    # The same on the generic path, at the ramified (1+i) and at (x) of
-    # F_3[x], where each row is the bincount of the local_snf valuations.
+    # The same with the generic path at the ramified (1+i) or at (x) of
+    # F_3[x], where each row is the bincount of the local_snf valuations,
+    # beside the lowered Z[i] primes.
     _check_driver_batch(case)
-
-
-ZI5 = factor_rational_prime(ZI, 5)[0]  # (2+i)
 
 
 def _wide_rung(prime, K):
@@ -1076,7 +1109,7 @@ def test_pruned_ladder_matches_geometric_reference(prime, elem, twenty):
         support = tuple(dict.fromkeys(x for rows in grids for row in rows for x in row))
         position = {x: i for i, x in enumerate(support)}
         idx = np.array([[[position[x] for x in row] for row in rows] for rows in grids])
-        got = partition_at_prime(idx, support, prime, DEFAULT_POLICY)
+        (got,) = cokernel_rows(idx, support, (prime,), DEFAULT_POLICY)
         assert got.shape == (len(grids), cap)
         for rows, counts in zip(grids, got.tolist()):
             want = _ladder_reference(rows, prime, DEFAULT_POLICY)
@@ -1191,7 +1224,7 @@ def _check_driver(prime, elem, mode, cap_word):
             assert table_mode == mode and table.shape == (len(support), *blocks)
         assert table.dtype == cap_word
         ring = local_ring_for(prime, cap)
-        got = partition_at_prime(idx, support, prime, DEFAULT_POLICY)
+        (got,) = cokernel_rows(idx, support, (prime,), DEFAULT_POLICY)
         assert got.shape == (len(grids), cap)
         singular = 0
         for rows, counts in zip(grids, got.tolist()):
