@@ -26,7 +26,8 @@ class OracleBudgetError(ParameterError):
 
 
 class IndeterminateCokernelError(CoklabError):
-    """Cokernel type still saturated at the maximal precision.
+    """Cokernel type still saturated at the maximal precision, or at the
+    first rung for a matrix proved singular there.
 
     Carries the last ``SnfResult`` so callers can report the trial in an
     explicit "indeterminate" bucket instead of silently dropping it.

@@ -38,23 +38,27 @@ Three layers:
 * :func:`cokernel_rows` runs every cokernel computation, for a batch of
   matrices given as positions into an entry support and for a tuple of
   primes. It picks each ring's kernel through :func:`reduction_table`,
-  gathers the scalars or blocks through :func:`gather`, and escalates K
-  geometrically for the saturated matrices only, up to the policy cap
-  (:func:`escalation_ladder`). It returns one row of pivot counts per level
-  per matrix and prime; a row below n is still saturated at the cap, and
-  its matrix is indeterminate. :func:`batch_trials` sizes the batches, and
-  :func:`row_type` folds a matrix's rows into its ``ModuleType``.
+  gathers the scalars or blocks through :func:`gather`, and runs the first
+  rung of every prime's escalation ladder (:func:`escalation_ladder`) on
+  every matrix. Over Z and Z[i] the first-rung rows and a Hadamard bound
+  prove some of the saturated matrices singular over the fraction field
+  (:func:`_certified_singular`); the others escalate K geometrically up to
+  the policy cap. It returns one row of pivot counts per level per matrix
+  and prime; a row below n is saturated at the cap or belongs to a
+  certified singular matrix, and its matrix is indeterminate.
+  :func:`batch_trials` sizes the batches, and :func:`row_type` folds a
+  matrix's rows into its ``ModuleType``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
-from .domains import PrimeIdealDesc, local_ring_for, reduce_mod_prime_power
+from .domains import GAUSSIAN, INTEGERS, PrimeIdealDesc, local_ring_for, reduce_mod_prime_power
 from .errors import IndeterminateCokernelError, ParameterError, RingMismatchError
 from .local_ring import (
     EQUAL_CHAR,
@@ -677,16 +681,14 @@ def batch_trials(support: tuple, primes, policy: PrecisionPolicy, n: int, u: int
     return max(64, _BATCH_BYTES // widest)
 
 
-def _ladder_counts(idx, support, prime, policy, todo) -> np.ndarray:
-    """The ``(b, cap)`` counts at one prime of the matrices todo of the batch
-    idx, zeros for the rest. Each rung of the escalation ladder runs the
-    matrices still saturated through the kernel its ring lowers onto and
-    writes their rows. At residue degree f the kernel sees each part of the
-    cokernel f times, over the base ring, so its counts are divided by f."""
+def _ladder_counts(idx, support, prime, rungs, todo, counts) -> None:
+    """Run the matrices todo of the batch idx up the rungs at one prime: each
+    rung runs the matrices still saturated through the kernel its ring lowers
+    onto and writes their rows into ``counts``, of shape ``(b, cap)``. At
+    residue degree f the kernel sees each part of the cokernel f times, over
+    the base ring, so its counts are divided by f."""
     b, n = idx.shape[:2]
-    ladder = escalation_ladder(prime, policy)
-    counts = np.zeros((b, ladder[-1]), np.int64)
-    for K in ladder:
+    for K in rungs:
         if not len(todo):
             break
         mode, ring, table = reduction_table(support, prime, K)
@@ -698,7 +700,52 @@ def _ladder_counts(idx, support, prime, policy, todo) -> np.ndarray:
             rows = _pivot_counts(mode, B, prime.p, K) // ring.f
         counts[todo, :K] = rows
         todo = todo[rows.sum(axis=1) < n]
-    return counts
+
+
+@lru_cache(maxsize=64)
+def _norms(support: tuple):
+    """The norm of each support element that :func:`_certified_singular`
+    reads, s^2 over Z and a^2 + b^2 over Z[i], as int64 when all are below
+    2^31, so that any row of them sums exactly, else as Python ints; None
+    over F_p[x], where a bound on the degree of a minor would need primes of
+    a total degree past it, and no cheap certificate exists."""
+    kind = support[0].domain.kind
+    if kind == INTEGERS:
+        norms = [s.value ** 2 for s in support]
+    elif kind == GAUSSIAN:
+        norms = [s.value[0] ** 2 + s.value[1] ** 2 for s in support]
+    else:
+        return None
+    out = np.array(norms, np.int64 if max(norms) < 1 << 31 else object)
+    out.flags.writeable = False
+    return out
+
+
+def _certified_singular(idx, support, primes, policy, first) -> np.ndarray:
+    """Which matrices of the batch idx their rows ``first`` at the primes'
+    first rungs prove singular over the fraction field, one ``(b, cap)``
+    array per prime (zeros past the rung).
+
+    By Hadamard's inequality H^2 = prod over rows of sum_j N(s_ij)
+    (:func:`_norms`) bounds the norm of every n x n minor. A row at a prime
+    of rung K holds the exact counts c_v of the valuations below K, and
+    n - sum c valuations of at least K. So if the matrix has full rank,
+    every n x n minor lies in P^V with V = sum v c_v + K (n - sum c); a
+    nonzero one lies in the product of these powers of the distinct primes
+    and has norm at least prod q^(w V), q the residue size, with w = 2 over
+    Z (the bound is on a minor's square) and w = 1 over Z[i]. A product past
+    H^2 thus leaves no nonzero minor. The comparison is exact, in Python
+    ints, and equality does not certify."""
+    norms = _norms(support)
+    if norms is None or not len(idx):
+        return np.zeros(len(idx), bool)
+    n, w = idx.shape[1], 2 if support[0].domain.kind == INTEGERS else 1
+    bounds = norms[idx].sum(axis=2).tolist()
+    depths = [(prime.q ** w, (counts @ np.arange(counts.shape[1]) + escalation_ladder(prime, policy)[0]
+                              * (n - counts.sum(axis=1))).tolist())
+              for prime, counts in dict(zip(primes, first)).items()]  # each prime once
+    return np.array([prod(q ** V[t] for q, V in depths) > prod(bound)
+                     for t, bound in enumerate(bounds)], bool)
 
 
 def cokernel_rows(idx, support: tuple, primes, policy: PrecisionPolicy) -> list:
@@ -706,23 +753,43 @@ def cokernel_rows(idx, support: tuple, primes, policy: PrecisionPolicy) -> list:
     ``(b, cap)`` int64 array per prime, for a batch ``idx`` of shape
     ``(b, n, m)`` of support positions: ``M_t[i][j] = support[idx[t, i, j]]``.
     Row t holds at v the number of diagonal entries of valuation v, at the
-    rung that settled M_t or at the cap (:func:`_ladder_counts`). A row
-    summing below n is still saturated at the cap: M_t is indeterminate, and
-    its rows at later primes stay zeros. A prime whose :func:`_lowering`
-    equals an earlier prime's takes that prime's rows; a lone prime, with
-    none to share, builds only the tables of the rungs it reaches."""
+    rung that settled M_t (:func:`_ladder_counts`). It runs in three phases:
+
+    1. the first rung of every prime's ladder, on every matrix;
+    2. :func:`_certified_singular` on the matrices saturated there at some
+       prime: a singular matrix is saturated at every rung of every prime,
+       so it keeps its first-rung rows;
+    3. the rest of each ladder, prime by prime, for the uncertified
+       matrices saturated at that prime's first rung and settled at every
+       earlier prime.
+
+    A row summing below n is saturated at the cap, or at the first rung of a
+    certified singular matrix: M_t is indeterminate, and its rows at later
+    primes are zeros. A prime whose :func:`_lowering` equals an earlier
+    prime's takes that prime's rows; a lone prime, with none to share,
+    builds only the tables of the rungs it reaches."""
     b, n = idx.shape[:2]
-    out, lowerings = [], []
+    lowerings = [_lowering(support, prime, policy) if len(primes) > 1 else None for prime in primes]
+    source = [lowerings.index(lowering) for lowering in lowerings]  # the prime whose rows each takes
+    ladders = [escalation_ladder(prime, policy) for prime in primes]
+    out = []
+    for i, prime in enumerate(primes):
+        if source[i] < i:
+            out.append(out[source[i]])
+            continue
+        out.append(np.zeros((b, ladders[i][-1]), np.int64))
+        _ladder_counts(idx, support, prime, ladders[i][:1], np.arange(b), out[i])
+    saturated = np.flatnonzero(np.any([counts.sum(axis=1) < n for counts in out], axis=0))
+    climb = np.ones(b, bool)
+    climb[saturated] = ~_certified_singular(idx[saturated], support, primes, policy,
+                                            [counts[saturated] for counts in out])
     live = np.ones(b, bool)  # matrices settled at every prime so far
-    for prime in primes:
-        lowering = _lowering(support, prime, policy) if len(primes) > 1 else None
-        if lowering in lowerings:
-            counts = out[lowerings.index(lowering)] * live[:, None]
-        else:
-            counts = _ladder_counts(idx, support, prime, policy, np.flatnonzero(live))
-        out.append(counts)
-        lowerings.append(lowering)
-        live &= counts.sum(axis=1) == n
+    for i, prime in enumerate(primes):
+        if source[i] == i:
+            _ladder_counts(idx, support, prime, ladders[i][1:],
+                           np.flatnonzero(live & climb & (out[i].sum(axis=1) < n)), out[i])
+        out[i] = out[source[i]] * live[:, None]
+        live &= out[i].sum(axis=1) == n
     return out
 
 
@@ -743,17 +810,20 @@ def row_type(primes, n: int, rows):
 def cokernel_type(M, primes, policy: PrecisionPolicy = DEFAULT_POLICY):
     """ModuleType of cok(M) tensored at distinct primes, for a grid M of
     domain Elements checked as LocalMatrix.of checks it. Raises, first,
-    ``IndeterminateCokernelError`` with the ``SnfResult`` at the cap at the
-    first prime where the type stays undetermined, then ParameterError for
-    a repeated prime."""
+    ``IndeterminateCokernelError`` at the first prime where the type stays
+    undetermined, naming the lowest rung K of its ladder with no pivot of
+    valuation K or more in M's row (the cap, or the first rung of a
+    certified singular M) and carrying the ``SnfResult`` of local_snf at
+    that K, then ParameterError for a repeated prime."""
     M, primes = _grid(M), tuple(primes)
     position = {x: i for i, x in enumerate(dict.fromkeys(x for row in M for x in row))}
     idx = np.array([[position[x] for x in row] for row in M])
     rows = [counts[0].tolist() for counts in cokernel_rows(idx[None], tuple(position), primes, policy)]
     for prime, row in zip(primes, rows):
         if sum(row) < len(M):
-            raise IndeterminateCokernelError(f"cokernel type at {prime} undetermined at K={len(row)}",
-                                             _snf_result(row, len(M), len(row)))
+            K = next(K for K in escalation_ladder(prime, policy) if not any(row[K:]))
+            raise IndeterminateCokernelError(f"cokernel type at {prime} undetermined at K={K}",
+                                             _snf_result(row[:K], len(M), K))
     return row_type(primes, len(M), rows)
 
 

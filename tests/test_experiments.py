@@ -478,32 +478,50 @@ _TAU_FIXED = dict(domain="Z[i]", primes=[{"generator": "2+i"}, {"generator": "2-
 
 
 def _ladder_passes(monkeypatch) -> list:
-    """The prime of each ladder of kernel passes that cokernel_rows runs."""
-    return _recorded(monkeypatch, snf, "_ladder_counts", lambda args: args[2])
+    """The prime and rungs of each call that cokernel_rows makes to
+    _ladder_counts, and how many matrices it hands over: the first rung of
+    every prime on the whole batch, then the rest of the ladder on the
+    uncertified matrices saturated there."""
+    return _recorded(monkeypatch, snf, "_ladder_counts",
+                     lambda args: (args[2], args[3], len(args[4])))
+
+
+def _kernel_passes(calls) -> list:
+    """The primes and rungs of the calls that have matrices to run."""
+    return [(prime, rungs) for prime, rungs, todo in calls if todo and rungs]
 
 
 def test_primes_that_lower_alike_share_one_pass(monkeypatch):
-    # Each of five sub-batches runs the ladder at (2+i) only, and (2-i)
-    # takes its rows; the tally equals the one with sharing turned off (a
-    # distinct lowering per prime), items and order.
+    # Each of five sub-batches runs the first rung at (2+i) only, and (2-i)
+    # takes its rows; the singular matrices are certified there, so no
+    # matrix climbs. The tally equals the one with sharing turned off (a
+    # distinct lowering per prime), items and order, where both primes run
+    # their first rung on every sub-batch.
     cfg = parse_config(base_config(**_TAU_FIXED))
+    first, second = cfg.primes
+    rungs = snf.escalation_ladder(first, cfg.policy)
     monkeypatch.setattr(snf, "_BATCH_BYTES", 1)
     calls = _ladder_passes(monkeypatch)
     shared = _run_trials(cfg, 10, 1)
-    assert 0 < shared[INDETERMINATE] and calls == [cfg.primes[0]] * 5
+    assert 0 < shared[INDETERMINATE]
+    assert _kernel_passes(calls) == [(first, rungs[:1])] * 5
+    assert {prime for prime, _, _ in calls} == {first}
     monkeypatch.setattr(snf, "_lowering", lambda support, prime, policy: prime)
     del calls[:]
     assert list(_run_trials(cfg, 10, 1).items()) == list(shared.items())
-    assert calls == list(cfg.primes) * 5
+    assert _kernel_passes(calls) == [(first, rungs[:1]), (second, rungs[:1])] * 5
 
 
 def test_primes_that_lower_apart_each_run(monkeypatch):
     # gaussian-basis, the Galois demo's balanced control, holds i, which
-    # (2+i) and (2-i) reduce apart: the ladder runs at both.
+    # (2+i) and (2-i) reduce apart: the first rung runs at both, on every
+    # matrix.
     cfg = parse_config(base_config(**dict(_TAU_FIXED, distribution={"builtin": "gaussian-basis"})))
     calls = _ladder_passes(monkeypatch)
     _run_trials(cfg, 10, 1)
-    assert calls == list(cfg.primes)
+    first_rungs = [(prime, todo) for prime, rungs, todo in calls
+                   if rungs == snf.escalation_ladder(prime, cfg.policy)[:1]]
+    assert first_rungs == [(prime, cfg.trials) for prime in cfg.primes]
 
 
 def test_a_lone_prime_builds_only_the_rungs_it_reaches(monkeypatch):
@@ -524,7 +542,7 @@ def test_a_lone_prime_builds_only_the_rungs_it_reaches(monkeypatch):
 
 def test_a_key_one_table_entry_apart_is_not_shared(monkeypatch):
     # The tau-fixed lowerings are equal; with one entry of (2-i)'s cap-rung
-    # table changed they are not, and the ladder runs at both primes.
+    # table changed they are not, and the first rung runs at both primes.
     cfg = parse_config(base_config(**_TAU_FIXED))
     support, (first, second) = cfg.distribution.support, cfg.primes
     assert snf._lowering(support, first, cfg.policy) == snf._lowering(support, second, cfg.policy)
@@ -542,7 +560,28 @@ def test_a_key_one_table_entry_apart_is_not_shared(monkeypatch):
         assert snf._lowering(support, first, cfg.policy) != snf._lowering(support, second, cfg.policy)
         calls = _ladder_passes(monkeypatch)
         _run_trials(cfg, 10, 1)
-        assert calls == list(cfg.primes)
+        rungs = snf.escalation_ladder(first, cfg.policy)
+        assert _kernel_passes(calls) == [(first, rungs[:1]), (second, rungs[:1])]
     finally:
         monkeypatch.undo()
         snf._lowering.cache_clear()
+
+
+def test_singular_trials_stop_at_the_first_rung(monkeypatch):
+    # The zi-galois-n12 benchmark config at seed 7: its 90 indeterminate
+    # trials are singular, and their first-rung rows at (2+i) and (2-i)
+    # certify them, so no trial climbs to the cap's Montgomery words, which
+    # alone call _batch_inverse. Over Z at p = 2 and n = 48 no trial saturated
+    # at the first rung is singular: each of the 6 in 1000 trials climbs
+    # and settles.
+    inverses = _recorded(monkeypatch, snf, "_batch_inverse", lambda args: len(args[0]))
+    cfg = parse_config(base_config(
+        domain="Z[i]", primes=[{"generator": "2+i"}, {"generator": "2-i"}], n=[12], trials=500,
+        seed=7, strict_balance=False))
+    assert _run_trials(cfg, 12, 1)[INDETERMINATE] == 90 and inverses == []
+    cfg = parse_config(base_config(n=[48], trials=1000, seed=7))
+    saturated = _recorded(monkeypatch, snf, "_certified_singular", lambda args: len(args[0]))
+    calls = _ladder_passes(monkeypatch)
+    assert INDETERMINATE not in _run_trials(cfg, 48, 1)
+    climbed = [todo for _, rungs, todo in calls if rungs and rungs[0] > 8]
+    assert sum(climbed) == sum(saturated) == 6

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import numpy as np
@@ -875,23 +876,69 @@ def _driver_cases(draw, primes):
     return primes, policy, grids
 
 
-def _check_counts(counts, rows, want):
+def _local_result(rows, prime, K):
+    """local_snf of a grid of domain Elements reduced at precision K."""
+    return local_snf(LocalMatrix.of(local_ring_for(prime, K), [
+        [reduce_mod_prime_power(x, prime, K) for x in row] for row in rows]))
+
+
+def _gauss_rational(x):
+    """A Z or Z[i] Element as a pair of Fractions, its real and imaginary parts."""
+    assert x.domain in (ZZ, ZI)
+    a, b = x.value if x.domain == ZI else (x.value, 0)
+    return Fraction(a), Fraction(b)
+
+
+def _rank(rows) -> int:
+    """The exact rank over Q or Q(i) of a grid of Z or Z[i] Elements, by
+    Gaussian elimination in Fractions."""
+    def mul(x, y):
+        return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+    A = [[_gauss_rational(x) for x in row] for row in rows]
+    rank = 0
+    for j in range(len(A[0])):
+        pivot = next((i for i in range(rank, len(A)) if any(A[i][j])), None)
+        if pivot is None:
+            continue
+        A[rank], A[pivot] = A[pivot], A[rank]
+        a, b = A[rank][j]
+        inverse = a / (a * a + b * b), -b / (a * a + b * b)
+        for i in range(rank + 1, len(A)):
+            factor = mul(A[i][j], inverse)
+            A[i] = [(x[0] - y[0], x[1] - y[1])
+                    for x, y in zip(A[i], (mul(factor, z) for z in A[rank]))]
+        rank += 1
+    return rank
+
+
+def _result_counts(res, K, width):
+    """The counts per level below K of an SnfResult at K, zeros up to width."""
+    return [res.valuations.count(v) * (v < K) for v in range(width)]
+
+
+def _check_counts(counts, rows, want, prime=None, policy=DEFAULT_POLICY):
     """A row of cokernel_rows against the local_snf ladder's outcome for its
     grid: a settled row sums to n and gives the partition; a saturated one
     (an indeterminate matrix) holds the counts per level of the SnfResult
-    at the cap over the prime's own ring."""
-    if isinstance(want, SnfResult):
-        assert counts == [want.valuations.count(v) for v in range(len(counts))]
-        assert sum(counts) < len(rows)
-    else:
+    at the cap over the prime's own ring or, when the grid is singular over
+    the fraction field (exact rank over Q or Q(i)), those at the first rung
+    of the prime's ladder."""
+    if not isinstance(want, SnfResult):
         assert sum(counts) == len(rows) and counts_partition(counts) == want
+        return
+    assert sum(counts) < len(rows)
+    if counts != _result_counts(want, len(counts), len(counts)):
+        assert prime is not None and _rank(rows) < len(rows)
+        K = escalation_ladder(prime, policy)[0]
+        assert counts == _result_counts(_local_result(rows, prime, K), K, len(counts))
 
 
 def _check_driver_batch(case):
     """cokernel_rows on a batch of grids gives one array per prime, with one
     row per grid as wide as the prime's cap. A grid's row matches the
-    local_snf ladder (:func:`_check_counts`) while the grid is settled at
-    every earlier prime, and is zeros after a prime where it is not."""
+    local_snf ladder (:func:`_check_counts`: the cap's counts, or the first
+    rung's for a singular grid) while the grid is settled at every earlier
+    prime, and is zeros after a prime where it is not."""
     primes, policy, grids = case
     support = tuple(dict.fromkeys(x for rows in grids for row in rows for x in row))
     position = {x: i for i, x in enumerate(support)}
@@ -907,7 +954,7 @@ def _check_driver_batch(case):
                 assert not any(row)
                 continue
             want = _ladder_reference(rows, prime, policy)
-            _check_counts(row, rows, want)
+            _check_counts(row, rows, want, prime, policy)
             settled[t] = not isinstance(want, SnfResult)
 
 
@@ -1071,16 +1118,19 @@ def test_f2t_pivot_inverses_in_object_words():
         _check_f2t_inverses(np.array(codes, object), prec, 64, object)
 
 
-@pytest.mark.parametrize("prime, elem, twenty", [
-    (ZI5, gauss_elem, gauss_elem(5 ** 20, 0)),
-    (P3, lambda a, b: int_elem(a + 2 * b), int_elem(3 ** 20)),
-    (PX, lambda a, b: poly_elem(2, [a, b]), poly_elem(2, [0] * 20 + [1])),
+@pytest.mark.parametrize("prime, elem, twenty, certified", [
+    (ZI5, gauss_elem, gauss_elem(5 ** 20, 0), 3),
+    (P3, lambda a, b: int_elem(a + 2 * b), int_elem(3 ** 20), 3),
+    (PX, lambda a, b: poly_elem(2, [a, b]), poly_elem(2, [0] * 20 + [1]), 0),
 ], ids=["zi-(2+i)", "z-3", "fx-(x)"])
-def test_pruned_ladder_matches_geometric_reference(prime, elem, twenty):
+def test_pruned_ladder_matches_geometric_reference(prime, elem, twenty, certified):
     # Entries of valuation between the last fast-word rung and the cap,
     # such as p^20 or x^20, settle at the cap instead of at a dropped wide
     # rung, with the partition of the whole ladder; singular matrices stay
-    # indeterminate, with the cap's K and local_snf result.
+    # indeterminate, with the cap's counts or, over Z and Z[i] when their
+    # first rungs prove them singular, the first rung's (in 3 of the 24
+    # grids their rows differ). The error names the lowest rung K with no
+    # pivot at or above K, and carries local_snf's result there.
     full = _geometric_ladder(prime, DEFAULT_POLICY)
     cap, last_int64 = full[-1], max(K for K in full if not _wide_rung(prime, K))
     assert len(escalation_ladder(prime, DEFAULT_POLICY)) < len(full)
@@ -1092,7 +1142,7 @@ def test_pruned_ladder_matches_geometric_reference(prime, elem, twenty):
 
     rng = random.Random(7)
     deep = (last_int64 + 1, (last_int64 + cap) // 2, cap - 1)
-    n, settled_deep = 3, 0
+    n, settled_deep, first_rung = 3, 0, 0
     for u in (0, 1):
         grids = []
         for k in range(12):
@@ -1113,14 +1163,123 @@ def test_pruned_ladder_matches_geometric_reference(prime, elem, twenty):
         assert got.shape == (len(grids), cap)
         for rows, counts in zip(grids, got.tolist()):
             want = _ladder_reference(rows, prime, DEFAULT_POLICY)
-            _check_counts(counts, rows, want)
+            _check_counts(counts, rows, want, prime)
             if not isinstance(want, SnfResult):
                 settled_deep += max(want, default=0) > last_int64
                 continue
-            with pytest.raises(IndeterminateCokernelError, match=f"K={cap}$") as exc:
+            K = next(K for K in escalation_ladder(prime, DEFAULT_POLICY) if not any(counts[K:]))
+            with pytest.raises(IndeterminateCokernelError, match=f"K={K}$") as exc:
                 cokernel_local_type(rows, prime)
-            assert exc.value.last_result == want
-    assert settled_deep >= 8
+            assert exc.value.last_result == _local_result(rows, prime, K)
+            first_rung += counts != _result_counts(want, cap, cap)
+    assert settled_deep >= 8 and first_rung == certified
+
+
+def _unimodular(rng, n, elem, units):
+    """A permutation matrix with the units as its nonzero entries after a few
+    row operations row_i += c row_j: its determinant is a unit."""
+    perm = rng.sample(range(n), n)
+    U = [[rng.choice(units) if j == perm[i] else elem(0, 0) for j in range(n)] for i in range(n)]
+    for _ in range(rng.randrange(3) if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = elem(rng.randrange(-2, 3), rng.randrange(-2, 3))
+        U[i] = [elem_add(x, elem_mul(c, y)) for x, y in zip(U[i], U[j])]
+    return U
+
+
+_CERTIFICATE_PRIMES = ((P3,), (P2, P3), (P5, P2),
+                       (ZI5, ZI5.conjugate()), (ZI5,), (ZI3,), (ZI_RAM, ZI5))
+
+
+def _certificate_grids(rng, primes, n, u):
+    """Six grids over the primes' domain, one of each kind: a zero row, a
+    repeated row, a combination of two rows with large cofactors (singular,
+    each of the three), p^8 times a unimodular matrix, with p the first
+    prime's rational prime (nonsingular, saturated at its first rung), and
+    two with small random entries."""
+    elem = gauss_elem if primes[0].domain == ZI else (lambda a, b: int_elem(a + 2 * b))
+
+    def small():
+        return elem(rng.randrange(-3, 4), rng.randrange(-3, 4))
+
+    def grid():
+        return [[small() for _ in range(n + u)] for _ in range(n)]
+    zero, repeated, combo = grid(), grid(), grid()
+    zero[rng.randrange(n)] = [elem(0, 0)] * (n + u)
+    if n > 1:
+        repeated[-1] = list(repeated[0])
+        x, y = elem(rng.randrange(100, 999), 0), elem(0, rng.randrange(100, 999))
+        combo[-1] = [elem_add(elem_mul(x, a), elem_mul(y, b)) for a, b in zip(combo[0], combo[1])]
+    scale = elem(primes[0].p ** 8, 0)
+    units = [gauss_elem(*z) for z in ((1, 0), (-1, 0), (0, 1), (0, -1))] if primes[0].domain == ZI \
+        else [int_elem(1), int_elem(-1)]
+    unimodular = _unimodular(rng, n, elem, units)
+    deep = [[elem_mul(scale, x) for x in row] + [elem(0, 0)] * u for row in unimodular]
+    return [zero, repeated, combo, deep, grid(), grid()]
+
+
+def test_singular_certificate_matches_exact_rank(monkeypatch):
+    # cokernel_rows proves a matrix singular from its first-rung rows only
+    # when it is: every certified grid has rank < n over Q or Q(i) (exact
+    # Fraction elimination), every grid with a zero row is certified, and
+    # p^8 times a unimodular matrix, nonsingular and saturated at its first
+    # rung, is not (its bound is met with equality at a signed permutation)
+    # and climbs to its partition (8, ..., 8), or (16, ..., 16) at the
+    # ramified (1+i). Every row matches the
+    # local_snf ladder. The certificate fires on 256 of the 840 grids, of
+    # the 311 singular ones; the rest, such as combinations of rows with
+    # cofactors in the hundreds, climb to the cap.
+    certified = []
+    real = snf._certified_singular
+
+    def record(idx, support, primes, policy, first):
+        proved = real(idx, support, primes, policy, first)
+        certified.extend(tuple(map(tuple, M)) for M in idx[proved].tolist())
+        return proved
+    monkeypatch.setattr(snf, "_certified_singular", record)
+    rng = random.Random(23)
+    fired = singular = 0
+    for case in range(20):
+        for primes in _CERTIFICATE_PRIMES:
+            n, u = rng.randrange(1, 5), rng.choice((0, 0, 1, 2))
+            grids = _certificate_grids(rng, primes, n, u)
+            support = tuple(dict.fromkeys(x for rows in grids for row in rows for x in row))
+            position = {x: i for i, x in enumerate(support)}
+            idx = np.array([[[position[x] for x in row] for row in rows] for rows in grids])
+            del certified[:]
+            got = cokernel_rows(idx, support, primes, DEFAULT_POLICY)
+            proved = [tuple(map(tuple, M)) in certified for M in idx.tolist()]
+            fired += sum(proved)
+            assert proved[0] and not proved[3]
+            ranks = [_rank(rows) for rows in grids]
+            assert all(rank < n for rank, was in zip(ranks, proved) if was)
+            singular += sum(rank < n for rank in ranks)
+            settled = [True] * len(grids)
+            for prime, counts in zip(primes, got):
+                for t, (rows, row) in enumerate(zip(grids, counts.tolist())):
+                    if not settled[t]:
+                        assert not any(row)
+                        continue
+                    want = _ladder_reference(rows, prime, DEFAULT_POLICY)
+                    _check_counts(row, rows, want, prime)
+                    settled[t] = not isinstance(want, SnfResult)
+                    if t == 3:
+                        assert want == ((8 * prime.e,) * n if prime.p == primes[0].p else ())
+    assert (fired, singular) == (256, 311)
+
+
+def test_the_bound_met_with_equality_does_not_certify():
+    # [5^8] at (2+i) and (2-i): both first-rung rows are saturated at K = 8,
+    # so the product 5^8 5^8 meets H^2 = N(5^8) = 5^16 with equality, which
+    # does not certify; the matrix climbs and settles as (8,) at both primes.
+    primes = (ZI5, ZI5.conjugate())
+    support, idx = (gauss_elem(5 ** 8, 0),), np.zeros((1, 1, 1), np.int64)
+    first = [np.array([[0] * 27]), np.array([[0] * 27])]
+    assert not snf._certified_singular(idx, support, primes, DEFAULT_POLICY, first)[0]
+    assert snf._certified_singular(idx, (gauss_elem(5 ** 8 - 1, 0),), primes, DEFAULT_POLICY, first)[0]
+    assert cokernel_type([[support[0]]], primes) == ModuleType.of({pr: (8,) for pr in primes})
+    assert [counts.tolist() for counts in cokernel_rows(idx, support, primes, DEFAULT_POLICY)] == [
+        [[0] * 8 + [1] + [0] * 18]] * 2
 
 
 def test_residue_degree_f_entries_lower_to_blocks():
