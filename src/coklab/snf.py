@@ -737,7 +737,7 @@ def _certified_singular(idx, support, primes, policy, first) -> np.ndarray:
     H^2 thus leaves no nonzero minor. The comparison is exact, in Python
     ints, and equality does not certify."""
     norms = _norms(support)
-    if norms is None or not len(idx):
+    if norms is None:
         return np.zeros(len(idx), bool)
     n, w = idx.shape[1], 2 if support[0].domain.kind == INTEGERS else 1
     bounds = norms[idx].sum(axis=2).tolist()
@@ -779,15 +779,17 @@ def cokernel_rows(idx, support: tuple, primes, policy: PrecisionPolicy) -> list:
             continue
         out.append(np.zeros((b, ladders[i][-1]), np.int64))
         _ladder_counts(idx, support, prime, ladders[i][:1], np.arange(b), out[i])
-    saturated = np.flatnonzero(np.any([counts.sum(axis=1) < n for counts in out], axis=0))
+    short = [counts.sum(axis=1) < n for counts in out]  # saturated at the first rung
+    saturated = np.flatnonzero(sum(short))
     climb = np.ones(b, bool)
-    climb[saturated] = ~_certified_singular(idx[saturated], support, primes, policy,
-                                            [counts[saturated] for counts in out])
+    if len(saturated):
+        climb[saturated] = ~_certified_singular(idx[saturated], support, primes, policy,
+                                                [counts[saturated] for counts in out])
     live = np.ones(b, bool)  # matrices settled at every prime so far
     for i, prime in enumerate(primes):
         if source[i] == i:
             _ladder_counts(idx, support, prime, ladders[i][1:],
-                           np.flatnonzero(live & climb & (out[i].sum(axis=1) < n)), out[i])
+                           np.flatnonzero(live & climb & short[i]), out[i])
         out[i] = out[source[i]] * live[:, None]
         live &= out[i].sum(axis=1) == n
     return out

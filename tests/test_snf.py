@@ -157,6 +157,11 @@ def test_cokernel_type_leaves_out_trivial_parts_and_refuses_repeated_primes():
     for primes in ([P2, P2], [P3, P5, P3]):  # a repeated prime is refused, trivial or not
         with pytest.raises(ParameterError, match="duplicate prime"):
             cokernel_type(M, primes)
+    # 2^8 is saturated at the first rung, and its singularity bound 2^16 is
+    # met with equality when 2 counts once, not twice: it is not proved
+    # singular, so the repeated prime is what gets refused
+    with pytest.raises(ParameterError, match="duplicate prime"):
+        cokernel_type([[int_elem(2 ** 8)]], [P2, P2])
 
 
 def test_indeterminate_on_zero_matrix():
