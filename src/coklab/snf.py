@@ -775,16 +775,17 @@ def cokernel_rows(idx, support: tuple, primes, policy: PrecisionPolicy) -> list:
     out = []
     for i, prime in enumerate(primes):
         if source[i] < i:
-            out.append(out[source[i]])
+            out.append(out[source[i]].copy())
             continue
         out.append(np.zeros((b, ladders[i][-1]), np.int64))
         _ladder_counts(idx, support, prime, ladders[i][:1], np.arange(b), out[i])
     short = [counts.sum(axis=1) < n for counts in out]  # saturated at the first rung
     saturated = np.flatnonzero(sum(short))
+    if not len(saturated):  # every matrix settled at every prime
+        return out
     climb = np.ones(b, bool)
-    if len(saturated):
-        climb[saturated] = ~_certified_singular(idx[saturated], support, primes, policy,
-                                                [counts[saturated] for counts in out])
+    climb[saturated] = ~_certified_singular(idx[saturated], support, primes, policy,
+                                            [counts[saturated] for counts in out])
     live = np.ones(b, bool)  # matrices settled at every prime so far
     for i, prime in enumerate(primes):
         if source[i] == i:
