@@ -1123,12 +1123,12 @@ def test_f2t_pivot_inverses_in_object_words():
         _check_f2t_inverses(np.array(codes, object), prec, 64, object)
 
 
-@pytest.mark.parametrize("prime, elem, twenty, certified", [
+@pytest.mark.parametrize("prime, elem, twenty, first_rows", [
     (ZI5, gauss_elem, gauss_elem(5 ** 20, 0), 3),
     (P3, lambda a, b: int_elem(a + 2 * b), int_elem(3 ** 20), 3),
     (PX, lambda a, b: poly_elem(2, [a, b]), poly_elem(2, [0] * 20 + [1]), 0),
 ], ids=["zi-(2+i)", "z-3", "fx-(x)"])
-def test_pruned_ladder_matches_geometric_reference(prime, elem, twenty, certified):
+def test_pruned_ladder_matches_geometric_reference(prime, elem, twenty, first_rows):
     # Entries of valuation between the last fast-word rung and the cap,
     # such as p^20 or x^20, settle at the cap instead of at a dropped wide
     # rung, with the partition of the whole ladder; singular matrices stay
@@ -1177,7 +1177,7 @@ def test_pruned_ladder_matches_geometric_reference(prime, elem, twenty, certifie
                 cokernel_local_type(rows, prime)
             assert exc.value.last_result == _local_result(rows, prime, K)
             first_rung += counts != _result_counts(want, cap, cap)
-    assert settled_deep >= 8 and first_rung == certified
+    assert settled_deep >= 8 and first_rung == first_rows
 
 
 def _unimodular(rng, n, elem, units):
