@@ -32,9 +32,10 @@ Three layers:
   f2t puts coefficient s of t into bit w*s of its word (a lane of w bits),
   so a carryless product is one wrapping integer multiply masked to the low
   bit of each lane (the "multiplication with holes" of constant-time
-  GHASH): 4-bit lanes in the narrowest unsigned word of 4K bits for
-  K <= 16, and 6-bit lanes in exact Python ints past that. Every kernel is
-  tested to agree with the reference everywhere.
+  GHASH): lanes of the fewest bits w that hold K terms (K <= 2^w), in the
+  narrowest unsigned word of wK bits up to K = 16 (one byte at K = 4), and
+  in exact Python ints past that. Every kernel is tested to agree with the
+  reference everywhere.
 * :func:`cokernel_rows` runs every cokernel computation, for a batch of
   matrices given as positions into an entry support and for a tuple of
   primes. It picks each ring's kernel through :func:`reduction_table`,
@@ -226,12 +227,12 @@ def element_to_scalar(mode: str, x: LocalElement) -> int:
 
 
 def _lane_bits(K: int) -> int:
-    """Bits per f2t lane at precision K. Lane s < K of a product counts s + 1
-    terms, and only the top lane's carry may leave its lane (for lanes at
-    or past K, masked off or wrapped out of the word), so w-bit lanes serve
-    every K <= 2^w: 4 bits in machine words up to K = 16, and 6 bits in
-    Python ints up to the f2t cap K = 64."""
-    return 4 if K <= 16 else 6
+    """Bits per f2t lane at precision K: the smallest w >= 1 with K <= 2^w.
+    Lane s < K of a product counts s + 1 terms, and only the top lane's
+    carry may leave its lane (for lanes at or past K, masked off or wrapped
+    out of the word), so w-bit lanes serve every K <= 2^w: 2 bits at K = 4,
+    3 up to K = 8, 4 up to K = 16 and 6 at the f2t cap K = 64."""
+    return max(1, (K - 1).bit_length())
 
 
 def _word_dtype(mode: str, K: int, p: int) -> np.dtype:
@@ -240,8 +241,8 @@ def _word_dtype(mode: str, K: int, p: int) -> np.dtype:
     reduced lazily (:func:`_reduction_budget`), else uint64 words read in
     Montgomery form (:func:`_mont_mul`), up to p^K < 2^64, reduced after
     every update; for mod2k the narrowest unsigned word of K bits; for f2t
-    the narrowest unsigned word of K lanes (:func:`_lane_bits`) up to 64
-    bits, and exact Python ints past that."""
+    the narrowest unsigned word of K lanes of :func:`_lane_bits` bits up to
+    64 bits (K <= 16), and exact Python ints past that."""
     if mode == MODE_MODPK:
         if p ** K >> 64:
             raise ParameterError(f"{p}^{K} does not fit a 64-bit word")
@@ -411,13 +412,14 @@ def _scale_pk(row, a, p, prec, K):
     return row * y[:, None] % m
 
 
-def _f2t_lanes(B, prec):
-    """The lane width w of B's words (4 bits in unsigned words, 6 in object
-    words) and the mask of the low bit of each of their first prec lanes,
-    the sum of 2^(w s) for s < prec, in B's word type."""
-    w = 6 if B.dtype == object else 4
+@lru_cache(maxsize=None)
+def _f2t_lanes(K, prec):
+    """The mask of the low bit of each of the first prec lanes of a rung at
+    K, the sum of 2^(w s) for s < prec with w = :func:`_lane_bits` (K), in
+    the rung's word type (:func:`_word_dtype`); built once per level."""
+    w, dtype = _lane_bits(K), _word_dtype(MODE_F2T, K, 2)
     mask = ((1 << w * prec) - 1) // ((1 << w) - 1)
-    return w, (mask if B.dtype == object else B.dtype.type(mask))
+    return mask if dtype == object else dtype.type(mask)
 
 
 def _scale_f2t(row, a, p, prec, K):
@@ -425,7 +427,7 @@ def _scale_f2t(row, a, p, prec, K):
     y <- a y^2 from y = a (a^2 = 1 mod t^2 in characteristic 2), doubling
     the t-adic digits each round, where each carryless product is a
     wrapping multiply masked to the lanes."""
-    _, lanes = _f2t_lanes(row, prec)
+    lanes = _f2t_lanes(K, prec)
     unit, a = a & 1, a | 1  # Newton runs on a | 1 for every a; a zero pivot scales by 0
     y, digits = a, 2
     while digits < prec:
@@ -434,11 +436,11 @@ def _scale_f2t(row, a, p, prec, K):
     return row * (y * unit)[:, None] & lanes
 
 
-def _update_2k(B, col, row, p, prec, steps):
+def _update_2k(B, col, row, p, prec, K, steps):
     B -= col[:, :, None] * row[:, None, :]
 
 
-def _update_pk(B, col, row, p, prec, steps):
+def _update_pk(B, col, row, p, prec, K, steps):
     """B - col (x) row mod m = p^prec. On Montgomery words the product is a
     Montgomery product and the difference is reduced at once. On int64
     words B += (col mod m) (x) (m - row) keeps B nonnegative, and B is
@@ -457,32 +459,29 @@ def _update_pk(B, col, row, p, prec, steps):
         B %= m
 
 
-# matrices per slice of the f2t update: bounds its product temporary
-_F2T_SLICE = 16
-
-
-def _update_f2t(B, col, row, p, prec, steps):
+def _update_f2t(B, col, row, p, prec, K, steps):
     """Carryless rank-1 update B ^= col (x) row: one masked multiply per
-    entry, a slice of matrices at a time."""
-    _, lanes = _f2t_lanes(B, prec)
-    for s in range(0, len(B), _F2T_SLICE):
-        B[s:s + _F2T_SLICE] ^= col[s:s + _F2T_SLICE, :, None] * row[s:s + _F2T_SLICE, None, :] & lanes
+    entry, a quarter of the batch at a time, which bounds its product
+    temporary."""
+    lanes, step = _f2t_lanes(K, prec), max(1, len(B) // 4)
+    for s in range(0, len(B), step):
+        B[s:s + step] ^= col[s:s + step, :, None] * row[s:s + step, None, :] & lanes
 
 
-def _shift_2(B, p, prec, steps):
+def _shift_2(B, p, prec, K, steps):
     B >>= 1
     B &= (1 << prec) - 1
     return B
 
 
-def _shift_f2t(B, p, prec, steps):
+def _shift_f2t(B, p, prec, K, steps):
     """Division by t: drop lane 0. Updates keep every entry inside its
     first prec + 1 lanes, so no lane at or above prec is left set."""
-    B >>= _f2t_lanes(B, prec)[0]
+    B >>= _lane_bits(K)
     return B
 
 
-def _shift_p(B, p, prec, steps):
+def _shift_p(B, p, prec, K, steps):
     """Reduce what the last of ``steps`` updates at precision p^(prec + 1)
     left pending on int64 words, then divide by p. A reduced Montgomery
     word w = x 2^64 mod p^(prec + 1) with p | x divided by p is
@@ -496,8 +495,8 @@ def _shift_p(B, p, prec, steps):
 
 # mode -> (unit test, pivot-row scaling by the pivot's inverse (by 0 for a
 # zero pivot), rank-1 update, division by the uniformizer down to precision
-# prec); scaling also takes the rung's K, and the last two the number of
-# updates made at this level before the call
+# prec); the last three also take the rung's K, and the last two the number
+# of updates made at this level before the call
 _KERNELS = {
     MODE_MOD2K: (_units_2, _scale_2k, _update_2k, _shift_2),
     MODE_MODPK: (_units_p, _scale_pk, _update_pk, _shift_p),
@@ -566,7 +565,7 @@ def _pivot_counts(mode: str, B, p: int, K: int) -> np.ndarray:
             if has.any():
                 live = B[:, top:]
                 pivot = row[mats, j] * has  # 0 where row r has no unit: scales to 0
-                update(live, live[mats, :, j], scale(row, pivot, p, K - level, K), p, K - level, steps)
+                update(live, live[mats, :, j], scale(row, pivot, p, K - level, K), p, K - level, K, steps)
                 pivots[:, level] += has
                 steps += 1
             if top < r:  # refill a spent row r from the head of its matrix's block
@@ -577,13 +576,13 @@ def _pivot_counts(mode: str, B, p: int, K: int) -> np.ndarray:
             kept += keep
         level += 1
         n = int(kept.max(initial=0))
-        B = shift(B[:, B.shape[1] - n:], p, K - level, steps)
+        B = shift(B[:, B.shape[1] - n:], p, K - level, K, steps)
     return pivots
 
 
 def make_scalar_matrix(mode: str, rows) -> np.ndarray:
     """Packed scalars in uint64 (int64 for modpk) when all fit, else exact
-    Python ints: modpk residues past 2^63 and f2t words of K > 16 lanes.
+    Python ints: modpk residues past 2^63 and f2t words past 64 bits.
     :func:`snf_valuations_array` takes either and casts them to its word."""
     try:
         return np.array(rows, dtype=np.int64 if mode == MODE_MODPK else np.uint64)
@@ -601,19 +600,22 @@ _TABLE_CACHE_SIZE = 256
 @lru_cache(maxsize=64)
 def escalation_ladder(prime: PrimeIdealDesc, policy: PrecisionPolicy) -> tuple:
     """The K values the adaptive loop will try, in order: the largest K <=
-    min(8, cap) whose word is narrow (else min(8, cap)), doubling up to the
-    cap (the lower of k_max and the prime's word-size cap), without the wide
-    rungs below the cap: those whose :func:`_word_dtype` is Montgomery for
-    modpk or object (past 16 lanes) for f2t. A result not saturated at K is
-    exact at every larger K, so the ladder sets only the cost of a trial,
-    never its type; and a pass in wide words costs about as much at the cap
-    as below it, so past the last narrow word it goes straight to the cap."""
+    min(8, cap) whose :func:`_word_dtype` is that of K = 1 (the last int64 K
+    for modpk, and for f2t K = 4, whose 2-bit lanes fill one byte),
+    doubling up to the cap (the lower of k_max and the prime's word-size
+    cap), without the wide rungs below the cap: those whose word is
+    Montgomery for modpk or object (past K = 16) for f2t. A result not
+    saturated at K is exact at every larger K, so the ladder sets only the
+    cost of a trial, never its type; and a pass in wide words costs about as
+    much at the cap as below it, so past the last narrow word it goes
+    straight to the cap."""
     cap = min(policy.k_max, max_precision(prime.p, prime.f))
     mode = matrix_mode(local_ring_for(prime, cap))
 
     def wide(K):  # mod2k and generic words are never object words
         return _word_dtype(mode, K, prime.p) == (np.uint64 if mode == MODE_MODPK else object)
-    ladder = [max((K for K in range(1, min(8, cap) + 1) if not wide(K)), default=min(8, cap))]
+    ladder = [max(K for K in range(1, min(8, cap) + 1)
+                  if _word_dtype(mode, K, prime.p) == _word_dtype(mode, 1, prime.p))]
     while ladder[-1] < cap:
         ladder.append(min(2 * ladder[-1], cap))
     return tuple(K for K in ladder if K == cap or not wide(K))

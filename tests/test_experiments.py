@@ -426,8 +426,8 @@ def test_sub_batches_sized_by_kernel_bytes():
     # uint8 words give 3640 at n = 12 and 227 at n = 48; modpk's int64
     # words 455 at n = 12, also beside p = 2 and on the generic path at
     # (1+i); (3) of residue degree 2 has 32 x 32 int64 blocks at n = 16,
-    # under the floor; f2t at (x) has uint32 words at K = 8, and uint16
-    # words when k_max = 4 caps its first rung there.
+    # under the floor; f2t at (x) has uint8 words at its first rung K = 4,
+    # as when k_max = 4 caps the whole ladder there.
     def size(n, **overrides):
         return _batch_trials(parse_config(base_config(**overrides)), n)
     assert [size(n) for n in (12, 16, 24, 48)] == [3640, 2048, 910, 227]
@@ -438,7 +438,7 @@ def test_sub_batches_sized_by_kernel_bytes():
     assert size(16, domain="Z[i]", primes=[{"p": 3}]) == 64
     fx = dict(domain="Fp[x]", char=2, primes=[{"generator": "0,1"}],
               distribution={"builtin": "poly-powers", "params": {"p": 2, "m": 3}})
-    assert size(48, **fx) == 64 and size(48, precision={"k_max": 4}, **fx) == 113
+    assert size(48, **fx) == size(48, precision={"k_max": 4}, **fx) == 227
 
 
 def _recorded(monkeypatch, module, name, what) -> list:

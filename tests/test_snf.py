@@ -43,6 +43,7 @@ from coklab.snf import (
     PrecisionPolicy,
     SnfResult,
     _batch_inverse,
+    _lane_bits,
     _mont_mul,
     _reduction_budget,
     _shift_p,
@@ -286,16 +287,17 @@ _WORDS = {1: "uint8", 5: "uint8", 8: "uint8", 9: "uint16", 16: "uint16", 17: "ui
           32: "uint32", 64: "uint64"}
 
 
-# f2t's word at precision K: K lanes of 4 bits in the narrowest unsigned word
-# that holds them up to K = 16, Python ints (6-bit lanes) past that
-_F2T_WORDS = {1: "uint8", 2: "uint8", 3: "uint16", 4: "uint16", 5: "uint32", 8: "uint32",
+# f2t's word at precision K: K lanes of _lane_bits(K) bits (1 up to K = 2, 2
+# up to 4, 3 up to 8, 4 up to 16) in the narrowest unsigned word that holds
+# them up to K = 16, Python ints (5- and 6-bit lanes) past that
+_F2T_WORDS = {1: "uint8", 2: "uint8", 3: "uint8", 4: "uint8", 5: "uint16", 8: "uint32",
               9: "uint64", 16: "uint64", 17: "object", 21: "object", 32: "object", 64: "object"}
 
 
 def _unspread(x, K):
     """The K-bit packed form of an f2t word: bit s is lane s. Asserts that
     the word has no bit outside the low bits of its first K lanes."""
-    w = 4 if K <= 16 else 6
+    w = _lane_bits(K)
     packed = sum((int(x) >> w * s & 1) << s for s in range(K))
     assert sum(1 << w * s for s in range(K) if packed >> s & 1) == int(x)
     return packed
@@ -410,7 +412,7 @@ _ASIDE_LAYOUTS = [
     (P3, 19, _ints, 0, "int64"),   # lazy reduction every 6 updates
     (P3, 40, _ints, 1, "uint64"),  # Montgomery words
     (PX, 16, _polys, 0, "uint64"),  # 4-bit lanes
-    (PX, 32, _polys, 0, "object"),  # 6-bit lanes
+    (PX, 32, _polys, 0, "object"),  # 5-bit lanes
     (ZI3, 8, _gauss, 1, "int64"),  # 2 x 2 blocks over Z/3^8
     (PX2, 8, _polys, 2, "uint32"),  # 2 x 2 blocks over F_2[t]/t^8
 ], ids=["mod2k-8", "mod2k-64", "modpk-int64", "modpk-montgomery", "f2t-4-bit", "f2t-object",
@@ -485,8 +487,9 @@ def test_kernel_peak_memory_stays_under_its_pinned_multiple_of_the_batch(mode, s
     # batches.
     rng = np.random.default_rng(11)
     dtype = _word_dtype(mode, K, p)
-    if mode == "f2t":  # a random bit in the low bit of each of K 4-bit lanes
-        B = (rng.integers(0, 2, shape + (K,)) << np.arange(0, 4 * K, 4)).sum(axis=-1).astype(dtype)
+    if mode == "f2t":  # a random bit in the low bit of each of K lanes of _lane_bits(K) bits
+        w = _lane_bits(K)
+        B = (rng.integers(0, 2, shape + (K,)) << np.arange(0, w * K, w)).sum(axis=-1).astype(dtype)
     else:
         B = rng.integers(0, p ** K, shape).astype(dtype)
     tracemalloc.start()
@@ -628,8 +631,8 @@ def test_modpk_multiply_compare_unit_test(p):
         assert _units_p(np.array(words, dtype), p).tolist() == want
 
 
-# the uniformizer's word: 2, 3, and t in lane 1 of 4-bit f2t lanes
-@pytest.mark.parametrize("mode, p, pi", [("mod2k", 2, 2), ("modpk", 3, 3), ("f2t", 2, 16)])
+# the uniformizer's word: 2, 3, and t in lane 1 of the f2t lanes of K = 4
+@pytest.mark.parametrize("mode, p, pi", [("mod2k", 2, 2), ("modpk", 3, 3), ("f2t", 2, 1 << _lane_bits(4))])
 def test_kernel_makes_at_most_one_update_per_row_per_level(monkeypatch, mode, p, pi):
     # An update that clears nothing leaves every pivot row a unit row, yet
     # the loop visits each row once per level: it returns after at most one
@@ -639,7 +642,7 @@ def test_kernel_makes_at_most_one_update_per_row_per_level(monkeypatch, mode, p,
     units, scale, _, shift = snf._KERNELS[mode]
     calls = []
     monkeypatch.setitem(snf._KERNELS, mode, (
-        units, scale, lambda B, col, row, p, prec, steps: calls.append((prec, steps)), shift))
+        units, scale, lambda B, col, row, p, prec, K, steps: calls.append((prec, steps)), shift))
     B = make_scalar_matrix(mode, [[[1, 0, 0, 0], [0, pi, 0, 0], [0, 0, pi * pi, 0]],
                                   [[1, 1, 1, 1]] * 3])
     snf_valuations_array(mode, B, p, 4)
@@ -652,7 +655,7 @@ def test_modpk_shift_reduces_pending_updates():
     # the 6 that 3^19 allows. The entries are congruent to 21, 0 and 0.
     m = 3 ** 19
     B = np.array([[[5 * m + 21, 3 * m, 0]]], np.int64)
-    assert _shift_p(B, 3, 18, 5).tolist() == [[[7, 0, 0]]]
+    assert _shift_p(B, 3, 18, 19, 5).tolist() == [[[7, 0, 0]]]
 
 
 def _to_montgomery(x, m):
@@ -699,7 +702,7 @@ def test_montgomery_words_match_python_ints(p, K):
     assert _batch_inverse(np.array([], np.uint64), p, K).tolist() == []
     if K > 1:
         multiples = _to_montgomery(np.array([a * p % m for a in xs], np.uint64), m)
-        shifted = _shift_p(multiples[None, None], p, K - 1, 1).ravel()
+        shifted = _shift_p(multiples[None, None], p, K - 1, K, 1).ravel()
         assert _from_montgomery(shifted, m // p).tolist() == [a % (m // p) for a in xs]
 
 
@@ -798,9 +801,9 @@ def _f2t_cases(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_f2t_cases())
 def test_f2t_fuzz_matches_local_snf(case):
-    # Any matrix over F_2[[t]]/t^K, packed into lane-spread words (4-bit
-    # lanes in uint8 to uint64, 6-bit lanes in Python ints past K = 16),
-    # gets the same valuations from f2t as from local_snf.
+    # Any matrix over F_2[[t]]/t^K, packed into lane-spread words (lanes of
+    # 1 to 4 bits in uint8 to uint64, of 5 or 6 bits in Python ints past
+    # K = 16), gets the same valuations from f2t as from local_snf.
     K, rows = case
     ring = make_local_ring(2, 1, K, EQUAL_CHAR)
     grid = [[LocalElement(ring, tuple(x >> s & 1 for s in range(K))) for x in row] for row in rows]
@@ -989,7 +992,7 @@ def _wide_rung(prime, K):
     """Whether the kernel of the prime's ring runs precision K in its wide
     words: modpk in Montgomery words past the int64 product limit or past
     p = 2^15, where no inverse table serves int64 words, f2t in object words
-    past 16 lanes of 4 bits."""
+    past K = 16, whose 16 lanes of 4 bits fill a uint64 word."""
     mode = matrix_mode(local_ring_for(prime, K))
     if mode == MODE_MODPK:
         return prime.p ** K > _ODD_FAST_LIMIT or prime.p > 1 << 15
@@ -997,26 +1000,31 @@ def _wide_rung(prime, K):
 
 
 def _narrow_start(prime, policy):
-    """The largest K <= min(8, cap) that is not a wide rung, else min(8, cap)."""
+    """The largest K <= min(8, cap) that is not a wide rung, else min(8, cap);
+    for f2t, the largest whose K lanes of _lane_bits(K) bits fit one byte."""
     top = min(8, policy.k_max, max_precision(prime.p, prime.f))
-    return next((K for K in range(top, 0, -1) if not _wide_rung(prime, K)), top)
+    f2t = matrix_mode(local_ring_for(prime, top)) == "f2t"
+    return next((K for K in range(top, 0, -1)
+                 if not _wide_rung(prime, K) and (not f2t or K * _lane_bits(K) <= 8)), top)
 
 
 _LADDER_PRIMES = (P3, ZI5, ZI3, ZI7, P2, PX, PX2, PX3, ZI_RAM, F3X, ZI17)
 
 
 @pytest.mark.parametrize("policy, ladders", [
-    (DEFAULT_POLICY, [(8, 16, 40), (8, 27), (8, 16, 20), (8, 11), (8, 16, 32, 64), (8, 16, 64),
-                      (8, 16, 32), (8, 16, 21), (8, 16, 32, 64), (8, 16, 32, 40), (7, 15)]),
+    (DEFAULT_POLICY, [(8, 16, 40), (8, 27), (8, 16, 20), (8, 11), (8, 16, 32, 64), (4, 8, 16, 64),
+                      (4, 8, 16, 32), (4, 8, 16, 21), (8, 16, 32, 64), (8, 16, 32, 40), (7, 15)]),
     (PrecisionPolicy(4), [(4,)] * 11),
-    (PrecisionPolicy(16), [(8, 16)] * 3 + [(8, 11)] + [(8, 16)] * 6 + [(7, 15)]),
+    (PrecisionPolicy(16), [(8, 16)] * 3 + [(8, 11), (8, 16)] + [(4, 8, 16)] * 3 + [(8, 16)] * 2
+     + [(7, 15)]),
     (PrecisionPolicy(40), [(8, 16, 40), (8, 27), (8, 16, 20), (8, 11), (8, 16, 32, 40),
-                           (8, 16, 40), (8, 16, 32), (8, 16, 21), (8, 16, 32, 40), (8, 16, 32, 40),
-                           (7, 15)]),
+                           (4, 8, 16, 40), (4, 8, 16, 32), (4, 8, 16, 21), (8, 16, 32, 40),
+                           (8, 16, 32, 40), (7, 15)]),
 ], ids=["default", "cap-4", "cap-16", "cap-40"])
 def test_escalation_ladders_are_pinned(policy, ladders):
     # Each ladder starts at min(8, cap), or at (4+i) at 7, the largest K
-    # whose word 17^K is not wide, and doubles up to the cap, k_max or the
+    # whose word 17^K is not wide, or for F_2[x] primes at 4, the largest K
+    # whose 2-bit lanes fit one byte, and doubles up to the cap, k_max or the
     # prime's word-size cap (40 at 3, 27 at (2+i), 20 at (3), 11 at (7), 32
     # at (x^2+x+1), 21 at (x^3+x+1), 40 at (x) of F_3[x], 15 at (4+i)), less
     # the wide rungs below the cap.
@@ -1094,7 +1102,7 @@ def _check_f2t_inverses(codes, prec, K, dtype):
     given bit-packed codes (int64 or object) and the rows [1, pivot], in
     words of dtype: unit pivots (odd codes) give their inverse mod t^prec,
     spread into the first prec lanes, and 1; the others give 0 and 0."""
-    w = 6 if dtype == object else 4
+    w = _lane_bits(K)
     spread = lambda x: sum((x >> s & 1) << w * s for s in range(prec))
     a = spread(codes).astype(dtype)
     y, ay = snf._scale_f2t(np.stack([np.ones_like(a), a], axis=1), a, 2, prec, K).T.astype(codes.dtype)
@@ -1106,9 +1114,10 @@ def _check_f2t_inverses(codes, prec, K, dtype):
 
 @pytest.mark.parametrize("K", range(1, 17))
 def test_f2t_pivot_inverses_of_every_unit(K):
-    # In 4-bit lanes, every residue of F_2[t]/t^prec at every precision of
-    # the rung scales its row by its carryless Newton inverse (checked by an
-    # independent carryless product), and a non-unit scales it by 0.
+    # In the rung's lanes of _lane_bits(K) bits, every residue of
+    # F_2[t]/t^prec at every precision of the rung scales its row by its
+    # carryless Newton inverse (checked by an independent carryless
+    # product), and a non-unit scales it by 0.
     for prec in range(1, K + 1):
         _check_f2t_inverses(np.arange(1 << prec), prec, K, _word_dtype("f2t", K, 2))
 
@@ -1121,6 +1130,30 @@ def test_f2t_pivot_inverses_in_object_words():
         codes = [1, 1 | 1 << prec - 1, (1 << prec) - 1, 0,
                  *(rng.randrange(1 << prec) for _ in range(40))]
         _check_f2t_inverses(np.array(codes, object), prec, 64, object)
+
+
+def test_f2t_lane_bits_are_the_fewest_that_hold_a_rung():
+    assert [_lane_bits(K) for K in range(1, 65)] == [
+        min(w for w in range(1, 7) if K <= 2 ** w) for K in range(1, 65)]
+
+
+@pytest.mark.parametrize("K", [2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64])
+def test_f2t_lane_products_match_carryless_products(K):
+    # At the first and the last K of each lane width w, and at every
+    # precision of the rung, the masked product of two words is the spread
+    # carryless product: for all-ones operands, whose lane s sums s + 1
+    # terms, up to 2^w at the top lane of prec = K = 2^w, and for random
+    # words. Only that top lane's carry leaves its lane, into masked lanes.
+    w, dtype = _lane_bits(K), _word_dtype("f2t", K, 2)
+    rng = random.Random(K)
+    for prec in range(1, K + 1):
+        codes = [(1 << prec) - 1, *(rng.randrange(1 << prec) for _ in range(8))]
+        spread = [sum((x >> s & 1) << w * s for s in range(prec)) for x in codes]
+        a = np.array(spread, dtype)
+        got = a[:, None] * a[None, :] & snf._f2t_lanes(K, prec)
+        assert got.dtype == dtype and got.tolist() == [
+            [sum((_clmul(x, y, prec) >> s & 1) << w * s for s in range(prec)) for y in codes]
+            for x in codes]
 
 
 @pytest.mark.parametrize("prime, elem, twenty, first_rows", [
@@ -1136,7 +1169,7 @@ def test_pruned_ladder_matches_geometric_reference(prime, elem, twenty, first_ro
     # first rungs prove them singular, the first rung's (in 3 of the 24
     # grids their rows differ). The error names the lowest rung K with no
     # pivot at or above K, and carries local_snf's result there.
-    full = _geometric_ladder(prime, DEFAULT_POLICY)
+    full = _geometric_ladder(prime, DEFAULT_POLICY, _narrow_start(prime, DEFAULT_POLICY))
     cap, last_int64 = full[-1], max(K for K in full if not _wide_rung(prime, K))
     assert len(escalation_ladder(prime, DEFAULT_POLICY)) < len(full)
 
@@ -1292,12 +1325,13 @@ def test_residue_degree_f_entries_lower_to_blocks():
     x = reduce_mod_prime_power(gauss_elem(1, 2), ZI3, 4)
     assert element_block("modpk", x) == [[1, 79], [2, 1]]
     # x at (x^2+x+1): x*x = 1 + x + g, so its first coordinate is 1 + t, in
-    # lanes 0 and 1 of 4 bits
+    # lanes 0 and 1 of 2 bits at K = 4
     y = reduce_mod_prime_power(poly_elem(2, [0, 1]), PX2, 4)
-    assert element_block("f2t", y) == [[0, 0x11], [1, 1]]
-    # past 16 lanes of 4 bits the lanes widen to 6 bits
-    assert element_block("f2t", reduce_mod_prime_power(poly_elem(2, [0, 1]), PX2, 17)) == [
-        [0, 0x41], [1, 1]]
+    assert element_block("f2t", y) == [[0, 0b101], [1, 1]]
+    # the lanes widen with K: 3 bits up to K = 8, 4 up to 16, 5 up to 32
+    for K, w in ((5, 3), (8, 3), (9, 4), (16, 4), (17, 5)):
+        assert element_block("f2t", reduce_mod_prime_power(poly_elem(2, [0, 1]), PX2, K)) == [
+            [0, 1 | 1 << w], [1, 1]]
     # a packed scalar would drop coordinates, so it is refused
     for mode, z in (("modpk", x), ("f2t", y)):
         with pytest.raises(ParameterError, match="residue degree 2"):
@@ -1336,6 +1370,46 @@ def test_f2t_scalar_packing_matches_local_snf(K):
                     for _ in range(40)])
     assert snf_valuations_array("f2t", table[idx], 2, K) == [
         local_snf(LocalMatrix.of(ring, [[reduced[j] for j in row] for row in M])) for M in idx.tolist()]
+
+
+@pytest.mark.parametrize("prime", [PX, PX2], ids=["(x)", "(x^2+x+1)"])
+def test_replay_packing_matches_cokernel_rows_at_every_f2t_rung(prime):
+    # perfbench/replay.py packs each support element with element_to_scalar
+    # into one make_scalar_matrix table and hands each matrix to
+    # snf_valuations_array; at residue degree 2, where element_to_scalar
+    # refuses, the element_block tiles go the same way. At every rung K of
+    # the default ladder that path gives the rows of cokernel_rows under a
+    # ladder capped at K, for random matrices, a singular one, and one of
+    # diagonal pi^v for each rung v below K, saturated there.
+    ladder, f = escalation_ladder(prime, DEFAULT_POLICY), prime.f
+    assert len(ladder) == 4 and ladder[0] == 4
+    pi, one, zero = prime.generator, poly_elem(2, [1]), poly_elem(2, [])
+    powers = {0: one}
+    for v in range(1, ladder[-2] + 1):
+        powers[v] = elem_mul(powers[v - 1], pi)
+    rng = random.Random(f)
+    small = [poly_elem(2, [rng.randrange(2) for _ in range(3)]) for _ in range(6)]
+    grids = [[[rng.choice(small) for _ in range(4)] for _ in range(3)] for _ in range(6)]
+    grids.append(grids[0][:2] + [grids[0][0]])  # a repeated row: singular
+    grids += [[[powers[v] if i == j else zero for j in range(4)] for i in range(3)]
+              for v in ladder[:-1]]
+    support = tuple(dict.fromkeys(x for rows in grids for row in rows for x in row))
+    position = {x: i for i, x in enumerate(support)}
+    idx = np.array([[[position[x] for x in row] for row in rows] for rows in grids])
+    for K in ladder:
+        reduced = [reduce_mod_prime_power(x, prime, K) for x in support]
+        if f == 1:
+            table = make_scalar_matrix("f2t", [element_to_scalar("f2t", x) for x in reduced]).ravel()
+            mats = [table[M] for M in idx]
+        else:
+            blocks = [element_block("f2t", x) for x in reduced]
+            mats = [make_scalar_matrix("f2t", [[blocks[j][k][l] for j in row for l in range(f)]
+                                               for row in M.tolist() for k in range(f)]) for M in idx]
+        rows = [np.bincount(snf_valuations_array("f2t", A, 2, K).valuations, minlength=K + 1)[:K] // f
+                for A in mats]
+        (want,) = cokernel_rows(idx, support, (prime,), PrecisionPolicy(K))
+        assert np.array_equal(rows, want)
+        assert [sum(row) < 3 for row in rows[-4:]] == [True, *(v >= K for v in ladder[:-1])]
 
 
 def _domain_det(rows, zero):
@@ -1423,7 +1497,7 @@ def test_driver_keeps_odd_primes_on_modpk(prime, elem):
 def test_driver_lowers_residue_degree_f_primes(prime, elem, mode, cap_word):
     # Inert Z[i] primes and F_2[x] primes of degree f > 1 never reach the
     # generic path: the cap is 3^20 (Montgomery uint64 words), 7^11, and 32
-    # or 21 lanes of 6 bits (object words).
+    # or 21 lanes of 5 bits (object words).
     _check_driver(prime, elem, mode, cap_word)
 
 
