@@ -266,15 +266,15 @@ def _tally_chunk(args) -> Counter:
     (cfg, n, start, stop) (pure): a Counter of each trial's tuple of
     per-prime rows, in order of first appearance, which is trial order. The
     trials are sampled, in the fewest near-equal sub-batches of at most
-    :func:`batch_trials`, into one reused array of the narrowest index
-    dtype, and each sub-batch takes one :func:`cokernel_rows` call."""
+    :func:`batch_trials`, into one reused batch-last array (:func:`gather`)
+    of the narrowest index dtype; each takes one :func:`cokernel_rows` call."""
     cfg, n, start, stop = args
     dist, u = cfg.distribution, cfg.u
     tally, trials = Counter(), stop - start
     parts = max(1, math.ceil(trials / batch_trials(dist.support, cfg.primes, cfg.policy, n, u)))
     cuts = [start + trials * i // parts for i in range(parts + 1)]
-    idx = np.empty((math.ceil(trials / parts), n, n + u),
-                   dtype=np.min_scalar_type(len(dist.support) - 1))
+    idx = np.moveaxis(np.empty((n, n + u, math.ceil(trials / parts)),
+                               dtype=np.min_scalar_type(len(dist.support) - 1)), -1, 0)
     for first, last in zip(cuts, cuts[1:]):
         batch = idx[:last - first]
         sample_index_batch(dist, n, u, cfg.seed, first, batch)

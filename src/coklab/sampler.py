@@ -293,7 +293,8 @@ def _shape(n: int, u: int) -> tuple:
 def sample_index_batch(dist: EntryDistribution, n: int, u: int, seed: int, first: int,
                        out: np.ndarray) -> None:
     """Support indices of trials first, first + 1, ... into the rows of
-    ``out``, of shape ``(b, n, n + u)``, schedule-independent.
+    ``out``, of shape ``(b, n, n + u)``, schedule-independent, through a
+    buffer of 32 trials, so that a batch-last ``out`` is written in blocks.
 
     The draws of trial t are the raw 64-bit outputs of a Philox stream keyed
     by (seed, t) with counter (0, n, u, 0), in row-major order, and each
@@ -315,16 +316,20 @@ def sample_index_batch(dist: EntryDistribution, n: int, u: int, seed: int, first
     state = gen.state  # as new: counter (0, n, u, 0), buffer empty (buffer_pos 4)
     key = state["state"]["key"]
     search = (len(cutoffs) - 1) * _SEARCH_ENTRIES > shape[0] * shape[1]
-    for trial, dst in enumerate(out, first):
-        key[1] = trial
-        gen.state = state
-        draws = gen.random_raw(shape[0] * shape[1]).reshape(shape)
-        if search:
-            dst[...] = np.searchsorted(cutoffs, draws, side="right")
-            continue
-        np.greater_equal(draws, cutoffs[0], out=dst, casting="unsafe")
-        for cut in cutoffs[1:]:
-            dst += draws >= cut
+    block = np.empty((32, *shape), out.dtype)
+    for start in range(0, len(out), len(block)):
+        part = block[:len(out) - start]
+        for trial, dst in enumerate(part, first + start):
+            key[1] = trial
+            gen.state = state
+            draws = gen.random_raw(shape[0] * shape[1]).reshape(shape)
+            if search:
+                dst[...] = np.searchsorted(cutoffs, draws, side="right")
+                continue
+            np.greater_equal(draws, cutoffs[0], out=dst, casting="unsafe")
+            for cut in cutoffs[1:]:
+                dst += draws >= cut
+        out[start:start + len(part)] = part
 
 
 def sample_index_matrix(dist: EntryDistribution, n: int, u: int, seed: int,

@@ -7,35 +7,35 @@ Three layers:
   column). It is the reference implementation, and the generic path for
   the two rings no kernel covers: the ramified (1+i) completion of Z[i] and
   odd-characteristic F_p[[t]].
-* :func:`snf_valuations_array` covers the hot representations, Z/p^K
-  entries and lane-spread F_2[[t]]/t^K entries in machine words, for a whole
-  batch of matrices at once; its loop, :func:`_pivot_counts`, returns the
-  number of pivots per matrix and level. Galois rings and F_2[x]/(g^K) of
-  residue degree f > 1 lower onto these base rings by restriction of
-  scalars: such a ring is free of rank f over its base ring, so each entry
-  becomes the f x f block of multiplication by it (:func:`element_block`)
-  and each part of the cokernel appears f times. Step r of a level of the
-  loop pivots every matrix whose row r has a unit on the first one, with a
-  rank-1 update of the rows below r and of those set aside (no swaps); a
-  nonzero row without a unit is set aside, and only the set-aside rows are
-  divided by the uniformizer and go one level deeper. Only
-  :func:`_word_dtype` decides a rung's word. modpk uses int64 while products
-  fit and p has an inverse table, entries nonnegative and reduced mod
-  p^prec once every few updates and before each division by p, and else
-  uint64 words read in Montgomery form (Montgomery, "Modular multiplication
-  without trial division", 1985): a residue w stands for w 2^-64 mod
-  p^prec, so the kernel eliminates the batch times a unit, and division by
-  p maps a word to the one of its value over p at the next level. Its unit
-  test is one wrapping multiply by p^-1 mod 2^64 and one compare; its pivot
-  inverses come from a cached table and Newton rounds on int64 words, and
-  from one modular inverse per step (Montgomery's batch trick) on uint64.
-  f2t puts coefficient s of t into bit w*s of its word (a lane of w bits),
-  so a carryless product is one wrapping integer multiply masked to the low
-  bit of each lane (the "multiplication with holes" of constant-time
-  GHASH): lanes of the fewest bits w that hold K terms (K <= 2^w), in the
-  narrowest unsigned word of wK bits up to K = 16 (one byte at K = 4), and
-  in exact Python ints past that. Every kernel is tested to agree with the
-  reference everywhere.
+* :func:`snf_valuations_array` covers the hot representations, Z/p^K entries
+  and lane-spread F_2[[t]]/t^K entries in machine words, for a whole batch
+  of matrices at once; its loop, :func:`_pivot_counts`, returns the number
+  of pivots per matrix and level. Galois rings and F_2[x]/(g^K) of residue
+  degree f > 1 lower onto these base rings by restriction of scalars: such a
+  ring is free of rank f over its base ring, so each entry becomes the f x f
+  block of multiplication by it (:func:`element_block`) and each part of the
+  cokernel appears f times. The loop holds the batch batch-last, (n, m, b),
+  for contiguous inner loops over the matrices. Step r of a level pivots
+  every matrix whose row r has a unit on the first one, with a rank-1 update
+  of the rows below r and of those set aside (no swaps); a nonzero row
+  without a unit is set aside, and only those rows, divided by the
+  uniformizer, go one level on. Only :func:`_word_dtype` decides a rung's
+  word. modpk uses int64 while products fit and p has an inverse table,
+  entries nonnegative and reduced mod p^prec once every few updates and
+  before each division by p, and else uint64 words read in Montgomery form
+  (Montgomery, "Modular multiplication without trial division", 1985): a
+  residue w stands for w 2^-64 mod p^prec, so the kernel eliminates the
+  batch times a unit, and division by p maps a word to the one of its value
+  over p at the next level. Its unit test is one wrapping multiply by p^-1
+  mod 2^64 and one compare; its pivot inverses come from a cached table and
+  Newton rounds on int64 words, and from one modular inverse per step
+  (Montgomery's batch trick) on uint64. f2t puts coefficient s of t into bit
+  w*s of its word (a lane of w bits), so a carryless product is one wrapping
+  integer multiply masked to the low bit of each lane (the "multiplication
+  with holes" of constant-time GHASH): lanes of the fewest bits w that hold
+  K terms (K <= 2^w), in the narrowest unsigned word of wK bits up to K = 16
+  (one byte at K = 4), and in exact Python ints past that. Every kernel is
+  tested to agree with the reference everywhere.
 * :func:`cokernel_rows` runs every cokernel computation, for a batch of
   matrices given as positions into an entry support and for a tuple of
   primes. It picks each ring's kernel through :func:`reduction_table`,
@@ -252,14 +252,14 @@ def _word_dtype(mode: str, K: int, p: int) -> np.dtype:
     return np.dtype(f"uint{max(8, 1 << (bits - 1).bit_length())}" if bits <= 64 else object)
 
 
-# Kernel steps on a batch of shape (b, n, m) at precision prec = K - level.
-# Entries of the mod2k words are exact in their low prec bits; the bits
-# above are cleared only when the batch is divided by the uniformizer.
-# Entries of the f2t words hold 0 or 1 in each of their first prec lanes
-# and nothing else. Entries of the int64 modpk words are nonnegative and
-# only congruent mod p^prec to those of the reduced batch until it is next
-# reduced; those of the uint64 modpk words are reduced, in [0, p^prec), and
-# each stands for itself times 2^-64 mod p^prec (a Montgomery word).
+# Kernel steps at precision prec = K - level on a C-contiguous batch (n, m,
+# b), batch-last so that each step runs contiguous inner loops over the b
+# matrices. mod2k words are exact in their low prec bits; the bits above
+# are cleared only when the batch is divided by the uniformizer. f2t words
+# hold 0 or 1 in each of their first prec lanes and nothing else. int64
+# modpk words are nonnegative and only congruent mod p^prec to those of the
+# reduced batch until it is next reduced; uint64 modpk words are reduced,
+# in [0, p^prec), each standing for itself times 2^-64 mod p^prec.
 
 _LO32 = np.uint64(0xFFFF_FFFF)
 _32 = np.uint64(32)
@@ -289,30 +289,32 @@ def _montgomery(m: int) -> tuple:
     return np.uint64(m), np.uint64(pow(m, -1, 1 << 64)), (1 << 128) % m
 
 
-def _mont_mul(a, b, m: int):
-    """a b R^-1 mod m for uint64 words a < 2^64 and b < m (broadcast), with
-    R = 2^64 and odd m < 2^64: the Montgomery product (REDC). q = ab m^-1
-    mod R makes ab - qm divisible by R, and (ab - qm) / R = hi(ab) - hi(qm)
-    lies in (-m, m), so one conditional add of m reduces it."""
+def _mont_mul(a, b, m: int, out=None):
+    """a b R^-1 mod m for uint64 words a < 2^64 and b < m (broadcast), into
+    out if given, with R = 2^64 and odd m < 2^64: the Montgomery product
+    (REDC). q = ab m^-1 mod R makes ab - qm divisible by R, and (ab - qm) / R
+    = hi(ab) - hi(qm) lies in (-m, m), so one conditional add of m reduces it."""
     mw, minv, _ = _montgomery(m)
     t = _mulhi(a, b)
     q = a * b
     q *= minv
     s = _mulhi(q, mw)
     wrap = t < s
-    t -= s
+    t = np.subtract(t, s, out=out)
     t += mw * wrap
     return t
 
 
-# entries per slice of a Montgomery product over a batch: bounds its temporaries
-_MONT_SLICE = 16384
+# bytes of a slab of a wide rank-1 update's product: bounds its temporaries
+_SLAB_BYTES = 128 * 1024
 
 
-def _mont_slices(B) -> list:
-    """Slices of the batch B's matrices of at most _MONT_SLICE entries (or one matrix)."""
-    step = max(1, _MONT_SLICE // (B.shape[1] * B.shape[2]))
-    return [slice(s, s + step) for s in range(0, len(B), step)]
+def _slabs(B, col):
+    """Slabs of the live rows B (axis 0) whose product takes at most _SLAB_BYTES, or one
+    row, each with its rows of the pivot column and its view of one reused product buffer."""
+    step = max(1, _SLAB_BYTES // B[0].nbytes)
+    buf = np.empty_like(B[:step])
+    return ((B[s:s + step], col[s:s + step, None], buf[:len(B) - s]) for s in range(0, len(B), step))
 
 
 def _units_2(x, p):
@@ -346,7 +348,7 @@ def _scale_2k(row, a, p, prec, K):
     while bits < prec:
         y *= 2 - a * y
         bits *= 2
-    return row * y[:, None]
+    return row * y
 
 
 def _batch_inverse(a, p, prec):
@@ -400,7 +402,7 @@ def _scale_pk(row, a, p, prec, K):
     Montgomery words take :func:`_batch_inverse` and a Montgomery product."""
     m = p ** prec
     if row.dtype == np.uint64:
-        return _mont_mul(row, _batch_inverse(a, p, prec)[:, None], m)
+        return _mont_mul(row, _batch_inverse(a, p, prec), m)
     row, a = row % m, a % m
     h = (K + 1) // 2
     while p ** h > _INVERSE_TABLE_LIMIT:
@@ -409,7 +411,7 @@ def _scale_pk(row, a, p, prec, K):
     while h < prec:
         y = y * (2 - a * y % m) % m
         h *= 2
-    return row * y[:, None] % m
+    return row * y % m
 
 
 @lru_cache(maxsize=None)
@@ -433,11 +435,11 @@ def _scale_f2t(row, a, p, prec, K):
     while digits < prec:
         y = a * (y * y & lanes) & lanes
         digits *= 2
-    return row * (y * unit)[:, None] & lanes
+    return row * (y * unit) & lanes
 
 
 def _update_2k(B, col, row, p, prec, K, steps):
-    B -= col[:, :, None] * row[:, None, :]
+    B -= col[:, None] * row
 
 
 def _update_pk(B, col, row, p, prec, K, steps):
@@ -448,24 +450,23 @@ def _update_pk(B, col, row, p, prec, K, steps):
     (``steps`` updates precede this one)."""
     m = p ** prec
     if B.dtype == np.uint64:
-        for s in _mont_slices(B):
-            product = _mont_mul(col[s, :, None], row[s, None, :], m)
-            wrap = B[s] < product
-            B[s] -= product
-            B[s] += np.uint64(m) * wrap
+        for slab, c, product in _slabs(B, col):
+            _mont_mul(c, row, m, out=product)
+            wrap = slab < product
+            slab -= product
+            slab += np.uint64(m) * wrap
         return
-    B += (col % m)[:, :, None] * (m - row)[:, None, :]
+    B += (col % m)[:, None] * (m - row)
     if (steps + 1) % _reduction_budget(m) == 0:
         B %= m
 
 
 def _update_f2t(B, col, row, p, prec, K, steps):
     """Carryless rank-1 update B ^= col (x) row: one masked multiply per
-    entry, a quarter of the batch at a time, which bounds its product
-    temporary."""
-    lanes, step = _f2t_lanes(K, prec), max(1, len(B) // 4)
-    for s in range(0, len(B), step):
-        B[s:s + step] ^= col[s:s + step, :, None] * row[s:s + step, None, :] & lanes
+    entry, slab by slab (:func:`_slabs`) into one reused buffer."""
+    lanes = _f2t_lanes(K, prec)
+    for slab, c, product in _slabs(B, col):
+        slab ^= np.bitwise_and(np.multiply(c, row, out=product), lanes, out=product)
 
 
 def _shift_2(B, p, prec, K, steps):
@@ -526,57 +527,59 @@ def _snf_result(counts, n: int, K: int) -> SnfResult:
 def _pivot_counts(mode: str, B, p: int, K: int) -> np.ndarray:
     """Stratified elimination of a batch of packed scalar matrices.
 
-    ``B`` has shape ``(b, n, m)``; it is consumed when it already has the
-    mode's word dtype. For modpk its entries are residues in [0, p^K) (read
-    in Montgomery form where the word is uint64), and for f2t lane-spread
+    ``B`` has shape ``(b, n, m)``; the loop reads ``np.moveaxis(B, 0, -1)``,
+    batch-last, in place when it is C-contiguous in the mode's word (as from
+    :func:`gather`), else a copy. For modpk its entries are residues in [0, p^K)
+    (read in Montgomery form where the word is uint64), and for f2t lane-spread
     words (:func:`element_to_scalar`) with no bit outside their K lanes. At
-    level ``level < K`` entries are taken modulo p^(K - level). Step r reads
-    row r of every matrix; where it has a unit, the rank-1 product of the
-    pivot column and the row scaled by its first unit's inverse is taken
-    from row r, the rows below and the rows set aside, zeroing the pivot's
-    row and column. A row with no unit at its step is zero mod p, and stays
-    so under the level's later updates (their factors are multiples of p):
-    it is set aside if nonzero. A matrix keeps its set-aside rows in place,
-    as a block just above row r; a spent row r takes the block's first row.
-    Level 0 pivots as the first unit in row-major order would; later levels
-    may meet the set-aside rows in another order, which leaves the counts,
-    invariants of the matrix, as they are. After the last row, the blocks
-    (the last rows of the batch) are divided by the uniformizer and are the
-    next level's matrices. Returns the ``(b, K)`` array of pivots per matrix
-    and level: row t holds the number of diagonal entries of valuation v at
-    v; rows without a pivot (n minus the row's sum) have valuation K.
+    level ``level < K`` entries are taken modulo p^(K - level). Step r reads row
+    r of every matrix; where it has a unit, the rank-1 product of the pivot
+    column and the row scaled by its first unit's inverse is taken from row r,
+    the rows below and the rows set aside, zeroing the pivot's row and column. A
+    row with no unit at its step is zero mod p, and stays so under the level's
+    later updates (their factors are multiples of p): it is set aside if
+    nonzero. A matrix keeps its set-aside rows in place, as a block just above
+    row r; a spent row r takes the block's first row. Level 0 pivots as the
+    first unit in row-major order would; later levels may meet the set-aside
+    rows in another order, which leaves the counts, invariants of the matrix, as
+    they are. After the last row, the blocks (the last rows) are divided by the
+    uniformizer and are the next level's matrices. Returns the ``(b, K)`` array
+    of pivots per matrix and level: row t holds at v the number of diagonal
+    entries of valuation v; rows without a pivot (n minus the row's sum) have
+    valuation K.
     """
     if mode not in _KERNELS:
         raise ParameterError(f"no array path for mode {mode!r}")
     units, scale, update, shift = _KERNELS[mode]
-    B = np.ascontiguousarray(B, dtype=_word_dtype(mode, K, p))
-    b, n, _ = B.shape
+    B = np.ascontiguousarray(np.moveaxis(B, 0, -1), dtype=_word_dtype(mode, K, p))
+    n, _, b = B.shape
     pivots = np.zeros((b, K), dtype=np.int64)  # pivots per matrix and level
     mats, level = np.arange(b), 0
     while n and level < K:
         kept, steps = np.zeros(b, dtype=np.int64), 0  # set-aside rows per matrix, updates made
         for r in range(n):
-            row = B[:, r]
+            row = B[r]
             found = units(row, p)
-            j = found.argmax(axis=1)
-            has = found[mats, j]
-            keep = row.any(axis=1) & ~has
+            j = found.argmax(axis=0)
+            has = found[j, mats]
+            keep = row.any(axis=0) & ~has
             top = r - int(kept.max(initial=0))  # first row of the widest set-aside block
             if has.any():
-                live = B[:, top:]
-                pivot = row[mats, j] * has  # 0 where row r has no unit: scales to 0
-                update(live, live[mats, :, j], scale(row, pivot, p, K - level, K), p, K - level, K, steps)
+                live = B[top:]
+                pivot = row[j, mats] * has  # 0 where row r has no unit: scales to 0
+                col = np.ascontiguousarray(live[:, j, mats])  # the index returns it in F order
+                update(live, col, scale(row, pivot, p, K - level, K), p, K - level, K, steps)
                 pivots[:, level] += has
                 steps += 1
             if top < r:  # refill a spent row r from the head of its matrix's block
                 moved = np.flatnonzero(~keep & (kept > 0))
                 head = r - kept[moved]
-                B[moved, r] = B[moved, head]
-                B[moved, head] = 0
+                B[r, :, moved] = B[head, :, moved]
+                B[head, :, moved] = 0
             kept += keep
         level += 1
         n = int(kept.max(initial=0))
-        B = shift(B[:, B.shape[1] - n:], p, K - level, K, steps)
+        B = shift(B[len(B) - n:], p, K - level, K, steps)
     return pivots
 
 
@@ -646,14 +649,16 @@ def reduction_table(support: tuple, prime: PrimeIdealDesc, K: int):
 def gather(table, idx) -> np.ndarray:
     """The scalar matrices of a batch ``idx`` of shape ``(b, n, m)`` of support
     positions: ``table[idx]``, or for a table of f x f blocks the
-    ``(b, n f, m f)`` matrices over the base ring that they tile, indexed in
-    that order (block row k of entry (i, j) is row i f + k), so no copy
-    follows the index."""
+    ``(b, n f, m f)`` matrices over the base ring that they tile (block row k
+    of entry (i, j) is row i f + k). The fancy index runs over the positions
+    batch-last (copied so unless they are, as sampled), so the result is
+    batch-last as :func:`_pivot_counts` reads it, and no copy follows."""
+    pos = np.ascontiguousarray(np.moveaxis(idx, 0, -1))
     if table.ndim == 1:
-        return table[idx]
-    b, n, m = idx.shape
-    f = table.shape[1]
-    return table.swapaxes(0, 1)[np.arange(f)[:, None], idx[:, :, None, :]].reshape(b, n * f, m * f)
+        return np.moveaxis(table[pos], -1, 0)
+    k = np.arange(table.shape[1])[:, None]
+    blocks = table.transpose(1, 2, 0)[k[:, :, None, None], k, pos[:, None, :, None, :]]
+    return np.moveaxis(blocks.reshape(len(pos) * len(k), -1, pos.shape[-1]), -1, 0)
 
 
 @lru_cache(maxsize=64)

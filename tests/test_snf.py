@@ -35,6 +35,7 @@ from coklab.local_ring import (
     valuation,
 )
 from coklab.modules import ModuleType
+from coklab.sampler import EntryDistribution, sample_index_batch
 from coklab.snf import (
     _ODD_FAST_LIMIT,
     DEFAULT_POLICY,
@@ -475,6 +476,75 @@ def test_gather_peak_memory_stays_under_twice_its_output(f):
     assert peak < 2 * out.nbytes
 
 
+@pytest.mark.parametrize("prime, K, support_at", [(P3, 8, _ints), (ZI3, 8, _gauss)], ids=["f1", "f2"])
+@pytest.mark.parametrize("short", [0, 1], ids=["whole-buffer", "one-short"])
+def test_sampled_batch_last_buffer_reaches_the_kernel_uncopied(prime, K, support_at, short):
+    # The driver samples into a batch-last view of an (n, n + u, b) buffer
+    # (experiments._tally_chunk), also a sub-batch one shorter than it. The
+    # indices equal those sampled into a C-ordered array; gather lays the
+    # matrices out batch-last (the batch axis moved last is C-contiguous, at
+    # f = 1 and for f x f blocks), and _pivot_counts eliminates that very
+    # array in place: the batch is not copied between sampling and kernel.
+    support = support_at(prime, K)
+    dist = EntryDistribution.of(support[0].domain, support, (Fraction(1, len(support)),) * len(support))
+    n, u, b = 5, 1, 70  # 70 trials span several of the sampler's blocks
+    batch = np.moveaxis(np.empty((n, n + u, b), np.uint8), -1, 0)[:b - short]
+    want = np.empty((b - short, n, n + u), np.uint8)
+    sample_index_batch(dist, n, u, 11, 3, batch)
+    sample_index_batch(dist, n, u, 11, 3, want)
+    assert np.array_equal(batch, want)
+    mode, ring, table = reduction_table(support, prime, K)
+    B = gather(table, batch)
+    assert B.shape == (b - short, n * ring.f, (n + u) * ring.f)
+    assert np.moveaxis(B, 0, -1).flags.c_contiguous
+    assert np.array_equal(B, gather(table, want))
+    before = B.copy()
+    counts = snf._pivot_counts(mode, B, prime.p, K)
+    assert np.array_equal(counts, snf._pivot_counts(mode, before.copy(), prime.p, K))
+    assert counts[:, 0].all() and not np.array_equal(B, before)  # pivots zero entries of B itself
+
+
+# wide words: Montgomery words at 3^40, f2t 4-bit lanes in uint64 at K = 16
+# and 6-bit lanes in Python ints at K = 64
+@pytest.mark.parametrize("prime, K, support_at, word", [
+    (P3, 40, _ints, "uint64"), (PX, 16, _polys, "uint64"), (PX, 64, _polys, "object"),
+], ids=["montgomery", "f2t-16", "f2t-object"])
+def test_wide_updates_across_slab_boundaries_match_local_snf(monkeypatch, prime, K, support_at, word):
+    # The Montgomery and f2t updates cut the live rows into slabs of at most
+    # _SLAB_BYTES of product, each computed into one reused buffer. Batches
+    # of 1, 7 and 40 matrices with rows set aside at random agree with
+    # local_snf under the real cap (one slab each here), under a cap of two
+    # rows of the 40-matrix batch (three slabs of its six rows at level 0)
+    # and under one byte (one row per slab, in every batch).
+    rng = random.Random(K)
+    n, u = 6, 1
+    kinds = ["sum", "pi", "pi2", "zero", None, None, None]
+    counts, real, real_cap = [], snf._slabs, snf._SLAB_BYTES
+
+    def counted(B, col):
+        slabs = list(real(B, col))
+        counts.append(len(slabs))
+        return slabs
+    monkeypatch.setattr(snf, "_slabs", counted)
+    for b in (1, 7, 40):
+        grids = []
+        for _ in range(b):
+            aside = {i: kind for i in range(2, n) if (kind := rng.choice(kinds))}
+            grids.append(_set_aside_grid(rng, support_at(prime, K), prime, n, u, aside))
+        support = tuple(dict.fromkeys(x for rows in grids for row in rows for x in row))
+        mode, ring, table = reduction_table(support, prime, K)
+        assert table.dtype == np.dtype(word)
+        position = {x: i for i, x in enumerate(support)}
+        idx = np.array([[[position[x] for x in row] for row in rows] for rows in grids])
+        want = [local_snf(LocalMatrix.of(ring, [[reduce_mod_prime_power(x, prime, K) for x in row]
+                                                for row in rows])) for rows in grids]
+        for cap, most in ((real_cap, 1), (2 * (n + u) * 40 * 8, 3 if b == 40 else 1), (1, n)):
+            monkeypatch.setattr(snf, "_SLAB_BYTES", cap)
+            counts.clear()
+            assert snf_valuations_array(mode, gather(table, idx), prime.p, K) == want
+            assert max(counts) == most
+
+
 @pytest.mark.parametrize("mode, shape, p, K, bound", [
     ("mod2k", (64, 48, 48), 2, 8, 2.206),
     ("f2t", (64, 48, 48), 2, 8, 0.808),
@@ -484,7 +554,8 @@ def test_kernel_peak_memory_stays_under_its_pinned_multiple_of_the_batch(mode, s
     # The loop packs the rows it sets aside in place and reads one row per
     # step, so no temporary outgrows the update's product. The bounds are
     # the peaks, in batch bytes, of the earlier whole-batch loop on these
-    # batches.
+    # batches. The batch comes batch-last, as gather lays it out, so the
+    # kernel consumes it in place.
     rng = np.random.default_rng(11)
     dtype = _word_dtype(mode, K, p)
     if mode == "f2t":  # a random bit in the low bit of each of K lanes of _lane_bits(K) bits
@@ -492,6 +563,7 @@ def test_kernel_peak_memory_stays_under_its_pinned_multiple_of_the_batch(mode, s
         B = (rng.integers(0, 2, shape + (K,)) << np.arange(0, w * K, w)).sum(axis=-1).astype(dtype)
     else:
         B = rng.integers(0, p ** K, shape).astype(dtype)
+    B = np.moveaxis(np.ascontiguousarray(np.moveaxis(B, 0, -1)), -1, 0)
     tracemalloc.start()
     try:
         snf._pivot_counts(mode, B, p, K)
@@ -1082,10 +1154,10 @@ def test_int64_pivot_inverses_match_python_ints(monkeypatch, p, K):
         high = [rng.randrange((1 << 62) // m) * m for _ in xs]  # unreduced sums
         rs = [rng.randrange(1 << 62) for _ in xs]
         a = np.array([x + h for x, h in zip(xs, high)], np.int64)
-        row = np.array([[1, r] for r in rs], np.int64)
+        row = np.array([[1] * len(rs), rs], np.int64)  # a pivot row of m = 2 entries per matrix
         inv = [pow(x, -1, m) if x % p else 0 for x in xs]
-        assert snf._scale_pk(row, a, p, prec, K).tolist() == [[y, r * y % m] for y, r in zip(inv, rs)]
-        assert snf._scale_pk(np.ones((0, 2), np.int64), a[:0], p, prec, K).tolist() == []
+        assert snf._scale_pk(row, a, p, prec, K).T.tolist() == [[y, r * y % m] for y, r in zip(inv, rs)]
+        assert snf._scale_pk(np.ones((2, 0), np.int64), a[:0], p, prec, K).tolist() == [[], []]
     assert not calls
 
 
@@ -1099,13 +1171,14 @@ def _clmul(a, b, prec):
 
 def _check_f2t_inverses(codes, prec, K, dtype):
     """_scale_f2t at precision prec of a rung at K, on the pivots with the
-    given bit-packed codes (int64 or object) and the rows [1, pivot], in
-    words of dtype: unit pivots (odd codes) give their inverse mod t^prec,
-    spread into the first prec lanes, and 1; the others give 0 and 0."""
+    given bit-packed codes (int64 or object) and the rows [1, pivot] (one
+    column per matrix, as the kernel lays them out), in words of dtype: unit
+    pivots (odd codes) give their inverse mod t^prec, spread into the first
+    prec lanes, and 1; the others give 0 and 0."""
     w = _lane_bits(K)
     spread = lambda x: sum((x >> s & 1) << w * s for s in range(prec))
     a = spread(codes).astype(dtype)
-    y, ay = snf._scale_f2t(np.stack([np.ones_like(a), a], axis=1), a, 2, prec, K).T.astype(codes.dtype)
+    y, ay = snf._scale_f2t(np.stack([np.ones_like(a), a]), a, 2, prec, K).astype(codes.dtype)
     y_codes = sum((y >> w * s & 1) << s for s in range(prec))
     unit = codes & 1
     assert np.array_equal(spread(y_codes), y) and np.array_equal(ay, unit)
