@@ -650,9 +650,9 @@ def gather(table, idx) -> np.ndarray:
     """The scalar matrices of a batch ``idx`` of shape ``(b, n, m)`` of support
     positions: ``table[idx]``, or for a table of f x f blocks the
     ``(b, n f, m f)`` matrices over the base ring that they tile (block row k
-    of entry (i, j) is row i f + k). The fancy index runs over the positions
-    batch-last (copied so unless they are, as sampled), so the result is
-    batch-last as :func:`_pivot_counts` reads it, and no copy follows."""
+    of entry (i, j) is row i f + k). The index runs over the positions
+    batch-last (as sampled, else copied so): the result is batch-last as
+    :func:`_pivot_counts` reads it, and no copy follows the index."""
     pos = np.ascontiguousarray(np.moveaxis(idx, 0, -1))
     if table.ndim == 1:
         return np.moveaxis(table[pos], -1, 0)
