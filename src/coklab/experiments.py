@@ -47,6 +47,10 @@ from .theory import check_caps, partial_sum, predicted_moment, predicted_probabi
 INDETERMINATE = "indeterminate"
 OTHER = "other"
 
+# most worker processes: a forked worker peaks near 37 MB of RSS in one
+# benchmark call (2-core sandbox), so 64 of them take about 2.4 GB
+_MAX_WORKERS = 64
+
 # most entries of a kernel matrix (n f x (n + u) f, widest prime): at 512 x 512 on Z, bernoulli01,
 # a trial took 14.6 (p = 2) and 235 (p = 3) ms of CPU, peak RSS 84 and 308 MB (2-core sandbox)
 _KERNEL_ENTRIES = 1 << 18
@@ -199,7 +203,8 @@ def _parse_primes(domain, selectors, support: int):
         if "generator" in sel:
             gen = parse_element(domain, str(sel["generator"]))
             if domain.kind == POLYNOMIALS:
-                audit_pairs([(domain.char, max(degree(gen.value), 1))], support)
+                p = domain.char
+                audit_pairs((p ** max(degree(gen.value), 1) - 1) // (p - 1), support)
                 primes.extend(factor_rational_prime(domain, gen))
             elif domain.kind == GAUSSIAN:
                 a, b = gen.value
@@ -216,7 +221,7 @@ def _parse_primes(domain, selectors, support: int):
                 raise ConfigError("polynomial domain primes need a generator polynomial")
             p = _integer(sel["p"], "p")
             if domain.kind == GAUSSIAN and p > 1:
-                audit_pairs([(p, 2)], support)  # (p) has p + 1 directions
+                audit_pairs(p + 1, support)  # the directions of (p), of index p^2
             factors = factor_rational_prime(domain, p)
             if "index" in sel:
                 idx = _integer(sel["index"], "index")
@@ -266,15 +271,15 @@ def _tally_chunk(args) -> Counter:
     (cfg, n, start, stop) (pure): a Counter of each trial's tuple of
     per-prime rows, in order of first appearance, which is trial order. The
     trials are sampled, in the fewest near-equal sub-batches of at most
-    :func:`batch_trials`, into one reused batch-last array (:func:`gather`)
-    of the narrowest index dtype; each takes one :func:`cokernel_rows` call."""
+    :func:`batch_trials`, into one reused array of the narrowest index
+    dtype, and each sub-batch takes one :func:`cokernel_rows` call."""
     cfg, n, start, stop = args
     dist, u = cfg.distribution, cfg.u
     tally, trials = Counter(), stop - start
     parts = max(1, math.ceil(trials / batch_trials(dist.support, cfg.primes, cfg.policy, n, u)))
     cuts = [start + trials * i // parts for i in range(parts + 1)]
-    idx = np.moveaxis(np.empty((n, n + u, math.ceil(trials / parts)),
-                               dtype=np.min_scalar_type(len(dist.support) - 1)), -1, 0)
+    idx = np.empty((math.ceil(trials / parts), n, n + u),
+                   dtype=np.min_scalar_type(len(dist.support) - 1))
     for first, last in zip(cuts, cuts[1:]):
         batch = idx[:last - first]
         sample_index_batch(dist, n, u, cfg.seed, first, batch)
@@ -289,6 +294,8 @@ def _run_trials(cfg: ExperimentConfig, n: int, threads: int) -> Counter:
     (:func:`_forked`), merged in share order and folded by :func:`row_type`
     (or into INDETERMINATE) in order of first appearance; raises
     DiagnosticsError when more than half of the trials are indeterminate."""
+    if not 1 <= threads <= _MAX_WORKERS:
+        raise ConfigError(f"--threads must be from 1 to {_MAX_WORKERS}, got {threads}")
     if threads > 1 and not hasattr(os, "fork"):
         raise ConfigError("--threads above 1 needs os.fork, which this platform lacks")
     size = batch_trials(cfg.distribution.support, cfg.primes, cfg.policy, n, cfg.u)
@@ -577,14 +584,25 @@ def run_moment_experiment(cfg: ExperimentConfig, threads: int = 1) -> MomentSumm
     return _timed(t0, _moment_view(cfg, targets, *_tallies(cfg, threads)))
 
 
+# most parts of a moment target at one prime: count_sur_local sums over the 2^m
+# pivot sets of m parts; onto 12 parts one call took 44-67 ms from a source of 12
+# parts and 110-118 ms from one of 24 (2-core sandbox), over twice as long per part
+_TARGET_PARTS = 12
+
+
 def _moment_targets(cfg: ExperimentConfig) -> list:
-    """The parsed cfg.targets; a descriptor outside cfg.primes is a ConfigError."""
+    """The parsed cfg.targets; a descriptor outside cfg.primes, or more than
+    _TARGET_PARTS parts at one prime, is a ConfigError."""
     try:
         targets = [parse_type_string(t, cfg.primes) for t in cfg.targets]
     except ParameterError as e:
         raise ConfigError(f"bad moment target: {e}") from e
     if not targets:
         raise ConfigError("moment run needs at least one target type")
+    over = [f"{t} has {len(parts)} parts at {pr}" for t in targets for pr, parts in t.components
+            if len(parts) > _TARGET_PARTS]
+    if over:
+        raise ConfigError(f"moment target {over[0]}, over the budget of {_TARGET_PARTS}")
     return targets
 
 

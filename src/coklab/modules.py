@@ -152,6 +152,8 @@ def count_sur_local(lam, mu, q: int) -> int:
     m = len(mu)
     if m == 0:
         return 1
+    if m > len(lam):  # no map of F_q^len(lam) is onto F_q^m
+        return 0
     base = [sum(min(li, mj - 1) for mj in mu) for li in lam]
     # W_a occupies positions >= t[a] when coordinates follow mu decreasing
     t = {li: sum(1 for mj in mu if mj > li) for li in set(lam)}

@@ -212,12 +212,11 @@ class BalanceReport:
 AUDIT_PAIRS = 1_000_000
 
 
-def audit_pairs(shapes, support: int) -> None:
-    """Refuse with ConfigError an audit of ideals of index p^k, one (p, k) in
-    shapes each, that would score more than AUDIT_PAIRS (direction, support
-    element) pairs: (p^k - 1)/(p - 1) hyperplane directions per ideal, each
-    against every support element."""
-    directions = sum((p ** k - 1) // (p - 1) for p, k in shapes)
+def audit_pairs(directions: int, support: int) -> None:
+    """Refuse with ConfigError an audit that would score more than AUDIT_PAIRS
+    (direction, support element) pairs: the hyperplane directions of its
+    ideals, (p^k - 1)/(p - 1) for an ideal of index p^k, each against every
+    support element."""
     pairs = directions * support
     if pairs > AUDIT_PAIRS:
         raise ConfigError(f"the balance audit would scan {directions} hyperplane directions "
@@ -234,9 +233,17 @@ def _hyperplane_directions(p: int, k: int):
 
 
 def audit_ideals(dist: EntryDistribution, primes) -> list:
-    """The ideals a balance audit of dist at primes scans, within AUDIT_PAIRS."""
+    """The ideals a balance audit of dist at primes scans, within AUDIT_PAIRS.
+    Over F_p[x] they are the products of the nonempty sets of the r distinct
+    generators g, whose (prod (1 + p^deg g) - 2^r)/(p - 1) directions are
+    counted before any of the 2^r products is built."""
+    support = len(dist.support)
+    if dist.domain.kind == POLYNOMIALS:
+        p, gens = dist.domain.char, {pr.generator.value for pr in primes}
+        audit_pairs((math.prod(1 + p ** fp.degree(g) for g in gens) - 2 ** len(gens)) // (p - 1),
+                    support)
     ideals = elementary_quotient_ideals(dist.domain, primes)
-    audit_pairs([(i.p, i.k) for i in ideals], len(dist.support))
+    audit_pairs(sum((i.p ** i.k - 1) // (i.p - 1) for i in ideals), support)
     return ideals
 
 
@@ -293,8 +300,7 @@ def _shape(n: int, u: int) -> tuple:
 def sample_index_batch(dist: EntryDistribution, n: int, u: int, seed: int, first: int,
                        out: np.ndarray) -> None:
     """Support indices of trials first, first + 1, ... into the rows of
-    ``out``, of shape ``(b, n, n + u)``, schedule-independent, through a
-    buffer of 32 trials, so that a batch-last ``out`` is written in blocks.
+    ``out``, of shape ``(b, n, n + u)``, schedule-independent.
 
     The draws of trial t are the raw 64-bit outputs of a Philox stream keyed
     by (seed, t) with counter (0, n, u, 0), in row-major order, and each
@@ -316,20 +322,16 @@ def sample_index_batch(dist: EntryDistribution, n: int, u: int, seed: int, first
     state = gen.state  # as new: counter (0, n, u, 0), buffer empty (buffer_pos 4)
     key = state["state"]["key"]
     search = (len(cutoffs) - 1) * _SEARCH_ENTRIES > shape[0] * shape[1]
-    block = np.empty((32, *shape), out.dtype)
-    for start in range(0, len(out), len(block)):
-        part = block[:len(out) - start]
-        for trial, dst in enumerate(part, first + start):
-            key[1] = trial
-            gen.state = state
-            draws = gen.random_raw(shape[0] * shape[1]).reshape(shape)
-            if search:
-                dst[...] = np.searchsorted(cutoffs, draws, side="right")
-                continue
-            np.greater_equal(draws, cutoffs[0], out=dst, casting="unsafe")
-            for cut in cutoffs[1:]:
-                dst += draws >= cut
-        out[start:start + len(part)] = part
+    for trial, dst in enumerate(out, first):
+        key[1] = trial
+        gen.state = state
+        draws = gen.random_raw(shape[0] * shape[1]).reshape(shape)
+        if search:
+            dst[...] = np.searchsorted(cutoffs, draws, side="right")
+            continue
+        np.greater_equal(draws, cutoffs[0], out=dst, casting="unsafe")
+        for cut in cutoffs[1:]:
+            dst += draws >= cut
 
 
 def sample_index_matrix(dist: EntryDistribution, n: int, u: int, seed: int,

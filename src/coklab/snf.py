@@ -9,46 +9,27 @@ Three layers:
   odd-characteristic F_p[[t]].
 * :func:`snf_valuations_array` covers the hot representations, Z/p^K entries
   and lane-spread F_2[[t]]/t^K entries in machine words, for a whole batch
-  of matrices at once; its loop, :func:`_pivot_counts`, returns the number
-  of pivots per matrix and level. Galois rings and F_2[x]/(g^K) of residue
-  degree f > 1 lower onto these base rings by restriction of scalars: such a
-  ring is free of rank f over its base ring, so each entry becomes the f x f
-  block of multiplication by it (:func:`element_block`) and each part of the
-  cokernel appears f times. The loop holds the batch batch-last, (n, m, b),
-  for contiguous inner loops over the matrices. Step r of a level pivots
-  every matrix whose row r has a unit on the first one, with a rank-1 update
-  of the rows below r and of those set aside (no swaps); a nonzero row
-  without a unit is set aside, and only those rows, divided by the
-  uniformizer, go one level on. Only :func:`_word_dtype` decides a rung's
-  word. modpk uses int64 while products fit and p has an inverse table,
-  entries nonnegative and reduced mod p^prec once every few updates and
-  before each division by p, and else uint64 words read in Montgomery form
-  (Montgomery, "Modular multiplication without trial division", 1985): a
-  residue w stands for w 2^-64 mod p^prec, so the kernel eliminates the
-  batch times a unit, and division by p maps a word to the one of its value
-  over p at the next level. Its unit test is one wrapping multiply by p^-1
-  mod 2^64 and one compare; its pivot inverses come from a cached table and
-  Newton rounds on int64 words, and from one modular inverse per step
-  (Montgomery's batch trick) on uint64. f2t puts coefficient s of t into bit
-  w*s of its word (a lane of w bits), so a carryless product is one wrapping
-  integer multiply masked to the low bit of each lane (the "multiplication
-  with holes" of constant-time GHASH): lanes of the fewest bits w that hold
-  K terms (K <= 2^w), in the narrowest unsigned word of wK bits up to K = 16
-  (one byte at K = 4), and in exact Python ints past that. Every kernel is
+  of matrices at once; its loop, :func:`_pivot_counts`, holds the batch
+  batch-last, (n, m, b), and returns the number of pivots per matrix and
+  level. Galois rings and F_2[x]/(g^K) of residue degree f > 1 lower onto
+  these base rings by restriction of scalars: each entry becomes the f x f
+  block of multiplication by it (:func:`element_block`), and each part of
+  the cokernel appears f times. Only :func:`_word_dtype` decides a rung's
+  word: for modpk int64 with lazy reduction while products fit, else uint64
+  in Montgomery form (Montgomery, "Modular multiplication without trial
+  division", 1985); for f2t lanes of w bits, so that a carryless product is
+  one wrapping multiply masked to the low bit of each lane (the
+  "multiplication with holes" of constant-time GHASH). Every kernel is
   tested to agree with the reference everywhere.
 * :func:`cokernel_rows` runs every cokernel computation, for a batch of
   matrices given as positions into an entry support and for a tuple of
-  primes. It picks each ring's kernel through :func:`reduction_table`,
-  gathers the scalars or blocks through :func:`gather`, and runs the first
-  rung of every prime's escalation ladder (:func:`escalation_ladder`) on
-  every matrix. Over Z and Z[i] the first-rung rows and a Hadamard bound
-  prove some of the saturated matrices singular over the fraction field
-  (:func:`_certified_singular`); the others escalate K geometrically up to
-  the policy cap. It returns one row of pivot counts per level per matrix
-  and prime; a row below n is saturated at the cap or belongs to a
-  certified singular matrix, and its matrix is indeterminate.
-  :func:`batch_trials` sizes the batches, and :func:`row_type` folds a
-  matrix's rows into its ``ModuleType``.
+  primes: the kernel of each ring (:func:`reduction_table`) on the batch
+  laid out batch-last (:func:`gather`, the one place that does so), rung
+  by rung up each prime's escalation ladder (:func:`escalation_ladder`),
+  once for primes of equal rings and cap-rung tables (:func:`_shared`),
+  stopping the matrices it proves singular at the first rung
+  (:func:`_certified_singular`). :func:`batch_trials` sizes the batches,
+  and :func:`row_type` folds a matrix's rows into its ``ModuleType``.
 """
 
 from __future__ import annotations
@@ -650,9 +631,10 @@ def gather(table, idx) -> np.ndarray:
     """The scalar matrices of a batch ``idx`` of shape ``(b, n, m)`` of support
     positions: ``table[idx]``, or for a table of f x f blocks the
     ``(b, n f, m f)`` matrices over the base ring that they tile (block row k
-    of entry (i, j) is row i f + k). The index runs over the positions
-    batch-last (as sampled, else copied so): the result is batch-last as
-    :func:`_pivot_counts` reads it, and no copy follows the index."""
+    of entry (i, j) is row i f + k). It is the one place a batch is laid out
+    batch-last: the positions are copied to ``(n, m, b)`` first, so the result
+    is a view of batch-last memory, which :func:`_pivot_counts` eliminates in
+    place."""
     pos = np.ascontiguousarray(np.moveaxis(idx, 0, -1))
     if table.ndim == 1:
         return np.moveaxis(table[pos], -1, 0)
@@ -662,13 +644,16 @@ def gather(table, idx) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _lowering(support: tuple, prime: PrimeIdealDesc, policy: PrecisionPolicy) -> tuple:
-    """What :func:`cokernel_rows` reads of a prime besides the batch: per rung
-    of its ladder the ring, which fixes p, the kernel, f, K and the word,
-    and the support's table as a list. Two primes with equal lowerings give
-    equal rows on every batch."""
-    return tuple((ring, table.tolist()) for _, ring, table in (
-        reduction_table(support, prime, K) for K in escalation_ladder(prime, policy)))
+def _shared(support: tuple, first: PrimeIdealDesc, second: PrimeIdealDesc,
+            policy: PrecisionPolicy) -> bool:
+    """Whether two primes give equal rows on every batch: equal rings and
+    support tables at every rung. Under one ring each rung's table is a
+    function of the cap's (residues mod p^K, or the first K digits over (1+i)
+    and F_p[x]), so the rings at the cap, which fix p, the kernel, f, the
+    ladder and the words, are compared, then the cap tables."""
+    caps = [(prime, escalation_ladder(prime, policy)[-1]) for prime in (first, second)]
+    return local_ring_for(*caps[0]) == local_ring_for(*caps[1]) and np.array_equal(
+        *(reduction_table(support, *cap)[2] for cap in caps))
 
 
 # bytes of kernel words in the matrices sampled and eliminated together:
@@ -772,20 +757,19 @@ def cokernel_rows(idx, support: tuple, primes, policy: PrecisionPolicy) -> list:
 
     A row summing below n is saturated at the cap, or at the first rung of a
     certified singular matrix: M_t is indeterminate, and its rows at later
-    primes are zeros. A prime whose :func:`_lowering` equals an earlier
-    prime's takes that prime's rows; a lone prime, with none to share,
-    builds only the tables of the rungs it reaches."""
+    primes are zeros. A prime :func:`_shared` with an earlier prime takes
+    that prime's rows; no other table is built before a matrix reaches its
+    rung."""
     b, n = idx.shape[:2]
-    lowerings = [_lowering(support, prime, policy) if len(primes) > 1 else None for prime in primes]
-    source = [lowerings.index(lowering) for lowering in lowerings]  # the prime whose rows each takes
+    source = [next((j for j in range(i) if _shared(support, primes[j], prime, policy)), i)
+              for i, prime in enumerate(primes)]  # the prime whose rows each takes
     ladders = [escalation_ladder(prime, policy) for prime in primes]
-    out = []
+    out = [np.zeros((b, ladder[-1]), np.int64) for ladder in ladders]
     for i, prime in enumerate(primes):
         if source[i] < i:
-            out.append(out[source[i]].copy())
-            continue
-        out.append(np.zeros((b, ladders[i][-1]), np.int64))
-        _ladder_counts(idx, support, prime, ladders[i][:1], np.arange(b), out[i])
+            out[i][:] = out[source[i]]
+        else:
+            _ladder_counts(idx, support, prime, ladders[i][:1], np.arange(b), out[i])
     short = [counts.sum(axis=1) < n for counts in out]  # saturated at the first rung
     saturated = np.flatnonzero(sum(short))
     if not len(saturated):  # every matrix settled at every prime

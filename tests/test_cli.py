@@ -1,12 +1,15 @@
 import json
+import math
 import os
 import time
 import tracemalloc
 
 import pytest
 
-from coklab import experiments
+from coklab import _fppoly as fp
+from coklab import experiments, snf
 from coklab.cli import main
+from coklab.errors import ConfigError
 from coklab.experiments import parse_config
 from coklab.sampler import builtin_distribution
 
@@ -205,6 +208,22 @@ def test_exit_code_2_at_once_past_the_audit_budget(tmp_path, capsys, generator, 
     assert message in capsys.readouterr().err
 
 
+def test_exit_code_2_at_once_past_the_audit_budget_of_many_primes(tmp_path, capsys):
+    # 40 irreducibles of degrees 1 to 7 pass one by one, but the products of
+    # their 2^40 - 1 nonempty sets bring prod (1 + 2^deg g) - 2^40 directions,
+    # counted before any product is built.
+    gens = [g for d in range(1, 8) for g in fp.monic_polys(2, d) if fp.is_irreducible(g, 2)][:40]
+    cfg = write_config(tmp_path, domain="Fp[x]", char=2,
+                       primes=[{"generator": ",".join(map(str, g))} for g in gens],
+                       distribution={"builtin": "poly-powers", "params": {"p": 2, "m": 1}})
+    start = time.perf_counter()
+    assert main(["audit", "--config", cfg]) == 2
+    assert time.perf_counter() - start < 1
+    directions = math.prod(1 + 2 ** fp.degree(g) for g in gens) - 2 ** 40
+    assert (f"{directions} hyperplane directions against 2 support elements, {2 * directions} "
+            "pairs, over its budget of 1000000") in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("index", [{"index": 0}, {}], ids=["one-half", "both-halves"])
 def test_exit_code_2_at_once_on_a_huge_split_gaussian_prime(tmp_path, capsys, index):
     # (p) of the split prime p = 1099511627689 brings p + 1 directions,
@@ -273,6 +292,19 @@ def test_exit_code_2_on_a_field_of_the_wrong_kind(tmp_path, capsys, overrides, m
     cfg = write_config(tmp_path, **overrides)
     assert main(["moments", "--config", cfg]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_exit_code_2_at_once_on_a_moment_target_past_its_budget(tmp_path, capsys):
+    # A target of 13 parts at 2 would sum over 2^13 pivot sets for each
+    # observed type of 13 parts or more; 12 parts run, and estimate 0 at
+    # once for the types of fewer parts, which no map covers.
+    cfg = write_config(tmp_path, n=[24], targets=["2:(" + ",".join(["1"] * 13) + ")"])
+    start = time.perf_counter()
+    assert main(["moments", "--config", cfg]) == 2
+    assert time.perf_counter() - start < 1
+    assert "has 13 parts at (2), over the budget of 12" in capsys.readouterr().err
+    cfg = write_config(tmp_path, n=[24], targets=["2:(" + ",".join(["1"] * 12) + ")"])
+    assert main(["moments", "--config", cfg]) == 0
 
 
 @pytest.mark.parametrize("overrides, message", [
@@ -366,6 +398,25 @@ def test_exit_code_2_on_threads_below_one(tmp_path, capsys, threads):
     cfg = write_config(tmp_path)
     assert main(["dist", "--config", cfg, "--threads", threads]) == 2
     assert "config error: --threads must be at least 1" in capsys.readouterr().err
+
+
+def test_exit_code_2_at_once_on_threads_past_the_worker_limit(tmp_path, capsys, monkeypatch):
+    # 300 trials run as five sub-batches of 60, so a huge --threads would
+    # fork four workers; it is refused before any is forked, also through
+    # the runner's threads argument, which is refused below 1 too.
+    def fork():
+        raise AssertionError("forked")
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(snf, "_BATCH_BYTES", 1)
+    cfg = write_config(tmp_path)
+    start = time.perf_counter()
+    assert main(["dist", "--config", cfg, "--threads", str(10 ** 9)]) == 2
+    assert time.perf_counter() - start < 1
+    assert (f"config error: --threads must be from 1 to {experiments._MAX_WORKERS}, "
+            "got 1000000000") in capsys.readouterr().err
+    for threads in (10 ** 9, 0):
+        with pytest.raises(ConfigError, match=f"from 1 to 64, got {threads}$"):
+            experiments.run_distribution_experiment(experiments.load_config(cfg), threads=threads)
 
 
 def test_exit_code_2_on_threads_without_fork(tmp_path, capsys, monkeypatch):

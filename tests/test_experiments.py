@@ -475,6 +475,12 @@ def test_a_share_splits_into_near_equal_sub_batches(monkeypatch):
 _TAU_FIXED = dict(domain="Z[i]", primes=[{"generator": "2+i"}, {"generator": "2-i"}], n=[10],
                   trials=300, distribution={"support": ["0", "1"], "weights": [0.5, 0.5]},
                   strict_balance=False)
+# (x) and (x+1) of F_2[x] with the constant support {0, 1} of bernoulli01: the
+# same; a matrix of rank below n over F_2 is singular, and since no
+# certificate serves F_p[x], it climbs to the cap
+_F2X_CONSTANTS = dict(domain="Fp[x]", char=2, primes=[{"generator": "0,1"}, {"generator": "1,1"}],
+                      u=2, n=[10], trials=300, distribution={"builtin": "bernoulli01"},
+                      strict_balance=False)
 
 
 def _ladder_passes(monkeypatch) -> list:
@@ -492,24 +498,29 @@ def _kernel_passes(calls) -> list:
 
 
 def test_primes_that_lower_alike_share_one_pass(monkeypatch):
-    # Each of five sub-batches runs the first rung at (2+i) only, and (2-i)
-    # takes its rows; the singular matrices are certified there, so no
-    # matrix climbs. The tally equals the one with sharing turned off (a
-    # distinct lowering per prime), items and order, where both primes run
-    # their first rung on every sub-batch.
-    cfg = parse_config(base_config(**_TAU_FIXED))
-    first, second = cfg.primes
-    rungs = snf.escalation_ladder(first, cfg.policy)
+    # Each of five sub-batches runs the ladder at the first prime only, and
+    # the second takes its rows: at (2+i) and (2-i) the singular matrices
+    # are certified at the first rung, so none climbs, and at (x) and (x+1)
+    # they climb. The tally equals the one with sharing turned off, items
+    # and order, where the second prime also runs its first rung on every
+    # sub-batch (and no rung past it: its climbers are indeterminate first).
     monkeypatch.setattr(snf, "_BATCH_BYTES", 1)
     calls = _ladder_passes(monkeypatch)
-    shared = _run_trials(cfg, 10, 1)
-    assert 0 < shared[INDETERMINATE]
-    assert _kernel_passes(calls) == [(first, rungs[:1])] * 5
-    assert {prime for prime, _, _ in calls} == {first}
-    monkeypatch.setattr(snf, "_lowering", lambda support, prime, policy: prime)
-    del calls[:]
-    assert list(_run_trials(cfg, 10, 1).items()) == list(shared.items())
-    assert _kernel_passes(calls) == [(first, rungs[:1]), (second, rungs[:1])] * 5
+    for config, climb in ((_TAU_FIXED, False), (_F2X_CONSTANTS, True)):
+        cfg = parse_config(base_config(**config))
+        first, second = cfg.primes
+        rungs = snf.escalation_ladder(first, cfg.policy)
+        passes = [(first, rungs[:1])] + [(first, rungs[1:])] * climb
+        del calls[:]
+        shared = _run_trials(cfg, 10, 1)
+        assert 0 < shared[INDETERMINATE]
+        assert _kernel_passes(calls) == passes * 5
+        assert {prime for prime, _, _ in calls} == {first}
+        del calls[:]
+        with monkeypatch.context() as patch:
+            patch.setattr(snf, "_shared", lambda *args: False)
+            assert list(_run_trials(cfg, 10, 1).items()) == list(shared.items())
+        assert _kernel_passes(calls) == [passes[0], (second, rungs[:1]), *passes[1:]] * 5
 
 
 def test_primes_that_lower_apart_each_run(monkeypatch):
@@ -524,28 +535,36 @@ def test_primes_that_lower_apart_each_run(monkeypatch):
     assert first_rungs == [(prime, cfg.trials) for prime in cfg.primes]
 
 
-def test_a_lone_prime_builds_only_the_rungs_it_reaches(monkeypatch):
-    # Identity matrices settle at the first rung. A lone prime has no
-    # lowering to compare, so its support is reduced at that rung only;
-    # beside a second prime, the lowerings reduce it at every rung.
+def test_a_prime_builds_only_the_rungs_it_reaches_beside_a_prime_of_another_ring_too(monkeypatch):
+    # Identity matrices settle at the first rung. Alone, or beside the inert
+    # (3), whose ring differs, (2+i) has its support reduced at that rung
+    # only, and so has (3). Beside (2-i), of the same ring, the two cap
+    # tables are built and compared, and (2-i) takes the rows of (2+i).
     cfg = parse_config(base_config(**_TAU_FIXED))
-    support, first = cfg.distribution.support, cfg.primes[0]
-    ladder = snf.escalation_ladder(first, cfg.policy)
+    support, (first, second) = cfg.distribution.support, cfg.primes
+    (inert,) = parse_config(base_config(**dict(_TAU_FIXED, primes=[{"p": 3}]))).primes
     idx = np.tile(np.eye(3, dtype=np.uint8), (4, 1, 1))  # support[1] is 1
-    snf._lowering.cache_clear()
-    rungs = _recorded(monkeypatch, snf, "reduction_table", lambda args: args[2])
-    (rows,) = snf.cokernel_rows(idx, support, (first,), cfg.policy)
-    assert rows[:, 0].tolist() == [3] * 4 and rungs == [ladder[0]] and len(ladder) > 1
+    snf._shared.cache_clear()
+    rungs = _recorded(monkeypatch, snf, "reduction_table", lambda args: (args[1], args[2]))
+    for primes in ((first,), (first, inert), (inert, first)):
+        del rungs[:]
+        rows = snf.cokernel_rows(idx, support, primes, cfg.policy)
+        assert [r[:, 0].tolist() for r in rows] == [[3] * 4] * len(primes)
+        assert rungs == [(pr, snf.escalation_ladder(pr, cfg.policy)[0]) for pr in primes]
+    ladder = snf.escalation_ladder(first, cfg.policy)
+    del rungs[:]
     snf.cokernel_rows(idx, support, cfg.primes, cfg.policy)
-    assert set(rungs) == set(ladder)
+    assert len(ladder) > 1
+    assert rungs == [(first, ladder[-1]), (second, ladder[-1]), (first, ladder[0])]
 
 
 def test_a_key_one_table_entry_apart_is_not_shared(monkeypatch):
-    # The tau-fixed lowerings are equal; with one entry of (2-i)'s cap-rung
+    # The tau-fixed primes are shared; with one entry of (2-i)'s cap-rung
     # table changed they are not, and the first rung runs at both primes.
     cfg = parse_config(base_config(**_TAU_FIXED))
     support, (first, second) = cfg.distribution.support, cfg.primes
-    assert snf._lowering(support, first, cfg.policy) == snf._lowering(support, second, cfg.policy)
+    snf._shared.cache_clear()
+    assert snf._shared(support, first, second, cfg.policy)
     real = snf.reduction_table
 
     def table(support, prime, K):
@@ -554,17 +573,17 @@ def test_a_key_one_table_entry_apart_is_not_shared(monkeypatch):
             t = t.copy()
             t[-1] += 1
         return mode, ring, t
-    snf._lowering.cache_clear()
+    snf._shared.cache_clear()
     monkeypatch.setattr(snf, "reduction_table", table)
     try:
-        assert snf._lowering(support, first, cfg.policy) != snf._lowering(support, second, cfg.policy)
+        assert not snf._shared(support, first, second, cfg.policy)
         calls = _ladder_passes(monkeypatch)
         _run_trials(cfg, 10, 1)
         rungs = snf.escalation_ladder(first, cfg.policy)
         assert _kernel_passes(calls) == [(first, rungs[:1]), (second, rungs[:1])]
     finally:
         monkeypatch.undo()
-        snf._lowering.cache_clear()
+        snf._shared.cache_clear()
 
 
 def test_singular_trials_stop_at_the_first_rung(monkeypatch):

@@ -52,6 +52,8 @@ def test_count_hom_local_examples():
 def test_count_sur_local_examples():
     assert count_sur_local((1, 1), (1,), 2) == 3
     assert count_sur_local((1,), (1, 1), 97) == 0
+    # no map of F_2^3 is onto F_2^40, counted without the 2^40 pivot sets
+    assert count_sur_local((1, 1, 1), (1,) * 40, 2) == 0
     assert count_sur_local((2, 1), (1, 1), 3) == 48
 
 

@@ -232,11 +232,10 @@ def test_batch_sampler_matches_one_generator_per_trial():
         sample_index_batch(dists[1], 3, -1, 0, 0, np.empty((1, 3, 2), np.uint8))
 
 
-def test_batch_sampler_fills_a_batch_last_out_block_by_block():
-    # The driver's out is a batch-last view of an (n, n + u, b) buffer, which
-    # the sampler fills through a buffer of 32 trials: 70 trials span three
-    # such blocks, and each trial equals its reference, in that out and in a
-    # C-ordered one, compared with cutoffs (4 x 200) and searched (4 x 5).
+def test_batch_sampler_fills_a_strided_out():
+    # Each of 70 trials equals its reference, in a batch-last view of an
+    # (n, n + u, b) buffer and in a C-ordered one, compared with cutoffs
+    # (4 x 200) and searched (4 x 5).
     dist = EntryDistribution.of(ZZ, [int_elem(v) for v in range(5)], (Fraction(1, 5),) * 5)
     assert (len(dist.thresholds()) - 1) * _SEARCH_ENTRIES == 576
     for n, u in ((4, 196), (4, 1)):

@@ -1,7 +1,7 @@
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -479,25 +479,25 @@ def test_gather_peak_memory_stays_under_twice_its_output(f):
 @pytest.mark.parametrize("prime, K, support_at", [(P3, 8, _ints), (ZI3, 8, _gauss)], ids=["f1", "f2"])
 @pytest.mark.parametrize("short", [0, 1], ids=["whole-buffer", "one-short"])
 def test_sampled_batch_last_buffer_reaches_the_kernel_uncopied(prime, K, support_at, short):
-    # The driver samples into a batch-last view of an (n, n + u, b) buffer
-    # (experiments._tally_chunk), also a sub-batch one shorter than it. The
-    # indices equal those sampled into a C-ordered array; gather lays the
-    # matrices out batch-last (the batch axis moved last is C-contiguous, at
-    # f = 1 and for f x f blocks), and _pivot_counts eliminates that very
-    # array in place: the batch is not copied between sampling and kernel.
+    # A sub-batch sampled into a batch-last view of an (n, n + u, b) buffer,
+    # whole or one short, holds the indices sampled into the C-ordered array
+    # the driver uses (experiments._tally_chunk). gather lays either out
+    # batch-last (the batch axis moved last is C-contiguous, at f = 1 and
+    # for f x f blocks), and _pivot_counts eliminates that very array in
+    # place: the batch is not copied between gather and kernel.
     support = support_at(prime, K)
     dist = EntryDistribution.of(support[0].domain, support, (Fraction(1, len(support)),) * len(support))
-    n, u, b = 5, 1, 70  # 70 trials span several of the sampler's blocks
+    n, u, b = 5, 1, 70
     batch = np.moveaxis(np.empty((n, n + u, b), np.uint8), -1, 0)[:b - short]
     want = np.empty((b - short, n, n + u), np.uint8)
     sample_index_batch(dist, n, u, 11, 3, batch)
     sample_index_batch(dist, n, u, 11, 3, want)
     assert np.array_equal(batch, want)
     mode, ring, table = reduction_table(support, prime, K)
-    B = gather(table, batch)
+    B = gather(table, want)
     assert B.shape == (b - short, n * ring.f, (n + u) * ring.f)
     assert np.moveaxis(B, 0, -1).flags.c_contiguous
-    assert np.array_equal(B, gather(table, want))
+    assert np.array_equal(B, gather(table, batch))
     before = B.copy()
     counts = snf._pivot_counts(mode, B, prime.p, K)
     assert np.array_equal(counts, snf._pivot_counts(mode, before.copy(), prime.p, K))
@@ -1391,6 +1391,27 @@ def test_the_bound_met_with_equality_does_not_certify():
     assert cokernel_type([[support[0]]], primes) == ModuleType.of({pr: (8,) for pr in primes})
     assert [counts.tolist() for counts in cokernel_rows(idx, support, primes, DEFAULT_POLICY)] == [
         [[0] * 8 + [1] + [0] * 18]] * 2
+
+
+def test_primes_whose_tables_part_only_past_the_first_rung_run_apart(monkeypatch):
+    # 5^8 i reduces to 0 at the first rung (K = 8) of (2+i) and (2-i), so
+    # with 0 and 1 their first-rung tables are equal; at the cap (K = 27) it
+    # is 5^8 times the primes' distinct roots of -1. So the primes are not
+    # shared: each runs its own passes, and all 81 grids of 2 x 2 entries
+    # give the rows of the local_snf ladder at both.
+    primes = (ZI5, ZI5.conjugate())
+    support = (gauss_elem(0, 0), gauss_elem(1, 0), gauss_elem(0, 5 ** 8))
+    ladder = escalation_ladder(ZI5, DEFAULT_POLICY)
+    tables = [[reduction_table(support, pr, K)[2] for pr in primes] for K in ladder]
+    assert ladder == (8, 27) and np.array_equal(*tables[0]) and not np.array_equal(*tables[1])
+    snf._shared.cache_clear()
+    assert not snf._shared(support, *primes, DEFAULT_POLICY)
+    passes = []
+    real = snf._ladder_counts
+    monkeypatch.setattr(snf, "_ladder_counts", lambda *args: passes.append(args[2]) or real(*args))
+    grids = [[list(g[:2]), list(g[2:])] for g in product(support, repeat=4)]
+    _check_driver_batch((primes, DEFAULT_POLICY, grids))
+    assert set(passes) == set(primes)
 
 
 def test_residue_degree_f_entries_lower_to_blocks():

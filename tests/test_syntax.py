@@ -77,3 +77,35 @@ def test_the_layer_guard_sees_an_import_from_a_later_layer(tmp_path):
                     "def f():\n    from .experiments import parse_config\n"
                     "from . import cli\n", encoding="utf-8")
     assert sorted(_upward_imports(path)) == ["snf.py:4 imports experiments", "snf.py:5 imports cli"]
+
+
+def _axis_moves(path) -> list:
+    """The calls a module makes to moveaxis, swapaxes or transpose, as
+    functions (``np.moveaxis(a, 0, -1)``) or methods (``a.transpose()``),
+    and its reads of an array's ``.T``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        func = node.func if isinstance(node, ast.Call) else None
+        name = getattr(func, "attr", getattr(func, "id", None))
+        if name in ("moveaxis", "swapaxes", "transpose") or (
+                isinstance(node, ast.Attribute) and node.attr == "T"):
+            found.append(f"{path.name}:{node.lineno} {name or 'T'}")
+    return found
+
+
+def test_only_snf_moves_axes():
+    # The kernels' batch-last layout is snf's decision: the sampler and the
+    # runners hand it C-ordered (b, n, m) batches, and gather alone lays
+    # them out batch-last.
+    assert [line for path in _SOURCES if path.stem != "snf" for line in _axis_moves(path)] == []
+
+
+def test_the_axis_guard_sees_every_axis_move(tmp_path):
+    path = tmp_path / "probe.py"
+    path.write_text("import numpy as np\nfrom numpy import moveaxis\n"
+                    "a = np.moveaxis(b, 0, -1)\nc = moveaxis(b, 0, -1)\n"
+                    "d = b.swapaxes(0, 1).transpose()\ne = b.T\nf = b.reshape(2, 3)\n",
+                    encoding="utf-8")
+    assert sorted(_axis_moves(path)) == ["probe.py:3 moveaxis", "probe.py:4 moveaxis",
+                                         "probe.py:5 swapaxes", "probe.py:5 transpose",
+                                         "probe.py:6 T"]
